@@ -3,7 +3,8 @@
 
 For each randomly drawn Galois datum the declared basis of corestricted
 symbols is checked for structure match, generation, exact orders and
-exponent-two coverage against the brute-force fixed-module computation.
+representative independence against the brute-force fixed-module
+computation.
 """
 
 import argparse
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 sys.path.insert(0, "src")
 
-from torusbrauer.brauer import representative_independence, symbol_basis, verify_basis
+from torusbrauer.brauer import BrauerAnalysis
 from torusbrauer.groups import GaloisDatum
 
 
@@ -61,17 +62,16 @@ def main() -> int:
     seen_groups: dict = {}
     for i in range(cfg.count):
         d = random_datum(rng, cfg)
-        rep = symbol_basis(d)
-        v = verify_basis(d)
-        indep = representative_independence(d)
-        ok = v.ok and indep
-        failures += not ok
-        seen_groups[rep.group.describe()] = seen_groups.get(rep.group.describe(), 0) + 1
-        if not args.quiet or not ok:
+        analysis = BrauerAnalysis(d)
+        failed = analysis.failures()
+        failures += bool(failed)
+        group = analysis.group.describe()
+        seen_groups[group] = seen_groups.get(group, 0) + 1
+        if not args.quiet or failed:
             print(
                 f"[{i:4d}] r={d.r} M={d.M:2d} |G|={d.group.order:3d} "
-                f"group={rep.group.describe():12s} "
-                f"{'ok' if ok else 'MISMATCH: ' + str(v)}"
+                f"group={group:12s} "
+                f"{'MISMATCH: ' + str(failed) if failed else 'ok'}"
             )
     dt = time.monotonic() - t0
     print(f"\n{cfg.count} data in {dt:.1f}s, {failures} failure(s)")

@@ -11,8 +11,8 @@ ways and compared:
 * a brute-force oracle: the fixed subgroup of the pair module under the
   twisted permutation action.
 
-The real-torus surjectivity check lives in the spectral module and is
-re-exported here as part of the reporting surface.
+`BrauerAnalysis` computes both for one datum, each piece once, and runs the
+checks that compare them.
 """
 
 from __future__ import annotations
@@ -21,21 +21,15 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .errors import (
-    ModulusTooSmallError,
-    NotQuadraticError,
-    RankTooSmallError,
-)
+from .errors import NotQuadraticError, RankTooSmallError
 from .groups import (
     FinAbGroup,
     GaloisDatum,
     invariants_finite,
-    invariants_subquotient,
     pair_module,
     subgroup_from_ids,
 )
 from .intlat import IntMatrix, invariant_factors, solve
-from .spectral import real_torus_check  # noqa: F401  (reporting surface)
 
 
 # ---------------------------------------------------------------------------
@@ -43,9 +37,13 @@ from .spectral import real_torus_check  # noqa: F401  (reporting surface)
 # ---------------------------------------------------------------------------
 
 
+def _pair_str(pair) -> str:
+    return f"({pair[0] + 1}, {pair[1] + 1})"
+
+
 @dataclass(frozen=True)
 class OrbitReport:
-    pair: tuple  # lexicographically smallest representative (i, j), i < j
+    pair: tuple  # the pair this report is about, (i, j) with i < j
     orbit: tuple  # all pairs in the orbit, sorted
     stabilizer_ordered: tuple  # H_ij element ids
     stabilizer_unordered: tuple  # H'_ij element ids
@@ -55,6 +53,13 @@ class OrbitReport:
     n_prime: int | None
     m_o: int
 
+    def describe(self) -> str:
+        n_prime = self.n_prime if self.quadratic else "-"
+        return (
+            f"orbit of pair {_pair_str(self.pair)} with "
+            f"n={self.n}, n'={n_prime}, m_o={self.m_o}"
+        )
+
 
 @dataclass(frozen=True)
 class SymbolExpr:
@@ -63,16 +68,6 @@ class SymbolExpr:
     pair: tuple
     second_argument: str  # "y_j" or "y_j - y_i"
     modulus: int
-
-
-@dataclass
-class BrauerReport:
-    orbits: list
-    group: FinAbGroup
-    symbols: list
-    oracle: FinAbGroup
-    agreement: bool
-    generator_coords: list  # oracle coordinates of each orbit-sum generator
 
 
 def _act_pair(datum: GaloisDatum, g: int, pair):
@@ -116,14 +111,9 @@ def n_value(datum: GaloisDatum, subgroup_ids) -> int:
     return math.gcd(datum.M, g) if g else datum.M
 
 
-def orbit_report(datum: GaloisDatum, pair) -> OrbitReport:
+def _orbit_report(datum: GaloisDatum, pair, orbit) -> OrbitReport:
     i, j = pair
     G = datum.group
-    orbit = None
-    for orb, rep in zip(*pair_orbits(datum)):
-        if pair in orb:
-            orbit = orb
-            break
     h_ordered = tuple(
         g for g in G.elements() if datum.perm[g][i] == i and datum.perm[g][j] == j
     )
@@ -154,60 +144,12 @@ def n_prime(datum: GaloisDatum, report: OrbitReport) -> int:
     return report.n_prime
 
 
-# ---------------------------------------------------------------------------
-# generators inside the pair module
-# ---------------------------------------------------------------------------
-
-
-def _pair_index(r: int, pair) -> int:
-    pairs = list(itertools.combinations(range(r), 2))
-    return pairs.index(tuple(pair))
-
-
-def orbit_sum_element(datum: GaloisDatum, m: int, report: OrbitReport):
-    """The coset sum over G/H of the translates of e_{ij}, scaled into Z/m
-    so that it has exact order m_o."""
-    module = pair_module(datum, m)
-    G = datum.group
-    h_ids = report.stabilizer_unordered if report.quadratic else report.stabilizer_ordered
-    sub = subgroup_from_ids(G, h_ids)
-    base = [0] * module.rank
-    base[_pair_index(datum.r, report.pair)] = 1
-    total = [0] * module.rank
-    for rep in sub.left_coset_reps():
-        moved = module.act(rep, tuple(base))
-        for t in range(module.rank):
-            total[t] += moved[t]
-    scale = m // report.m_o if report.m_o else 0
-    return tuple((scale * x) % m for x in total)
-
-
-def orbit_sum_elements(datum: GaloisDatum, m: int | None = None):
-    if m is None:
-        m = datum.M
-    reports = [orbit_report(datum, rep) for rep in pair_orbits(datum)[1]]
-    _check_modulus(reports, m)
-    return [orbit_sum_element(datum, m, rep) for rep in reports]
-
-
-def _check_modulus(reports, m):
-    for rep in reports:
-        if m % rep.n != 0:
-            raise ModulusTooSmallError(
-                f"orbit at {rep.pair} needs modulus divisible by {rep.n}"
-            )
-
-
-def brute_invariants(datum: GaloisDatum, m: int | None = None):
-    """Independent oracle: the fixed subgroup of the pair module."""
-    if datum.r < 2:
-        raise RankTooSmallError("need at least two coordinates")
-    if m is None:
-        m = datum.M
-    reports = [orbit_report(datum, rep) for rep in pair_orbits(datum)[1]]
-    _check_modulus(reports, m)
-    group = invariants_finite(pair_module(datum, m))
-    return group, list(group.generators)
+def _symbol(report: OrbitReport) -> SymbolExpr:
+    if report.quadratic:
+        return SymbolExpr(
+            "II", report.stabilizer_ordered, report.pair, "y_j - y_i", report.m_o
+        )
+    return SymbolExpr("I", report.stabilizer_ordered, report.pair, "y_j", report.m_o)
 
 
 def _vector_order(v, m: int) -> int:
@@ -226,103 +168,104 @@ def _in_span(columns, target, m: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# the symbol basis and its verification
+# the analysis of one datum: symbol basis, oracle and the checks between them
 # ---------------------------------------------------------------------------
 
 
-def symbol_basis(datum: GaloisDatum) -> BrauerReport:
-    """One symbol per orbit of coordinate pairs, with the declared group
-    structure compared against the brute-force invariants oracle."""
-    if datum.r < 2:
-        raise RankTooSmallError("need at least two coordinates")
-    m = datum.M
-    orbits, reps = pair_orbits(datum)
-    reports = [orbit_report(datum, rep) for rep in reps]
-    symbols = []
-    for rep in reports:
-        if rep.quadratic:
-            symbols.append(
-                SymbolExpr(
-                    "II",
-                    rep.stabilizer_ordered,
-                    rep.pair,
-                    "y_j - y_i",
-                    rep.m_o,
-                )
-            )
-        else:
-            symbols.append(
-                SymbolExpr("I", rep.stabilizer_ordered, rep.pair, "y_j", rep.m_o)
-            )
-    declared = FinAbGroup(
-        0, invariant_factors([rep.m_o for rep in reports if rep.m_o > 1])
-    )
-    oracle, _ = brute_invariants(datum, m)
-    agreement = declared.torsion == oracle.torsion and oracle.free_rank == 0
-    sub = invariants_subquotient(pair_module(datum, m))
-    coords = [
-        sub.project(orbit_sum_element(datum, m, rep)) for rep in reports
-    ]
-    return BrauerReport(reports, declared, symbols, oracle, agreement, coords)
+class BrauerAnalysis:
+    """Everything the quasi-trivial case needs about one Galois datum, each
+    piece computed once: a report for every coordinate pair (`reports`) and
+    for each orbit representative (`orbits`), the pair module at level M, its
+    fixed subgroup (`oracle`, with its generators), an orbit sum for every
+    pair (`sums`), and the declared symbol basis (`group`, `symbols`)."""
 
-
-@dataclass
-class VerificationReport:
-    structure_match: bool
-    generation: bool
-    orders_match: bool
-    exponent_two_cover: bool
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.structure_match
-            and self.generation
-            and self.orders_match
-            and self.exponent_two_cover
+    def __init__(self, datum: GaloisDatum):
+        orbits, reps = pair_orbits(datum)
+        self.datum = datum
+        self.reports = {
+            pair: _orbit_report(datum, pair, orbit) for orbit in orbits for pair in orbit
+        }
+        self.orbits = [self.reports[pair] for pair in reps]
+        self.module = pair_module(datum, datum.M)
+        self.oracle = invariants_finite(self.module)
+        self.sums = {
+            pair: self._orbit_sum(self.reports[pair], t)
+            for t, pair in enumerate(itertools.combinations(range(datum.r), 2))
+        }
+        self.group = FinAbGroup(
+            0, invariant_factors([o.m_o for o in self.orbits if o.m_o > 1])
+        )
+        self.symbols = [_symbol(o) for o in self.orbits]
+        self.agreement = (
+            self.group.torsion == self.oracle.torsion and self.oracle.free_rank == 0
         )
 
+    def _orbit_sum(self, report: OrbitReport, t: int):
+        """The coset sum over G/H of the translates of e_pair (basis vector
+        t), scaled into Z/M so that it has exact order m_o."""
+        m = self.datum.M
+        h_ids = report.stabilizer_unordered if report.quadratic else report.stabilizer_ordered
+        base = tuple(1 if s == t else 0 for s in range(self.module.rank))
+        total = [0] * self.module.rank
+        for g in subgroup_from_ids(self.datum.group, h_ids).left_coset_reps():
+            for s, x in enumerate(self.module.act(g, base)):
+                total[s] += x
+        scale = m // report.m_o
+        return tuple((scale * x) % m for x in total)
 
-def verify_basis(datum: GaloisDatum) -> VerificationReport:
-    """Full check of the declared basis: the declared cyclic orders match
-    the oracle, the orbit sums generate the fixed subgroup with the right
-    orders, and doubling the oracle lands in the span (exponent-2 cover)."""
-    m = datum.M
-    report = symbol_basis(datum)
-    module = pair_module(datum, m)
-    sums = [orbit_sum_element(datum, m, rep) for rep in report.orbits]
-    # each sum is fixed by the action
-    invariant = all(
-        tuple(module.act(g, v)) == tuple(v)
-        for v in sums
-        for g in datum.group.elements()
-    )
-    oracle, gens = brute_invariants(datum, m)
-    generation = invariant and all(_in_span(sums, g, m) for g in gens)
-    orders = all(
-        _vector_order(v, m) == rep.m_o
-        for v, rep in zip(sums, report.orbits)
-        if rep.m_o > 1
-    ) and all(
-        _vector_order(v, m) == 1 for v, rep in zip(sums, report.orbits) if rep.m_o == 1
-    )
-    doubled = all(_in_span(sums, tuple(2 * x for x in g), m) for g in gens)
-    return VerificationReport(report.agreement, generation, orders, doubled)
+    @property
+    def orbit_sums(self) -> list:
+        """The orbit sum of each orbit representative: the declared basis."""
+        return [self.sums[o.pair] for o in self.orbits]
 
+    def failures(self) -> dict[str, str]:
+        """The checks that fail, by name, each with the first thing that
+        failed; empty when the declared basis is verified.
 
-def representative_independence(datum: GaloisDatum) -> bool:
-    """The cyclic subgroup generated by an orbit sum does not depend on which
-    pair in the orbit is used as representative."""
-    m = datum.M
-    _, reps = pair_orbits(datum)
-    for rep in reps:
-        base_report = orbit_report(datum, rep)
-        base = orbit_sum_element(datum, m, base_report)
-        for other in base_report.orbit:
-            alt_report = orbit_report(datum, other)
-            if alt_report.m_o != base_report.m_o:
-                return False
-            alt = orbit_sum_element(datum, m, alt_report)
-            if not (_in_span([base], alt, m) and _in_span([alt], base, m)):
-                return False
-    return True
+        structure: the declared group has the oracle's invariant factors.
+        generation: every orbit sum is fixed and the sums span the oracle.
+        orders: each orbit sum has exact order m_o.
+        representative_independence: every pair of an orbit gives the same
+        m_o and an orbit sum generating the same cyclic subgroup."""
+        found = {
+            "structure": self._structure(),
+            "generation": self._generation(),
+            "orders": self._orders(),
+            "representative_independence": self._representative_independence(),
+        }
+        return {name: detail for name, detail in found.items() if detail}
+
+    def _structure(self) -> str | None:
+        if self.agreement:
+            return None
+        return f"declared {self.group.describe()}, oracle {self.oracle.describe()}"
+
+    def _generation(self) -> str | None:
+        for o in self.orbits:
+            v = self.sums[o.pair]
+            if any(tuple(self.module.act(g, v)) != v for g in self.datum.group.elements()):
+                return f"{o.describe()}: orbit sum {v} is not fixed"
+        sums = self.orbit_sums
+        for gen in self.oracle.generators:
+            if not _in_span(sums, gen, self.datum.M):
+                return f"oracle generator {gen} is not in the span of the orbit sums"
+        return None
+
+    def _orders(self) -> str | None:
+        for o in self.orbits:
+            order = _vector_order(self.sums[o.pair], self.datum.M)
+            if order != o.m_o:
+                return f"{o.describe()}: orbit sum has order {order}"
+        return None
+
+    def _representative_independence(self) -> str | None:
+        m = self.datum.M
+        for o in self.orbits:
+            base = self.sums[o.pair]
+            for pair in o.orbit:
+                alt, alt_m_o = self.sums[pair], self.reports[pair].m_o
+                if alt_m_o != o.m_o:
+                    return f"{o.describe()}: pair {_pair_str(pair)} has m_o={alt_m_o}"
+                if not (_in_span([base], alt, m) and _in_span([alt], base, m)):
+                    return f"{o.describe()}: pair {_pair_str(pair)} generates another subgroup"
+        return None

@@ -21,17 +21,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 import time
 
 from . import __version__
-from .brauer import (
-    brute_invariants,
-    representative_independence,
-    symbol_basis,
-    verify_basis,
-)
+from .brauer import BrauerAnalysis
 from .errors import (
     DisagreementError,
     SchemaError,
@@ -88,22 +84,32 @@ def _require(doc: dict, key: str, typ):
     return val
 
 
+def _positive(doc: dict, key: str) -> int:
+    val = _require(doc, key, int)
+    if val < 1:
+        raise SchemaError(f'field "{key}" must be a positive integer')
+    return val
+
+
 def _matrix(data, what: str) -> IntMatrix:
     if (
         not isinstance(data, list)
         or not data
         or not all(
-            isinstance(row, list) and all(isinstance(x, int) for x in row)
+            isinstance(row, list)
+            and row
+            and len(row) == len(data[0])
+            and all(isinstance(x, int) for x in row)
             for row in data
         )
     ):
-        raise SchemaError(f"{what} must be a non-empty list of integer rows")
+        raise SchemaError(f"{what} must be a non-empty list of equally long integer rows")
     return IntMatrix.from_rows(data)
 
 
 def parse_galois_datum(doc: dict) -> GaloisDatum:
     r = _require(doc, "r", int)
-    M = _require(doc, "M", int)
+    M = _positive(doc, "M")
     gens = _require(doc, "generators", list)
     pairs = []
     for g in gens:
@@ -113,6 +119,10 @@ def parse_galois_datum(doc: dict) -> GaloisDatum:
         unit = _require(g, "unit", int)
         if not all(isinstance(x, int) for x in perm):
             raise SchemaError("perm must be a list of integers")
+        if sorted(perm) != list(range(r)):
+            raise SchemaError(f"perm {perm} is not a permutation of 0..{r - 1}")
+        if math.gcd(unit, M) != 1:
+            raise SchemaError(f"unit {unit} is not coprime to M = {M}")
         pairs.append((tuple(perm), unit))
     return GaloisDatum.from_generators(r, M, pairs)
 
@@ -125,7 +135,7 @@ def parse_group(spec) -> FiniteGroup:
     if not isinstance(spec, dict):
         raise SchemaError("pi must be an object")
     if "cyclic" in spec:
-        return FiniteGroup.cyclic(_require(spec, "cyclic", int))
+        return FiniteGroup.cyclic(_positive(spec, "cyclic"))
     if "symmetric" in spec:
         return FiniteGroup.symmetric(_require(spec, "symmetric", int))[0]
     if "klein" in spec:
@@ -149,7 +159,7 @@ def parse_split_extension(doc: dict) -> SplitExtensionSpec:
     N = GLattice(pi, mats[0].rows, mats)
     coeff = _require(doc, "coefficients", dict)
     if "mu" in coeff:
-        n = _require(coeff, "mu", int)
+        n = _positive(coeff, "mu")
         chi = _require(coeff, "chi", list)
         if len(chi) != pi.order or not all(isinstance(x, int) for x in chi):
             raise SchemaError("chi must list one unit per group element")
@@ -157,8 +167,8 @@ def parse_split_extension(doc: dict) -> SplitExtensionSpec:
     else:
         rank = _require(coeff, "rank", int)
         modulus = coeff.get("modulus")
-        if modulus is not None and not isinstance(modulus, int):
-            raise SchemaError("modulus must be an integer or null")
+        if modulus is not None and (not isinstance(modulus, int) or modulus < 1):
+            raise SchemaError("modulus must be a positive integer or null")
         mlist = _require(coeff, "matrices", list)
         if len(mlist) != pi.order:
             raise SchemaError("one coefficient matrix per group element required")
@@ -228,18 +238,16 @@ def _fmt(v):
 
 
 def cmd_qt_brauer(doc: dict) -> dict:
-    datum = parse_galois_datum(doc)
-    basis = symbol_basis(datum)
-    oracle, gens = brute_invariants(datum)
-    checks = verify_basis(datum)
-    indep = representative_independence(datum)
+    analysis = BrauerAnalysis(parse_galois_datum(doc))
+    datum = analysis.datum
+    failures = analysis.failures()
     report = {
         "command": "qt-brauer",
         "version": __version__,
         "input": {"kind": "galois-datum", "r": datum.r, "M": datum.M},
-        "group": group_str(basis.group),
-        "invariant_factors": list(basis.group.torsion),
-        "symbols": [render_symbol(s) for s in basis.symbols],
+        "group": group_str(analysis.group),
+        "invariant_factors": list(analysis.group.torsion),
+        "symbols": [render_symbol(s) for s in analysis.symbols],
         "orbits": [
             {
                 "pair": [o.pair[0] + 1, o.pair[1] + 1],
@@ -250,36 +258,30 @@ def cmd_qt_brauer(doc: dict) -> dict:
                 "order": o.m_o,
                 "stabilizer": list(o.stabilizer_ordered),
             }
-            for o in basis.orbits
+            for o in analysis.orbits
         ],
-        "oracle": group_str(oracle),
-        "oracle_generators": [list(g) for g in gens],
-        "agreement": basis.agreement,
+        "oracle": group_str(analysis.oracle),
+        "oracle_generators": [list(g) for g in analysis.oracle.generators],
+        "agreement": analysis.agreement,
         "basis_checks": {
-            "structure": checks.structure_match,
-            "generation": checks.generation,
-            "orders": checks.orders_match,
+            name: name not in failures for name in ("structure", "generation", "orders")
         },
-        "representative_independence": indep,
+        "representative_independence": "representative_independence" not in failures,
     }
-    if not (basis.agreement and checks.ok and indep):
-        raise DisagreementError("symbol basis disagrees with the oracle")
+    if failures:
+        name, detail = next(iter(failures.items()))
+        raise DisagreementError(f"{name} check failed: {detail}")
     return report
 
 
 def cmd_real_torus(doc: dict, moduli) -> dict:
     S = parse_involution(doc)
-    levels = []
-    for n in moduli:
-        rep = real_torus_check(S, n)
-        levels.append(
-            {
-                "n": n,
-                "d2_zero": rep.d2_is_zero,
-                "invariants": group_str(rep.invariants),
-            }
-        )
-    dec = real_torus_check(S, moduli[0]).decomposition
+    reports = [real_torus_check(S, n) for n in moduli]
+    levels = [
+        {"n": n, "d2_zero": rep.d2_is_zero, "invariants": group_str(rep.invariants)}
+        for n, rep in zip(moduli, reports)
+    ]
+    dec = reports[0].decomposition
     return {
         "command": "real-torus",
         "version": __version__,
@@ -363,8 +365,6 @@ def _suite_twisted(rng):
 
 
 def _suite_brauer(rng):
-    import math
-
     for _ in range(8):
         r = rng.randrange(2, 5)
         M = rng.choice([2, 4, 6, 8, 12])
@@ -374,9 +374,9 @@ def _suite_brauer(rng):
             p = list(range(r))
             rng.shuffle(p)
             pairs.append((tuple(p), rng.choice(units)))
-        datum = GaloisDatum.from_generators(r, M, pairs)
-        if not verify_basis(datum).ok:
-            raise DisagreementError("random sweep found an oracle mismatch")
+        failures = BrauerAnalysis(GaloisDatum.from_generators(r, M, pairs)).failures()
+        if failures:
+            raise DisagreementError(f"random sweep found an oracle mismatch: {failures}")
 
 
 SUITES = {
@@ -465,6 +465,8 @@ def run(argv) -> tuple[int, str]:
                 raise SchemaError("--modulus must be a comma-separated int list") from e
             if not moduli:
                 raise SchemaError("--modulus must name at least one level")
+            if min(moduli) < 1:
+                raise SchemaError("--modulus levels must be positive")
             report = cmd_real_torus(load_document(args.input), moduli)
         elif args.command == "d2":
             report = cmd_d2(load_document(args.input), rng)

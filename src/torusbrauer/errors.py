@@ -49,10 +49,6 @@ class RankTooSmallError(ValidationError):
     pass
 
 
-class ModulusTooSmallError(ValidationError):
-    pass
-
-
 class DegreeTooLargeError(ValidationError):
     pass
 

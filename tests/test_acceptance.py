@@ -12,13 +12,7 @@ import time
 
 import pytest
 
-from torusbrauer.brauer import (
-    orbit_report,
-    pair_orbits,
-    representative_independence,
-    symbol_basis,
-    verify_basis,
-)
+from torusbrauer.brauer import BrauerAnalysis
 from torusbrauer.cli import (
     EXIT_DISAGREEMENT,
     EXIT_OK,
@@ -145,19 +139,19 @@ def involution_types(max_rank):
 def test_criterion_1_worked_examples(capsys):
     with criterion(1, capsys, "worked symbol-basis examples under 1s each"):
         t0 = time.monotonic()
-        rep = symbol_basis(qi_datum())
+        rep = BrauerAnalysis(qi_datum())
         assert time.monotonic() - t0 < 1.0
         assert rep.group.torsion == (4,) and rep.agreement
         assert [s.kind for s in rep.symbols] == ["II"]
 
         t0 = time.monotonic()
-        rep = symbol_basis(s3_datum())
+        rep = BrauerAnalysis(s3_datum())
         assert time.monotonic() - t0 < 1.0
         assert rep.group.torsion == (2,) and rep.agreement
         assert [(s.kind, s.modulus) for s in rep.symbols] == [("II", 2)]
 
         t0 = time.monotonic()
-        rep = symbol_basis(GaloisDatum.from_generators(3, 2, []))
+        rep = BrauerAnalysis(GaloisDatum.from_generators(3, 2, []))
         assert time.monotonic() - t0 < 1.0
         assert rep.group.torsion == (2, 2, 2) and rep.agreement
         assert all(s.kind == "I" for s in rep.symbols)
@@ -175,9 +169,8 @@ def test_criterion_2_random_verification(capsys):
         rng = random.Random(2024)
         for _ in range(50):
             d = random_datum(rng)
-            v = verify_basis(d)
-            assert v.ok, (d.r, d.M, d.perm, d.chi, v)
-            assert representative_independence(d)
+            failures = BrauerAnalysis(d).failures()
+            assert not failures, (d.r, d.M, d.perm, d.chi, failures)
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +184,7 @@ def test_criterion_3_quadratic_order_divisibility(capsys):
         data = [qi_datum(), s3_datum()] + [random_datum(rng) for _ in range(40)]
         quadratic_seen = 0
         for d in data:
-            for pair in pair_orbits(d)[1]:
-                rep = orbit_report(d, pair)
+            for rep in BrauerAnalysis(d).orbits:
                 if not rep.quadratic:
                     assert rep.m_o == rep.n
                     continue

@@ -1,25 +1,15 @@
 import math
+import pathlib
 import random
 
 import pytest
 
-from torusbrauer.brauer import (
-    brute_invariants,
-    n_prime,
-    n_value,
-    orbit_report,
-    orbit_sum_elements,
-    pair_orbits,
-    representative_independence,
-    symbol_basis,
-    verify_basis,
-)
-from torusbrauer.errors import (
-    ModulusTooSmallError,
-    NotQuadraticError,
-    RankTooSmallError,
-)
+from torusbrauer import brauer, cli
+from torusbrauer.brauer import BrauerAnalysis, n_prime, n_value, pair_orbits
+from torusbrauer.errors import NotQuadraticError, RankTooSmallError
 from torusbrauer.groups import GaloisDatum
+
+EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "examples_cli"
 
 
 def qi_datum():
@@ -82,19 +72,19 @@ class TestNValue:
 
 class TestOrbitReport:
     def test_qi_quadratic(self):
-        rep = orbit_report(qi_datum(), (0, 1))
+        rep = BrauerAnalysis(qi_datum()).reports[(0, 1)]
         assert rep.quadratic and rep.sigma == 1
         assert rep.n == 4
         assert rep.n_prime == 4 and rep.m_o == 4
 
     def test_s3_quadratic(self):
-        rep = orbit_report(s3_datum(), (0, 1))
+        rep = BrauerAnalysis(s3_datum()).reports[(0, 1)]
         assert rep.quadratic
         assert rep.n == 2 and rep.n_prime == 2 and rep.m_o == 2
         assert len(rep.stabilizer_unordered) == 2 * len(rep.stabilizer_ordered)
 
     def test_not_quadratic_rejected(self):
-        rep = orbit_report(trivial_datum(), (0, 1))
+        rep = BrauerAnalysis(trivial_datum()).reports[(0, 1)]
         assert not rep.quadratic and rep.m_o == rep.n
         with pytest.raises(NotQuadraticError):
             n_prime(trivial_datum(), rep)
@@ -103,8 +93,7 @@ class TestOrbitReport:
         rng = random.Random(5)
         for _ in range(40):
             d = random_datum(rng)
-            for pair in pair_orbits(d)[1]:
-                rep = orbit_report(d, pair)
+            for rep in BrauerAnalysis(d).reports.values():
                 assert rep.n % 1 == 0 and d.M % rep.n == 0
                 if rep.quadratic:
                     assert (1 + d.chi[rep.sigma]) % rep.n_prime == 0
@@ -113,39 +102,33 @@ class TestOrbitReport:
 
 class TestBruteInvariants:
     def test_qi(self):
-        group, _ = brute_invariants(qi_datum())
-        assert group.torsion == (4,)
+        assert BrauerAnalysis(qi_datum()).oracle.torsion == (4,)
 
     def test_s3(self):
-        group, gens = brute_invariants(s3_datum())
-        assert group.torsion == (2,)
-        assert gens[0] == (1, 1, 1)
+        oracle = BrauerAnalysis(s3_datum()).oracle
+        assert oracle.torsion == (2,)
+        assert oracle.generators[0] == (1, 1, 1)
 
     def test_trivial(self):
-        group, _ = brute_invariants(trivial_datum())
-        assert group.torsion == (2, 2, 2)
-
-    def test_modulus_too_small(self):
-        with pytest.raises(ModulusTooSmallError):
-            brute_invariants(qi_datum(), 2)
+        assert BrauerAnalysis(trivial_datum()).oracle.torsion == (2, 2, 2)
 
 
 class TestOrbitSums:
     def test_trivial(self):
-        sums = orbit_sum_elements(trivial_datum())
+        sums = BrauerAnalysis(trivial_datum()).orbit_sums
         assert sums == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
 
     def test_s3(self):
-        assert orbit_sum_elements(s3_datum()) == [(1, 1, 1)]
+        assert BrauerAnalysis(s3_datum()).orbit_sums == [(1, 1, 1)]
 
     def test_qi_unit_multiple(self):
-        (v,) = orbit_sum_elements(qi_datum())
+        (v,) = BrauerAnalysis(qi_datum()).orbit_sums
         assert v[0] % 2 == 1  # a unit times e_12 mod 4
 
 
 class TestSymbolBasis:
     def test_qi(self):
-        rep = symbol_basis(qi_datum())
+        rep = BrauerAnalysis(qi_datum())
         assert rep.group.torsion == (4,)
         assert [s.kind for s in rep.symbols] == ["II"]
         assert rep.symbols[0].second_argument == "y_j - y_i"
@@ -153,13 +136,13 @@ class TestSymbolBasis:
         assert rep.agreement
 
     def test_s3(self):
-        rep = symbol_basis(s3_datum())
+        rep = BrauerAnalysis(s3_datum())
         assert rep.group.torsion == (2,)
         assert [(s.kind, s.modulus) for s in rep.symbols] == [("II", 2)]
         assert rep.agreement
 
     def test_trivial_r2(self):
-        rep = symbol_basis(trivial_datum(r=2))
+        rep = BrauerAnalysis(trivial_datum(r=2))
         assert rep.group.torsion == (2,)
         assert rep.symbols[0].kind == "I"
         assert rep.symbols[0].second_argument == "y_j"
@@ -167,7 +150,7 @@ class TestSymbolBasis:
 
     def test_rank_too_small(self):
         with pytest.raises(RankTooSmallError):
-            symbol_basis(GaloisDatum.from_generators(1, 2, []))
+            BrauerAnalysis(GaloisDatum.from_generators(1, 2, []))
 
 
 class TestVerification:
@@ -175,13 +158,37 @@ class TestVerification:
         "datum", [qi_datum(), s3_datum(), trivial_datum(), trivial_datum(2, 4)]
     )
     def test_worked_examples(self, datum):
-        assert verify_basis(datum).ok
-        assert representative_independence(datum)
+        assert BrauerAnalysis(datum).failures() == {}
 
     def test_random_sweep(self):
         rng = random.Random(17)
         for _ in range(25):
             d = random_datum(rng)
-            v = verify_basis(d)
-            assert v.ok, (d.r, d.M, d.perm, d.chi, v)
-            assert representative_independence(d)
+            assert BrauerAnalysis(d).failures() == {}, (d.r, d.M, d.perm, d.chi)
+
+    def test_every_pair_has_a_report_and_a_sum(self):
+        a = BrauerAnalysis(s3_datum())
+        assert set(a.reports) == set(a.sums) == {(0, 1), (0, 2), (1, 2)}
+        assert all(rep.pair == pair for pair, rep in a.reports.items())
+
+
+class TestAnalysedOnce:
+    def test_qt_brauer_builds_the_pair_module_once(self, monkeypatch):
+        calls = []
+        build = brauer.pair_module
+
+        def counting(datum, m):
+            calls.append(m)
+            return build(datum, m)
+
+        monkeypatch.setattr(brauer, "pair_module", counting)
+        code, _ = cli.run(["--json", "qt-brauer", str(EXAMPLES / "s3_datum.json")])
+        assert code == cli.EXIT_OK
+        assert calls == [2]
+
+    def test_criterion_2_stream_seed_7(self):
+        rng = random.Random(7)
+        for _ in range(50):
+            d = random_datum(rng)
+            a = BrauerAnalysis(d)
+            assert a.agreement and a.failures() == {}, (d.r, d.M, d.perm, d.chi)

@@ -3,6 +3,7 @@ import pathlib
 
 import pytest
 
+from torusbrauer import brauer
 from torusbrauer.cli import (
     EXIT_DISAGREEMENT,
     EXIT_OK,
@@ -127,3 +128,69 @@ class TestExitCodes:
 
     def test_codes_distinct(self):
         assert len({EXIT_OK, EXIT_SCHEMA, EXIT_VALIDATION, EXIT_DISAGREEMENT}) == 4
+
+    @pytest.mark.parametrize(
+        "generator",
+        [
+            {"perm": [1, 0], "unit": 3},  # shorter than r
+            {"perm": [0, 0, 1], "unit": 3},  # repeated entry
+            {"perm": [0, 1, 3], "unit": 3},  # out of range
+            {"perm": [1, 0, 2], "unit": 2},  # unit not coprime to M
+        ],
+        ids=["short-perm", "repeated-perm", "out-of-range-perm", "non-unit"],
+    )
+    def test_bad_generator_schema(self, tmp_path, generator):
+        doc = {"kind": "galois-datum", "r": 3, "M": 4, "generators": [generator]}
+        code, text = run(["qt-brauer", write(tmp_path, "gen.json", doc)])
+        assert code == EXIT_SCHEMA
+        assert text.startswith("input error: ") and text.count("\n") == 1
+
+    def test_ragged_matrix_schema(self, tmp_path):
+        doc = {"kind": "involution-lattice", "matrix": [[0, 1], [1]]}
+        assert run(["real-torus", write(tmp_path, "ragged.json", doc)])[0] == EXIT_SCHEMA
+
+    def test_zero_modulus_flag_schema(self):
+        path = str(INPUTS / "ind_lattice.json")
+        assert run(["real-torus", path, "--modulus", "0"])[0] == EXIT_SCHEMA
+
+    def test_cyclic_zero_schema(self, tmp_path):
+        doc = {"kind": "split-extension", "pi": {"cyclic": 0}, "action": [],
+               "coefficients": {"mu": 2, "chi": []}}
+        assert run(["d2", write(tmp_path, "c0.json", doc)])[0] == EXIT_SCHEMA
+
+    def test_mu_zero_schema(self, tmp_path):
+        doc = json.loads((INPUTS / "ind_extension.json").read_text())
+        doc["coefficients"]["mu"] = 0
+        assert run(["d2", write(tmp_path, "mu0.json", doc)])[0] == EXIT_SCHEMA
+
+    def test_other_zero_moduli_schema(self, tmp_path):
+        doc = {"kind": "galois-datum", "r": 2, "M": 0, "generators": []}
+        assert run(["qt-brauer", write(tmp_path, "m0.json", doc)])[0] == EXIT_SCHEMA
+        doc = json.loads((INPUTS / "ind_extension.json").read_text())
+        doc["coefficients"] = {"rank": 1, "modulus": 0, "matrices": [[[1]], [[1]]]}
+        assert run(["d2", write(tmp_path, "mod0.json", doc)])[0] == EXIT_SCHEMA
+
+
+class TestDisagreementMessage:
+    def test_orders_failure_names_the_orbit(self, monkeypatch):
+        monkeypatch.setattr(brauer, "_vector_order", lambda v, m: 0)
+        code, text = run(["qt-brauer", str(INPUTS / "qi_datum.json")])
+        assert code == EXIT_DISAGREEMENT
+        assert text == (
+            "disagreement: orders check failed: orbit of pair (1, 2) with "
+            "n=4, n'=4, m_o=4: orbit sum has order 0\n"
+        )
+
+    @pytest.mark.parametrize(
+        "check", ["structure", "generation", "orders", "representative_independence"]
+    )
+    def test_each_check_is_named(self, monkeypatch, check):
+        monkeypatch.setattr(
+            brauer.BrauerAnalysis, f"_{check}", lambda self: f"{self.orbits[0].describe()}: forced"
+        )
+        code, text = run(["qt-brauer", str(INPUTS / "s3_datum.json")])
+        assert code == EXIT_DISAGREEMENT
+        assert text == (
+            f"disagreement: {check} check failed: orbit of pair (1, 2) with "
+            "n=2, n'=2, m_o=2: forced\n"
+        )
