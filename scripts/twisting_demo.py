@@ -66,8 +66,7 @@ def main() -> int:
         print(f"  differential vanishes: {rep.is_zero()}")
         print(f"  universal class vanishes: {v2(ext.N).is_zero()}")
         inv = invariants_finite(lattice_cohomology(ext.N, ext.M, 2))
-        for i, gen in enumerate(inv.generators):
-            ok = pushforward_formula_check(ext, gen, rng=rng)
+        for i, ok in enumerate(pushforward_formula_check(ext, inv.generators, rng=rng)):
             print(f"  pushforward formula on generator {i}: {'ok' if ok else 'FAILS'}")
         print()
     return 0

@@ -1,6 +1,7 @@
 """Batch front door: structured input documents in, reports out.
 
-One JSON object per input file, tagged by "kind":
+One JSON object per input file, tagged by "kind" (qt-brauer reads a
+galois-datum, real-torus an involution-lattice, d2 and v2 a split-extension):
 
 * galois-datum: {"kind": "galois-datum", "r": 2, "M": 4,
                  "generators": [{"perm": [1, 0], "unit": 3}]}
@@ -62,7 +63,8 @@ EXIT_DISAGREEMENT = 4
 # ---------------------------------------------------------------------------
 
 
-def load_document(path: str) -> dict:
+def load_document(path: str, kind: str) -> dict:
+    """The JSON object in `path`, which must be tagged with `kind`."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -72,6 +74,8 @@ def load_document(path: str) -> dict:
         raise SchemaError(f"input is not valid JSON: {e}") from e
     if not isinstance(doc, dict) or "kind" not in doc:
         raise SchemaError('input must be a JSON object with a "kind" tag')
+    if doc["kind"] != kind:
+        raise SchemaError(f'expected a "{kind}" document, got kind {json.dumps(doc["kind"])}')
     return doc
 
 
@@ -88,6 +92,13 @@ def _positive(doc: dict, key: str) -> int:
     val = _require(doc, key, int)
     if val < 1:
         raise SchemaError(f'field "{key}" must be a positive integer')
+    return val
+
+
+def _level(doc: dict, key: str) -> int:
+    val = _require(doc, key, int)
+    if val < 2:
+        raise SchemaError(f'field "{key}" must be a level of at least 2')
     return val
 
 
@@ -159,16 +170,14 @@ def parse_split_extension(doc: dict) -> SplitExtensionSpec:
     N = GLattice(pi, mats[0].rows, mats)
     coeff = _require(doc, "coefficients", dict)
     if "mu" in coeff:
-        n = _positive(coeff, "mu")
+        n = _level(coeff, "mu")
         chi = _require(coeff, "chi", list)
         if len(chi) != pi.order or not all(isinstance(x, int) for x in chi):
             raise SchemaError("chi must list one unit per group element")
         M = CoeffModule.mu(pi, n, tuple(chi))
     else:
         rank = _require(coeff, "rank", int)
-        modulus = coeff.get("modulus")
-        if modulus is not None and (not isinstance(modulus, int) or modulus < 1):
-            raise SchemaError("modulus must be a positive integer or null")
+        modulus = None if coeff.get("modulus") is None else _level(coeff, "modulus")
         mlist = _require(coeff, "matrices", list)
         if len(mlist) != pi.order:
             raise SchemaError("one coefficient matrix per group element required")
@@ -295,9 +304,7 @@ def cmd_real_torus(doc: dict, moduli) -> dict:
 def cmd_d2(doc: dict, rng) -> dict:
     ext = parse_split_extension(doc)
     rep = d2_02(ext)
-    verdicts = [
-        bool(pushforward_formula_check(ext, gen, rng=rng)) for gen in rep.source.generators
-    ]
+    verdicts = pushforward_formula_check(ext, rep.source.generators, rng=rng)
     return {
         "command": "d2",
         "version": __version__,
@@ -313,10 +320,9 @@ def cmd_d2(doc: dict, rng) -> dict:
 def cmd_v2(doc: dict, rng) -> dict:
     ext = parse_split_extension(doc)
     cls = v2(ext.N)
-    verdicts = [
-        bool(pushforward_formula_check(ext, gen, rng=rng))
-        for gen in invariants_finite(lattice_cohomology(ext.N, ext.M, 2)).generators
-    ]
+    verdicts = pushforward_formula_check(
+        ext, invariants_finite(lattice_cohomology(ext.N, ext.M, 2)).generators, rng=rng
+    )
     return {
         "command": "v2",
         "version": __version__,
@@ -358,9 +364,7 @@ def _suite_twisted(rng):
     swap = GLattice(
         c2, 2, (IntMatrix.identity(2), IntMatrix.from_rows([[0, 1], [1, 0]]))
     )
-    mu = CoeffModule.mu(c2, 2, (1, 1))
-    ext = SplitExtensionSpec(c2, swap, mu)
-    assert twisted_resolution(ext).verify_d_squared()
+    assert twisted_resolution(swap).verify_d_squared()
     assert v2(swap).is_zero()
 
 
@@ -457,7 +461,7 @@ def run(argv) -> tuple[int, str]:
     rng = random.Random(args.seed)
     try:
         if args.command == "qt-brauer":
-            report = cmd_qt_brauer(load_document(args.input))
+            report = cmd_qt_brauer(load_document(args.input, "galois-datum"))
         elif args.command == "real-torus":
             try:
                 moduli = [int(x) for x in args.modulus.split(",") if x]
@@ -465,13 +469,13 @@ def run(argv) -> tuple[int, str]:
                 raise SchemaError("--modulus must be a comma-separated int list") from e
             if not moduli:
                 raise SchemaError("--modulus must name at least one level")
-            if min(moduli) < 1:
-                raise SchemaError("--modulus levels must be positive")
-            report = cmd_real_torus(load_document(args.input), moduli)
+            if min(moduli) < 2:
+                raise SchemaError("--modulus levels must be at least 2")
+            report = cmd_real_torus(load_document(args.input, "involution-lattice"), moduli)
         elif args.command == "d2":
-            report = cmd_d2(load_document(args.input), rng)
+            report = cmd_d2(load_document(args.input, "split-extension"), rng)
         elif args.command == "v2":
-            report = cmd_v2(load_document(args.input), rng)
+            report = cmd_v2(load_document(args.input, "split-extension"), rng)
         else:
             report = cmd_selftest(args.suite, args.seed)
     except SchemaError as e:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import (
     DegreeTooLargeError,
@@ -26,6 +27,12 @@ from .groups import CoeffModule, FiniteGroup, Subgroup
 from .intlat import IntMatrix, Subquotient
 
 MAX_DEGREE = 3
+
+# The one bound on every memoised constructor: the cohomology engines and
+# transfer data here, the lattice cohomology modules and twisted resolutions
+# in spectral.  One command builds a handful of each; the bound keeps a sweep
+# over many documents in one process from holding all of them.
+CACHE_SIZE = 32
 
 
 # ---------------------------------------------------------------------------
@@ -400,16 +407,9 @@ class GroupCohomology:
         return CohomologyClass(self.degree, self.M, {}, (0,) * ngen, self)
 
 
-_ENGINE_CACHE: dict = {}
-
-
+@lru_cache(maxsize=CACHE_SIZE)
 def cohomology(G: FiniteGroup, M: CoeffModule, degree: int, resolution="auto") -> GroupCohomology:
-    key = (G, M, degree, resolution)
-    eng = _ENGINE_CACHE.get(key)
-    if eng is None:
-        eng = GroupCohomology(G, M, degree, resolution=resolution)
-        _ENGINE_CACHE[key] = eng
-    return eng
+    return GroupCohomology(G, M, degree, resolution=resolution)
 
 
 # ---------------------------------------------------------------------------
@@ -468,6 +468,7 @@ def restriction(cls: CohomologyClass, sub: Subgroup) -> CohomologyClass:
     return eng.classify(table)
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 class _TransferData:
     """Z[H]-chain map from the bar resolution of G (restricted to H) to the
     bar resolution of H, built by lifting through the homotopy of the target."""
@@ -523,18 +524,12 @@ class _TransferData:
         return out
 
 
-_TRANSFER_CACHE: dict = {}
-
-
 def corestriction(sub: Subgroup, module: CoeffModule, cls: CohomologyClass) -> CohomologyClass:
     """Transfer H^n(H, M) -> H^n(G, M); `module` is M as a G-module and `cls`
     lives over sub.group with coefficients module.restrict(sub)."""
     if cls.module != module.restrict(sub):
         raise ValidationError("class coefficients do not match the ambient module")
-    td = _TRANSFER_CACHE.get(sub)
-    if td is None:
-        td = _TransferData(sub)
-        _TRANSFER_CACHE[sub] = td
+    td = _TransferData(sub)
     G, H = sub.ambient, sub.group
     n = cls.degree
 

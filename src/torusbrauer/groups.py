@@ -165,14 +165,6 @@ class Subgroup:
                 reps.append(g)
         return tuple(reps)
 
-    def coset_rep_of(self, g: int, reps) -> tuple[int, int]:
-        """Split g = h * r with r a coset reference? No: g = r * h."""
-        for r in reps:
-            rinv_g = self.ambient.mul(self.ambient.inv(r), g)
-            if rinv_g in self.embed:
-                return r, self.embed.index(rinv_g)
-        raise ValidationError("coset decomposition failed")
-
 
 def subgroup_from_ids(G: FiniteGroup, ids) -> Subgroup:
     ids = sorted(set(ids) | {0})
@@ -256,10 +248,6 @@ class GaloisDatum:
             tuple(e[1] for e in elems),
         )
 
-    def chi_inverse(self, g: int, modulus: int | None = None) -> int:
-        m = self.M if modulus is None else modulus
-        return pow(self.chi[g] % m, -1, m)
-
 
 @dataclass(frozen=True)
 class GLattice:
@@ -303,15 +291,6 @@ class GLattice:
                 rows.append((0,) * r1 + b.entries[i])
             mats.append(IntMatrix.from_rows(rows))
         return GLattice(self.group, r1 + r2, tuple(mats))
-
-    def conjugate(self, B: IntMatrix) -> "GLattice":
-        """Same action written in the basis given by the columns of B^-1."""
-        Binv = unimodular_inverse(B)
-        return GLattice(
-            self.group,
-            self.rank,
-            tuple(B.mul(m).mul(Binv) for m in self.rho),
-        )
 
 
 @dataclass(frozen=True)
@@ -373,9 +352,6 @@ class CoeffModule:
             self.modulus,
             tuple(self.action[sub.embed[h]] for h in sub.group.elements()),
         )
-
-    def zero_vector(self):
-        return (0,) * self.rank
 
     def act(self, g: int, vec):
         return self.action[g].apply(vec, modulus=self.modulus)
@@ -458,9 +434,6 @@ def invariants_subquotient(module: CoeffModule) -> Subquotient:
 
 def invariants_finite(module: CoeffModule) -> FinAbGroup:
     return invariants_subquotient(module).group
-
-
-CANONICAL_TRIVIAL = "trivial"
 
 
 @dataclass(frozen=True)

@@ -553,14 +553,6 @@ class Subquotient:
         return tuple(out)
 
 
-def homology_of_pair(d_out: IntMatrix, d_in: IntMatrix, modulus: int | None = None) -> Subquotient:
-    return Subquotient(d_out, d_in, modulus=modulus)
-
-
 def cokernel(A: IntMatrix) -> FinAbGroup:
     """Structure and generators of Z^rows / column-span(A)."""
     return Subquotient(IntMatrix.zero(0, A.rows), A).group
-
-
-def cokernel_subquotient(A: IntMatrix, modulus: int | None = None) -> Subquotient:
-    return Subquotient(IntMatrix.zero(0, A.rows), A, modulus=modulus)

@@ -17,6 +17,14 @@ import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 
+from .cohomology import (
+    CACHE_SIZE,
+    GroupCohomology,
+    _tuple_index,
+    bar_delta_matrix,
+    cohomology,
+    vector_to_table,
+)
 from .errors import (
     HomotopySolveFailureError,
     NotInvariantError,
@@ -27,9 +35,8 @@ from .groups import (
     FiniteGroup,
     GLattice,
     invariants_finite,
-    invariants_subquotient,
 )
-from .intlat import FinAbGroup, IntMatrix, Subquotient
+from .intlat import FinAbGroup, IntMatrix, Subquotient, solve
 
 MAX_TOTAL_DEGREE = 4
 
@@ -69,6 +76,7 @@ def exterior_power_matrix(A: IntMatrix, q: int) -> IntMatrix:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def lattice_cohomology(N: GLattice, M: CoeffModule, q: int) -> CoeffModule:
     """Hom(Lambda^q N, M) with pi acting by (g.f)(x) = g_M f(rho(g)^{-1} x).
 
@@ -112,41 +120,6 @@ class SplitExtensionSpec:
             raise ValidationError("lattice/module group does not match pi")
 
 
-@dataclass(frozen=True)
-class LaurentElement:
-    """Formal sum of (exponent vector in Z^r, pi-element) with integer
-    coefficients: an element of the group ring of Z^r x| pi."""
-
-    r: int
-    terms: tuple  # tuple of ((exponents, pi_id), coeff)
-
-    @staticmethod
-    def from_dict(r: int, d: dict) -> "LaurentElement":
-        items = tuple(sorted((k, v) for k, v in d.items() if v))
-        for (a, _), _ in items:
-            if len(a) != r:
-                raise ValidationError("exponent vector of wrong length")
-        return LaurentElement(r, items)
-
-    def as_dict(self) -> dict:
-        return dict(self.terms)
-
-
-def ring_mul(N: GLattice, x: dict, y: dict) -> dict:
-    """(x^a u)(x^b v) = x^{a + rho(u) b} uv on dict representatives."""
-    pi = N.group
-    out: dict = {}
-    for (a, u), c in x.items():
-        ru = N.rho[u]
-        for (b, v), d in y.items():
-            key = (
-                tuple(ai + bi for ai, bi in zip(a, ru.apply(b))),
-                pi.mul(u, v),
-            )
-            out[key] = out.get(key, 0) + c * d
-    return {k: v for k, v in out.items() if v}
-
-
 # ---------------------------------------------------------------------------
 # the resolution
 # ---------------------------------------------------------------------------
@@ -156,14 +129,13 @@ def ring_mul(N: GLattice, x: dict, y: dict) -> dict:
 
 
 class TwistedResolution:
-    def __init__(self, ext: SplitExtensionSpec, total_degree: int = MAX_TOTAL_DEGREE):
-        if total_degree < 4:
-            raise ValidationError("total degree must be at least 4")
-        self.ext = ext
-        self.pi = ext.pi
-        self.N = ext.N
-        self.r = ext.N.rank
-        self.total_degree = total_degree
+    """The resolution up to total degree MAX_TOTAL_DEGREE.  It is built from
+    the lattice alone: the coefficient module enters only through cochains."""
+
+    def __init__(self, N: GLattice):
+        self.pi = N.group
+        self.N = N
+        self.r = N.rank
         self._d_cache: dict = {}
 
     # -- basis bookkeeping -------------------------------------------------
@@ -193,7 +165,7 @@ class TwistedResolution:
                 S,
             )
             out[key] = out.get(key, 0) + c
-        return {k: v * 1 for k, v in out.items() if v} if out else {}
+        return {k: v for k, v in out.items() if v}
 
     def _add_into(self, acc: dict, elem: dict, scale: int = 1):
         for k, v in elem.items():
@@ -213,14 +185,6 @@ class TwistedResolution:
             expo = tuple(1 if t == i else 0 for t in range(self.r))
             out[(expo, 0, T, rest)] = out.get((expo, 0, T, rest), 0) + s
             out[(zero, 0, T, rest)] = out.get((zero, 0, T, rest), 0) - s
-        return {k: v for k, v in out.items() if v}
-
-    def d0(self, elem: dict) -> dict:
-        out: dict = {}
-        for (a, u, T, S), c in elem.items():
-            img = self.d0_basis(T, S)
-            for k2, c2 in self._left_mul(a, u, img).items():
-                out[k2] = out.get(k2, 0) + c * c2
         return {k: v for k, v in out.items() if v}
 
     def homotopy(self, elem: dict) -> dict:
@@ -251,15 +215,6 @@ class TwistedResolution:
                     )
                     key = (tuple(ru.apply(cc)), u, T, S2)
                     out[key] = out.get(key, 0) + sign_p * s_sign * coeff
-        return {k: v for k, v in out.items() if v}
-
-    def augment_q0(self, elem: dict) -> dict:
-        """Kill the Laurent part: the q = 0 augmentation onto Z[pi]-tuples."""
-        out: dict = {}
-        for (a, u, T, S), c in elem.items():
-            if S:
-                raise ValueError("augmentation only defined on q = 0")
-            out[(u, T)] = out.get((u, T), 0) + c
         return {k: v for k, v in out.items() if v}
 
     # -- twisting differentials -------------------------------------------
@@ -304,14 +259,14 @@ class TwistedResolution:
 
     def total_d(self, elem: dict) -> dict:
         out: dict = {}
-        for k in range(0, self.total_degree + 1):
+        for k in range(0, MAX_TOTAL_DEGREE + 1):
             self._add_into(out, self.d_elem(k, elem))
         return {kk: v for kk, v in out.items() if v}
 
     def verify_d_squared(self, max_total: int | None = None):
         """Exhaustively check that the total differential squares to zero on
         every basis element up to the given total degree."""
-        top = self.total_degree if max_total is None else max_total
+        top = MAX_TOTAL_DEGREE if max_total is None else max_total
         for p in range(top + 1):
             for q in range(min(self.r, top - p) + 1):
                 for T, S in self.basis(p, q):
@@ -326,8 +281,8 @@ class TwistedResolution:
         """d0 h + h d0 = id - (unit)(augmentation) on sample elements."""
         for elem, (p, q) in samples:
             lhs: dict = {}
-            self._add_into(lhs, self.d0(self.homotopy(elem)))
-            self._add_into(lhs, self.homotopy(self.d0(elem)))
+            self._add_into(lhs, self.d_elem(0, self.homotopy(elem)))
+            self._add_into(lhs, self.homotopy(self.d_elem(0, elem)))
             want = dict(elem)
             if q == 0:
                 # subtract eta(eps(x)): exponent vector reset to zero
@@ -341,16 +296,9 @@ class TwistedResolution:
         return True
 
 
-_TWISTED_CACHE: dict = {}
-
-
-def twisted_resolution(ext: SplitExtensionSpec, total_degree: int = MAX_TOTAL_DEGREE) -> TwistedResolution:
-    key = (ext.pi, ext.N, total_degree)
-    res = _TWISTED_CACHE.get(key)
-    if res is None:
-        res = TwistedResolution(ext, total_degree)
-        _TWISTED_CACHE[key] = res
-    return res
+@lru_cache(maxsize=CACHE_SIZE)
+def twisted_resolution(N: GLattice) -> TwistedResolution:
+    return TwistedResolution(N)
 
 
 # ---------------------------------------------------------------------------
@@ -360,16 +308,8 @@ def twisted_resolution(ext: SplitExtensionSpec, total_degree: int = MAX_TOTAL_DE
 # index = (T_index * #subsets + S_index) * rank(M) + j.
 
 
-def _tuple_index(pi: FiniteGroup, T) -> int:
-    idx = 0
-    for g in T:
-        idx = idx * pi.order + g
-    return idx
-
-
 class CochainComplex:
     def __init__(self, ext: SplitExtensionSpec, res: TwistedResolution):
-        self.ext = ext
         self.res = res
         self.pi = ext.pi
         self.M = ext.M
@@ -425,34 +365,39 @@ class CochainComplex:
 # ---------------------------------------------------------------------------
 
 
-class E21Data:
-    """ker/im of the horizontal complex C^{1,1} -> C^{2,1} -> C^{3,1}.
+def e2_21(ext: SplitExtensionSpec) -> GroupCohomology:
+    """The second-page entry at bidegree (2,1), as a cohomology engine.
 
     Because the coefficients carry no lattice action, the vertical cochain
-    differentials vanish identically and this subquotient is the second-page
-    entry at bidegree (2,1): the degree-2 cohomology of pi with coefficients
-    in Hom(N, M).
+    differentials vanish identically, and the row C^{1,1} -> C^{2,1} ->
+    C^{3,1} is the bar complex of pi with coefficients in Hom(N, M): the entry
+    is the degree-2 cohomology of pi with coefficients in Hom(N, M).  A row
+    cochain at (p,1) and a bar p-cochain share one flattening, so row
+    cocycles are classified as bar cocycles (by the periodic engine when pi
+    is cyclic).
     """
-
-    def __init__(self, ext: SplitExtensionSpec):
-        self.ext = ext
-        self.res = twisted_resolution(ext)
-        self.cochains = CochainComplex(ext, self.res)
-        d_out = self.cochains.delta_matrix(1, 2, 1)
-        d_in = self.cochains.delta_matrix(1, 1, 1)
-        self.sub = Subquotient(d_out, d_in, modulus=ext.M.modulus)
-        self.group = self.sub.group
+    return cohomology(ext.pi, lattice_cohomology(ext.N, ext.M, 1), 2)
 
 
-_E21_CACHE: dict = {}
+def row_class_coords(ext: SplitExtensionSpec, vec):
+    """Coordinates in E2^{2,1} of the class of a row cocycle at (2,1)."""
+    eng = e2_21(ext)
+    return eng.coords_of(vector_to_table(ext.pi, eng.M, 2, vec))
 
 
-def e21_data(ext: SplitExtensionSpec) -> E21Data:
-    data = _E21_CACHE.get(ext)
-    if data is None:
-        data = E21Data(ext)
-        _E21_CACHE[ext] = data
-    return data
+def row_coboundaries(ext: SplitExtensionSpec) -> IntMatrix:
+    """The row differential C^{1,1} -> C^{2,1}, whose image is the coboundary
+    subgroup at bidegree (2,1)."""
+    return bar_delta_matrix(ext.pi, lattice_cohomology(ext.N, ext.M, 1), 1)
+
+
+def _is_coboundary(d11: IntMatrix, vec, modulus: int | None) -> bool:
+    """Vanishing of the class of a row cocycle: a Smith solve against the row
+    differential d11, cheaper than full coordinates when the coefficient
+    lattice is large."""
+    if not any(x % modulus if modulus else x for x in vec):
+        return True
+    return solve(d11, vec, modulus=modulus) is not None
 
 
 def _check_invariant(mod: CoeffModule, vec):
@@ -479,7 +424,7 @@ def d2_cocycle(ext: SplitExtensionSpec, alpha):
     alpha through the twisting differential d_2; always a row cocycle."""
     lat2 = lattice_cohomology(ext.N, ext.M, 2)
     alpha = _check_invariant(lat2, alpha)
-    res = twisted_resolution(ext)
+    res = twisted_resolution(ext.N)
     coch = CochainComplex(ext, res)
     vec = [0] * coch.dim(2, 1)
     for T, S in res.basis(2, 1):
@@ -496,7 +441,6 @@ class D2Report:
     source: FinAbGroup  # invariants of Hom(Lambda^2 N, M)
     target: FinAbGroup  # H^2(pi, Hom(N, M))
     matrix: IntMatrix  # target coordinates of d2 on each source generator
-    target_data: E21Data
 
     def is_zero(self) -> bool:
         return self.matrix.is_zero()
@@ -506,42 +450,20 @@ def d2_02(ext: SplitExtensionSpec) -> D2Report:
     """The second-page differential from invariant degree-2 lattice classes
     to degree-2 classes of pi with coefficients in Hom(N, M), as a matrix on
     the generators of the source."""
-    lat2 = lattice_cohomology(ext.N, ext.M, 2)
-    inv = invariants_finite(lat2)
-    data = e21_data(ext)
-    cols = []
-    for gen in inv.generators:
-        coords = data.sub.project(d2_cocycle(ext, gen))
-        cols.append(coords)
-    ngen_t = len(data.group.generators)
-    mat = IntMatrix.from_columns(
-        [list(c) for c in cols], nrows=ngen_t
-    )
-    return D2Report(ext, inv, data.group, mat, data)
+    inv = invariants_finite(lattice_cohomology(ext.N, ext.M, 2))
+    target = e2_21(ext).group
+    cols = [list(d2_class_coords(ext, gen)) for gen in inv.generators]
+    mat = IntMatrix.from_columns(cols, nrows=len(target.generators))
+    return D2Report(ext, inv, target, mat)
 
 
 def d2_class_coords(ext: SplitExtensionSpec, alpha):
-    data = e21_data(ext)
-    return data.sub.project(d2_cocycle(ext, alpha))
+    return row_class_coords(ext, d2_cocycle(ext, alpha))
 
 
 # ---------------------------------------------------------------------------
 # the universal class of the lattice
 # ---------------------------------------------------------------------------
-
-
-_D11_CACHE: dict = {}
-
-
-def row_coboundary_matrix(ext: SplitExtensionSpec) -> IntMatrix:
-    """The horizontal differential C^{1,1} -> C^{2,1}, whose image is the
-    coboundary subgroup at bidegree (2,1)."""
-    mat = _D11_CACHE.get(ext)
-    if mat is None:
-        res = twisted_resolution(ext)
-        mat = CochainComplex(ext, res).delta_matrix(1, 1, 1)
-        _D11_CACHE[ext] = mat
-    return mat
 
 
 @dataclass
@@ -557,21 +479,14 @@ class V2Class:
 
     def coords(self):
         if self._coords is None:
-            data = e21_data(self.ext_univ)
-            self._coords = data.sub.project(self.cocycle)
+            self._coords = row_class_coords(self.ext_univ, self.cocycle)
         return self._coords
 
     def is_zero(self) -> bool:
-        """Vanishing of the class: the cocycle is a horizontal coboundary.
-        Cheaper than full coordinates when the coefficient lattice is large."""
+        """Vanishing of the class: the cocycle is a horizontal coboundary."""
         if self._coords is not None:
             return all(c == 0 for c in self._coords)
-        if not any(self.cocycle):
-            return True
-        from .intlat import solve
-
-        mat = row_coboundary_matrix(self.ext_univ)
-        return solve(mat, self.cocycle, modulus=self.ext_univ.M.modulus) is not None
+        return _is_coboundary(row_coboundaries(self.ext_univ), self.cocycle, None)
 
 
 def v2(N: GLattice) -> V2Class:
@@ -588,12 +503,11 @@ def v2(N: GLattice) -> V2Class:
     return V2Class(N, ext, d2_cocycle(ext, tuple(alpha)))
 
 
-def pushforward_cocycle(ext: SplitExtensionSpec, v: V2Class, atilde: IntMatrix, cocycle=None):
+def pushforward_cocycle(ext: SplitExtensionSpec, atilde: IntMatrix, src):
     """Image of a Hom(N, Lambda^2 N)-valued row cocycle under post-composition
     with the map Lambda^2 N -> M given by atilde, as a cocycle for ext."""
     pi, r, k = ext.pi, ext.N.rank, ext.M.rank
     nsub = binomial(r, 2)
-    src = v.cocycle if cocycle is None else cocycle
     out = [0] * (pi.order**2 * r * k)
     for t in range(pi.order**2):
         for i in range(r):
@@ -607,39 +521,36 @@ def pushforward_cocycle(ext: SplitExtensionSpec, v: V2Class, atilde: IntMatrix, 
     return tuple(ext.M.reduce(out))
 
 
-def pushforward_formula_check(ext: SplitExtensionSpec, alpha, rng=None) -> bool:
-    """d2 of alpha equals the pushforward of the universal class along the
-    alternating-form avatar of alpha.
+def pushforward_formula_check(ext: SplitExtensionSpec, alphas, rng=None) -> list[bool]:
+    """For each invariant alpha, in order: d2 of alpha equals the pushforward
+    of the universal class along the alternating-form avatar of alpha.
 
     To keep the two sides on genuinely different representatives, the
     universal cocycle is first shifted by a coboundary (random if an rng is
-    supplied) before being pushed forward and classified.
+    supplied, drawn afresh for each alpha) before being pushed forward and
+    classified.  The universal class and both coboundary matrices are built
+    once per call.
     """
-    from .intlat import solve
-
-    lhs_vec = d2_cocycle(ext, alpha)
     vcl = v2(ext.N)
-    atilde = uct_identify(ext, alpha)
-    cocycle = vcl.cocycle
-    if rng is not None and ext.N.rank >= 2:
-        d_univ = row_coboundary_matrix(vcl.ext_univ)
-        pert = tuple(rng.randrange(-3, 4) for _ in range(d_univ.cols))
-        shift = d_univ.apply(pert)
-        cocycle = tuple(a + b for a, b in zip(cocycle, shift))
-    rhs_vec = pushforward_cocycle(ext, vcl, atilde, cocycle)
-    diff = tuple(a - b for a, b in zip(lhs_vec, rhs_vec))
-    if not any(d % ext.M.modulus if ext.M.modulus else d for d in diff):
-        return True
-    mat = row_coboundary_matrix(ext)
-    return solve(mat, diff, modulus=ext.M.modulus) is not None
+    d_univ = row_coboundaries(vcl.ext_univ) if rng is not None and ext.N.rank >= 2 else None
+    d_ext = row_coboundaries(ext)
+    verdicts = []
+    for alpha in alphas:
+        lhs_vec = d2_cocycle(ext, alpha)
+        cocycle = vcl.cocycle
+        if d_univ is not None:
+            pert = tuple(rng.randrange(-3, 4) for _ in range(d_univ.cols))
+            cocycle = tuple(a + b for a, b in zip(cocycle, d_univ.apply(pert)))
+        rhs_vec = pushforward_cocycle(ext, uct_identify(ext, alpha), cocycle)
+        diff = tuple(a - b for a, b in zip(lhs_vec, rhs_vec))
+        verdicts.append(_is_coboundary(d_ext, diff, ext.M.modulus))
+    return verdicts
 
 
 def v2_additivity_check(N1: GLattice, N2: GLattice) -> bool:
     """The universal class of a direct sum agrees, as a class, with the sum of
     the universal classes of the summands placed in the diagonal blocks of
     Hom(N1 + N2, Lambda^2 (N1 + N2))."""
-    from .intlat import solve
-
     big = N1.direct_sum(N2)
     vbig = v2(big)
     pi = N1.group
@@ -665,10 +576,7 @@ def v2_additivity_check(N1: GLattice, N2: GLattice) -> bool:
     if r2 >= 2:
         embed(v2(N2), r2, r1)
     diff = tuple(a - b for a, b in zip(vbig.cocycle, expected))
-    if not any(diff):
-        return True
-    mat = row_coboundary_matrix(vbig.ext_univ)
-    return solve(mat, diff, modulus=None) is not None
+    return _is_coboundary(row_coboundaries(vbig.ext_univ), diff, None)
 
 
 # ---------------------------------------------------------------------------
@@ -677,7 +585,7 @@ def v2_additivity_check(N1: GLattice, N2: GLattice) -> bool:
 
 
 def total_delta_matrix(ext: SplitExtensionSpec, n: int) -> IntMatrix:
-    res = twisted_resolution(ext)
+    res = twisted_resolution(ext.N)
     coch = CochainComplex(ext, res)
     r = ext.N.rank
 

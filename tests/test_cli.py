@@ -11,6 +11,7 @@ from torusbrauer.cli import (
     EXIT_VALIDATION,
     run,
 )
+from torusbrauer.spectral import twisted_resolution
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -169,6 +170,53 @@ class TestExitCodes:
         doc = json.loads((INPUTS / "ind_extension.json").read_text())
         doc["coefficients"] = {"rank": 1, "modulus": 0, "matrices": [[[1]], [[1]]]}
         assert run(["d2", write(tmp_path, "mod0.json", doc)])[0] == EXIT_SCHEMA
+
+    @pytest.mark.parametrize(
+        "field, coefficients",
+        [
+            ("mu", {"mu": 1, "chi": [1, 1]}),
+            ("modulus", {"rank": 1, "modulus": 1, "matrices": [[[1]], [[1]]]}),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["d2", "v2"])
+    def test_level_one_schema(self, tmp_path, command, field, coefficients):
+        doc = json.loads((INPUTS / "ind_extension.json").read_text())
+        doc["coefficients"] = coefficients
+        code, text = run([command, write(tmp_path, "level1.json", doc)])
+        assert code == EXIT_SCHEMA
+        assert f'"{field}"' in text and text.count("\n") == 1
+
+    def test_level_one_flag_schema(self):
+        code, text = run(["real-torus", str(INPUTS / "ind_lattice.json"), "--modulus", "2,1"])
+        assert code == EXIT_SCHEMA
+        assert "--modulus" in text
+
+    @pytest.mark.parametrize(
+        "command, stem, expected, given",
+        [
+            ("qt-brauer", "ind_extension", "galois-datum", "split-extension"),
+            ("real-torus", "qi_datum", "involution-lattice", "galois-datum"),
+            ("d2", "ind_lattice", "split-extension", "involution-lattice"),
+            ("v2", "qi_datum", "split-extension", "galois-datum"),
+        ],
+    )
+    def test_kind_must_match_command(self, command, stem, expected, given):
+        code, text = run([command, str(INPUTS / f"{stem}.json")])
+        assert code == EXIT_SCHEMA
+        assert f'"{expected}"' in text and f'"{given}"' in text
+
+
+class TestCachePolicy:
+    def test_one_twisted_resolution_per_lattice(self, tmp_path):
+        twisted_resolution.cache_clear()
+        doc = json.loads((INPUTS / "ind_extension.json").read_text())
+        for level in (2, 4):
+            doc["coefficients"]["mu"] = level
+            path = write(tmp_path, f"mu{level}.json", doc)
+            for command in ("d2", "v2"):
+                assert run([command, path])[0] == EXIT_OK
+        info = twisted_resolution.cache_info()
+        assert info.misses == 1 and info.hits > 0
 
 
 class TestDisagreementMessage:
