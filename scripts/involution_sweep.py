@@ -77,12 +77,12 @@ def main() -> int:
             mats.append((f"conjugate {i}", p.mul(s0).mul(unimodular_inverse(p))))
         for name, s in mats:
             v2_zero = v2(involution_lattice(s)).is_zero()
+            rep = real_torus_check(s, cfg.levels)
             verdicts = []
-            for n in cfg.levels:
-                rep = real_torus_check(s, n)
-                ok = rep.d2_is_zero and rep.decomposition == (a, b, c)
+            for lv in rep.levels:
+                ok = lv.d2_is_zero and rep.decomposition == (a, b, c)
                 failures += not ok
-                verdicts.append(f"n={n}:{'0' if rep.d2_is_zero else 'NONZERO'}")
+                verdicts.append(f"n={lv.n}:{'0' if lv.d2_is_zero else 'NONZERO'}")
             failures += not v2_zero
             print(
                 f"type (a,b,c)=({a},{b},{c}) {name:12s} "

@@ -148,7 +148,7 @@ def parse_group(spec) -> FiniteGroup:
     if "cyclic" in spec:
         return FiniteGroup.cyclic(_positive(spec, "cyclic"))
     if "symmetric" in spec:
-        return FiniteGroup.symmetric(_require(spec, "symmetric", int))[0]
+        return FiniteGroup.symmetric(_positive(spec, "symmetric"))[0]
     if "klein" in spec:
         c2 = FiniteGroup.cyclic(2)
         return FiniteGroup.direct_product(c2, c2)
@@ -285,12 +285,12 @@ def cmd_qt_brauer(doc: dict) -> dict:
 
 def cmd_real_torus(doc: dict, moduli) -> dict:
     S = parse_involution(doc)
-    reports = [real_torus_check(S, n) for n in moduli]
+    report = real_torus_check(S, moduli)
     levels = [
-        {"n": n, "d2_zero": rep.d2_is_zero, "invariants": group_str(rep.invariants)}
-        for n, rep in zip(moduli, reports)
+        {"n": lv.n, "d2_zero": lv.d2_is_zero, "invariants": group_str(lv.invariants)}
+        for lv in report.levels
     ]
-    dec = reports[0].decomposition
+    dec = report.decomposition
     return {
         "command": "real-torus",
         "version": __version__,

@@ -16,6 +16,8 @@ from .errors import (
 )
 from .intlat import FinAbGroup, IntMatrix, Subquotient, kernel_basis, smith, solve
 
+MAX_GROUP_ORDER = 10000
+
 
 @dataclass(frozen=True)
 class FiniteGroup:
@@ -92,14 +94,24 @@ class FiniteGroup:
     @staticmethod
     def from_concrete(elements, mul, identity) -> tuple["FiniteGroup", list]:
         """Close a generating set under multiplication; returns the abstract
-        group plus the element list (identity listed first)."""
+        group plus the element list (identity listed first).
+
+        The size cap is checked as each element is added, so a group over the
+        cap is refused before a closure pass costs the square of its size."""
         elems = [identity]
         index = {identity: 0}
-        frontier = list(elements)
-        for e in frontier:
+
+        def add(e):
+            if len(elems) == MAX_GROUP_ORDER:
+                raise ValidationError(
+                    f"generated group has more than {MAX_GROUP_ORDER} elements"
+                )
+            index[e] = len(elems)
+            elems.append(e)
+
+        for e in elements:
             if e not in index:
-                index[e] = len(elems)
-                elems.append(e)
+                add(e)
         changed = True
         while changed:
             changed = False
@@ -107,11 +119,8 @@ class FiniteGroup:
                 for b in list(elems):
                     c = mul(a, b)
                     if c not in index:
-                        index[c] = len(elems)
-                        elems.append(c)
+                        add(c)
                         changed = True
-            if len(elems) > 10000:
-                raise ValidationError("generated group is unreasonably large")
         table = tuple(
             tuple(index[mul(a, b)] for b in elems) for a in elems
         )
@@ -502,10 +511,7 @@ def c2_decompose(S: IntMatrix) -> C2Decomposition:
     b = len(minus) - c
 
     if c == 0:
-        cols = plus + minus
-        b_inv = IntMatrix.from_columns(cols, nrows=n) if n else IntMatrix.zero(0, 0)
-        B = unimodular_inverse(b_inv) if n else IntMatrix.zero(0, 0)
-        return C2Decomposition(a, b, c, B)
+        return _verified(S, a, b, 0, IntMatrix.from_columns(plus + minus, nrows=n))
 
     g0 = quot.group.generators[0]
     # saturate span(g0, S g0): an induced rank-2 sublattice, then rebuild an
@@ -558,12 +564,17 @@ def c2_decompose(S: IntMatrix) -> C2Decomposition:
     cols += [sub_basis.column(j) for j in range(aa, aa + bb)]
     cols += [g, tuple(Sg)]
     cols += [sub_basis.column(j) for j in range(aa + bb, aa + bb + 2 * cc)]
-    b_inv = IntMatrix.from_columns(cols, nrows=n)
-    B = unimodular_inverse(b_inv)
-    out = C2Decomposition(aa, bb, cc + 1, B)
-    if B.mul(S).mul(b_inv).entries != out.canonical_matrix().entries:
-        raise ValidationError("decomposition verification failed")
     assert (aa, bb, cc + 1) == (a, b, c)
+    return _verified(S, a, b, c, IntMatrix.from_columns(cols, nrows=n))
+
+
+def _verified(S: IntMatrix, a: int, b: int, c: int, b_inv: IntMatrix) -> C2Decomposition:
+    """The decomposition whose basis is the columns of b_inv, once B S B^-1
+    is checked to be the canonical block matrix of type (a, b, c).  Every
+    caller that works on the canonical form relies on this isomorphism."""
+    out = C2Decomposition(a, b, c, unimodular_inverse(b_inv))
+    if out.B.mul(S).mul(b_inv).entries != out.canonical_matrix().entries:
+        raise ValidationError("decomposition verification failed")
     return out
 
 

@@ -34,7 +34,10 @@ from .groups import (
     CoeffModule,
     FiniteGroup,
     GLattice,
+    c2_decompose,
     invariants_finite,
+    involution_lattice,
+    tate_twist,
 )
 from .intlat import FinAbGroup, IntMatrix, Subquotient, solve
 
@@ -637,28 +640,43 @@ def total_cohomology(ext: SplitExtensionSpec, n: int) -> FinAbGroup:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class RealTorusReport:
-    decomposition: tuple  # (a, b, c) type of the involution
+@dataclass(frozen=True)
+class RealTorusLevel:
     n: int
-    invariants: FinAbGroup  # H^2(lattice, mu_n)^{C2}
-    d2_matrix: IntMatrix
+    invariants: FinAbGroup  # H^2(N, mu_n)^{C2}
     d2_is_zero: bool
 
 
-def real_torus_check(S: IntMatrix, n: int) -> RealTorusReport:
-    """For the cocharacter involution S and level n: twist the lattice by the
-    sign character, take mu_n with conjugation acting by -1, and confirm the
-    second-page differential out of the invariant degree-2 classes vanishes."""
-    from .groups import c2_decompose, involution_lattice, tate_twist
+@dataclass(frozen=True)
+class RealTorusReport:
+    """The real-torus check of one involution at each requested level.
 
+    Every field is basis-invariant: the (a, b, c) type, and per level the
+    structure of H^2(N, mu_n)^{C2} and whether d2 vanishes on it.  The
+    generators of `invariants` belong to the canonical basis of the type, not
+    to the basis of the input matrix.
+    """
+
+    decomposition: tuple  # (a, b, c) type of the involution
+    levels: tuple[RealTorusLevel, ...]
+
+
+def real_torus_check(S: IntMatrix, moduli) -> RealTorusReport:
+    """For the cocharacter involution S and each level n in `moduli`: twist
+    the lattice by the sign character, take mu_n with conjugation acting by
+    -1, and confirm the second-page differential out of the invariant
+    degree-2 classes vanishes.
+
+    Vanishing of d2 and the structure of its source depend only on the
+    isomorphism class of the lattice, so d2 is computed on the canonical
+    block form of S, which `c2_decompose` checks is conjugate to S.  On the
+    input basis the Koszul homotopy emits one term per unit of exponent, so
+    its cost grows with the size of the entries.
+    """
     dec = c2_decompose(S)
-    X = involution_lattice(S)
-    N = tate_twist(X, (1, -1))
-    c2 = N.group
-    mu = CoeffModule.mu(c2, n, (1, -1))
-    ext = SplitExtensionSpec(c2, N, mu)
-    report = d2_02(ext)
-    return RealTorusReport(
-        (dec.a, dec.b, dec.c), n, report.source, report.matrix, report.is_zero()
-    )
+    N = tate_twist(involution_lattice(dec.canonical_matrix()), (1, -1))
+    levels = []
+    for n in moduli:
+        report = d2_02(SplitExtensionSpec(N.group, N, CoeffModule.mu(N.group, n, (1, -1))))
+        levels.append(RealTorusLevel(n, report.source, report.is_zero()))
+    return RealTorusReport((dec.a, dec.b, dec.c), tuple(levels))

@@ -244,10 +244,11 @@ def test_criterion_5_real_torus(capsys):
                 p = random_unimodular(s0.rows, rng)
                 mats.append(p.mul(s0).mul(unimodular_inverse(p)))
             for s in mats:
-                for level in (2, 3, 4, 8):
-                    rep = real_torus_check(s, level)
-                    assert rep.decomposition == (a, b, c)
-                    assert rep.d2_is_zero, (a, b, c, level)
+                rep = real_torus_check(s, (2, 3, 4, 8))
+                assert rep.decomposition == (a, b, c)
+                assert [lv.n for lv in rep.levels] == [2, 3, 4, 8]
+                for lv in rep.levels:
+                    assert lv.d2_is_zero, (a, b, c, lv.n)
 
 
 # ---------------------------------------------------------------------------

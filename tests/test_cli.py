@@ -159,6 +159,21 @@ class TestExitCodes:
                "coefficients": {"mu": 2, "chi": []}}
         assert run(["d2", write(tmp_path, "c0.json", doc)])[0] == EXIT_SCHEMA
 
+    @pytest.mark.parametrize("degree", [-2, 0])
+    def test_symmetric_nonpositive_schema(self, tmp_path, degree):
+        doc = {"kind": "split-extension", "pi": {"symmetric": degree}, "action": [],
+               "coefficients": {"mu": 2, "chi": []}}
+        code, text = run(["d2", write(tmp_path, "sym.json", doc)])
+        assert code == EXIT_SCHEMA
+        assert '"symmetric"' in text and text.count("\n") == 1
+
+    def test_symmetric_over_cap_validation(self, tmp_path):
+        doc = {"kind": "split-extension", "pi": {"symmetric": 8}, "action": [],
+               "coefficients": {"mu": 2, "chi": []}}
+        code, text = run(["d2", write(tmp_path, "s8.json", doc)])
+        assert code == EXIT_VALIDATION
+        assert text.count("\n") == 1
+
     def test_mu_zero_schema(self, tmp_path):
         doc = json.loads((INPUTS / "ind_extension.json").read_text())
         doc["coefficients"]["mu"] = 0

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -59,6 +60,14 @@ class TestFiniteGroup:
     def test_bad_table_rejected(self):
         with pytest.raises(ValidationError):
             FiniteGroup(((0, 1), (1, 1)))
+
+    def test_order_cap_checked_before_closure(self):
+        # S8 has 40,320 elements: refused while its generators are listed,
+        # before any closure pass over them
+        t0 = time.perf_counter()
+        with pytest.raises(ValidationError):
+            FiniteGroup.symmetric(8)
+        assert time.perf_counter() - t0 < 0.5
 
     def test_subgroups(self):
         s3, _ = FiniteGroup.symmetric(3)
@@ -169,6 +178,26 @@ def canonical_involution(a, b, c):
     return C2Decomposition(a, b, c, IntMatrix.identity(a + b + 2 * c)).canonical_matrix()
 
 
+def ladder(k, n, transpose=False):
+    """P = [[1,k],[1,k+1]] (or its transpose) on coordinates 0 and n-1 of the
+    n x n identity; the identity when n = 1, where conjugation is trivial."""
+    p = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    if n > 1:
+        p[0][0], p[0][n - 1], p[n - 1][0], p[n - 1][n - 1] = (
+            (1, 1, k, k + 1) if transpose else (1, k, 1, k + 1)
+        )
+    return IntMatrix.from_rows(p)
+
+
+INVOLUTION_TYPES_RANK_3 = sorted(
+    (a, b, c)
+    for c in range(2)
+    for a in range(4)
+    for b in range(4)
+    if 1 <= a + b + 2 * c <= 3
+)
+
+
 def exhaustive_c2_oracle(S):
     """Search small unimodular base changes for the canonical form (rank <= 2)."""
     n = S.rows
@@ -226,6 +255,19 @@ class TestC2Decompose:
                 # Lefschetz sanity: trace = a - b
                 tr = sum(S.entries[i][i] for i in range(S.rows))
                 assert tr == d.a - d.b
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_ladder_conjugates(self, k):
+        assert len(INVOLUTION_TYPES_RANK_3) == 12
+        for a, b, c in INVOLUTION_TYPES_RANK_3:
+            S0 = canonical_involution(a, b, c)
+            for transpose in (False, True):
+                P = ladder(k, S0.rows, transpose)
+                S = P.mul(S0).mul(unimodular_inverse(P))
+                d = c2_decompose(S)
+                assert (d.a, d.b, d.c) == (a, b, c)
+                conj = d.B.mul(S).mul(unimodular_inverse(d.B))
+                assert conj.entries == d.canonical_matrix().entries
 
 
 class TestPairModule:

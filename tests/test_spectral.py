@@ -10,12 +10,15 @@ from torusbrauer.errors import (
     NotInvariantError,
 )
 from torusbrauer.groups import (
+    C2Decomposition,
     CoeffModule,
     FiniteGroup,
     GaloisDatum,
     GLattice,
     invariants_finite,
+    involution_lattice,
     permutation_lattice,
+    tate_twist,
     unimodular_inverse,
 )
 from torusbrauer.intlat import IntMatrix
@@ -387,24 +390,64 @@ class TestPushforwardFormula:
 
 class TestRealTorus:
     def test_rank1(self):
-        rep = real_torus_check(IntMatrix.identity(1), 4)
-        assert rep.d2_is_zero and rep.invariants.is_trivial()
+        rep = real_torus_check(IntMatrix.identity(1), (4,))
+        (lv,) = rep.levels
+        assert lv.n == 4 and lv.d2_is_zero and lv.invariants.is_trivial()
         assert rep.decomposition == (1, 0, 0)
 
     def test_weil_restriction(self):
-        rep = real_torus_check(IntMatrix.from_rows([[0, 1], [1, 0]]), 2)
-        assert rep.d2_is_zero
+        rep = real_torus_check(IntMatrix.from_rows([[0, 1], [1, 0]]), (4, 2, 3))
+        assert [lv.n for lv in rep.levels] == [4, 2, 3]
+        assert all(lv.d2_is_zero for lv in rep.levels)
         assert rep.decomposition == (0, 0, 1)
 
     def test_mixed_rank2(self):
-        rep = real_torus_check(IntMatrix.from_rows([[1, 0], [0, -1]]), 4)
-        assert rep.d2_is_zero
+        rep = real_torus_check(IntMatrix.from_rows([[1, 0], [0, -1]]), (4,))
+        assert rep.levels[0].d2_is_zero
         assert rep.decomposition == (1, 1, 0)
-        assert rep.invariants.order() is not None
+        assert rep.levels[0].invariants.order() is not None
 
     def test_not_involution(self):
         with pytest.raises(NotAnInvolutionError):
-            real_torus_check(IntMatrix.from_rows([[2]]), 2)
+            real_torus_check(IntMatrix.from_rows([[2]]), (2,))
+
+
+def ladder(k, n, transpose=False):
+    """P = [[1,k],[1,k+1]] (or its transpose) on coordinates 0 and n-1 of the
+    n x n identity."""
+    p = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    p[0][0], p[0][n - 1], p[n - 1][0], p[n - 1][n - 1] = (
+        (1, 1, k, k + 1) if transpose else (1, k, 1, k + 1)
+    )
+    return IntMatrix.from_rows(p)
+
+
+def real_d2(S, n):
+    """d2 on the sign-twisted involution lattice of S with coefficients mu_n."""
+    N = tate_twist(involution_lattice(S), (1, -1))
+    return d2_02(SplitExtensionSpec(N.group, N, CoeffModule.mu(N.group, n, (1, -1))))
+
+
+class TestBasisChangeInvariance:
+    """real_torus_check computes d2 on the canonical form of the involution;
+    on the input basis the homotopy works on larger entries but must give an
+    isomorphic source and target and the same verdict."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize(
+        "ty", [(1, 1, 0), (0, 0, 1), (2, 1, 0), (1, 2, 0), (1, 0, 1), (0, 1, 1)], ids=str
+    )
+    def test_ladder_conjugates(self, ty, n):
+        a, b, c = ty
+        S0 = C2Decomposition(a, b, c, IntMatrix.identity(a + b + 2 * c)).canonical_matrix()
+        ref = real_d2(S0, n)
+        for k in (1, 2):
+            for transpose in (False, True):
+                P = ladder(k, S0.rows, transpose)
+                rep = real_d2(P.mul(S0).mul(unimodular_inverse(P)), n)
+                assert rep.source.same_structure(ref.source)
+                assert rep.target.same_structure(ref.target)
+                assert rep.is_zero() == ref.is_zero()
 
 
 # lattice and level of each case; coefficients are Z/n with trivial action
