@@ -79,11 +79,16 @@ def load_document(path: str, kind: str) -> dict:
     return doc
 
 
+def _is_int(x) -> bool:
+    """A JSON integer: true and false are not read as 1 and 0."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _require(doc: dict, key: str, typ):
     if key not in doc:
         raise SchemaError(f'missing field "{key}"')
     val = doc[key]
-    if typ is int and isinstance(val, bool) or not isinstance(val, typ):
+    if not (_is_int(val) if typ is int else isinstance(val, typ)):
         raise SchemaError(f'field "{key}" has the wrong type')
     return val
 
@@ -110,7 +115,7 @@ def _matrix(data, what: str) -> IntMatrix:
             isinstance(row, list)
             and row
             and len(row) == len(data[0])
-            and all(isinstance(x, int) for x in row)
+            and all(_is_int(x) for x in row)
             for row in data
         )
     ):
@@ -128,7 +133,7 @@ def parse_galois_datum(doc: dict) -> GaloisDatum:
             raise SchemaError("each generator must be an object")
         perm = _require(g, "perm", list)
         unit = _require(g, "unit", int)
-        if not all(isinstance(x, int) for x in perm):
+        if not all(_is_int(x) for x in perm):
             raise SchemaError("perm must be a list of integers")
         if sorted(perm) != list(range(r)):
             raise SchemaError(f"perm {perm} is not a permutation of 0..{r - 1}")
@@ -139,7 +144,10 @@ def parse_galois_datum(doc: dict) -> GaloisDatum:
 
 
 def parse_involution(doc: dict) -> IntMatrix:
-    return _matrix(_require(doc, "matrix", list), "matrix")
+    S = _matrix(_require(doc, "matrix", list), "matrix")
+    if S.rows != S.cols:
+        raise SchemaError(f"matrix must be square, got {S.rows} x {S.cols}")
+    return S
 
 
 def parse_group(spec) -> FiniteGroup:
@@ -154,10 +162,9 @@ def parse_group(spec) -> FiniteGroup:
         return FiniteGroup.direct_product(c2, c2)
     if "table" in spec:
         table = _require(spec, "table", list)
-        try:
-            return FiniteGroup(tuple(tuple(row) for row in table))
-        except TypeError as e:
-            raise SchemaError("pi.table must be a square integer table") from e
+        if not all(isinstance(row, list) and all(_is_int(x) for x in row) for row in table):
+            raise SchemaError("pi.table must be a square integer table")
+        return FiniteGroup(tuple(tuple(row) for row in table))
     raise SchemaError("pi needs one of: cyclic, symmetric, klein, table")
 
 
@@ -172,7 +179,7 @@ def parse_split_extension(doc: dict) -> SplitExtensionSpec:
     if "mu" in coeff:
         n = _level(coeff, "mu")
         chi = _require(coeff, "chi", list)
-        if len(chi) != pi.order or not all(isinstance(x, int) for x in chi):
+        if len(chi) != pi.order or not all(_is_int(x) for x in chi):
             raise SchemaError("chi must list one unit per group element")
         M = CoeffModule.mu(pi, n, tuple(chi))
     else:

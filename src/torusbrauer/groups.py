@@ -87,6 +87,8 @@ class FiniteGroup:
 
     @staticmethod
     def cyclic(m: int) -> "FiniteGroup":
+        if m > MAX_GROUP_ORDER:
+            raise ValidationError(f"cyclic group of order {m} exceeds {MAX_GROUP_ORDER}")
         return FiniteGroup(
             tuple(tuple((i + j) % m for j in range(m)) for i in range(m))
         )

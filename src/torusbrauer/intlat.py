@@ -9,6 +9,7 @@ ints, so nothing ever overflows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from math import gcd
 
 from .errors import CompositionNonzeroError
@@ -86,15 +87,18 @@ class IntMatrix:
     def mul(self, other: "IntMatrix", modulus: int | None = None) -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
-        ot = other.transpose().entries
+        # row by row over the nonzero entries: the bar and cochain matrices
+        # are sparse
+        nonzero = [[(j, b) for j, b in enumerate(row) if b] for row in other.entries]
         out = []
         for arow in self.entries:
-            orow = []
-            for bcol in ot:
-                s = sum(a * b for a, b in zip(arow, bcol) if a and b)
-                orow.append(s % modulus if modulus else s)
-            out.append(orow)
-        return IntMatrix.from_rows(out, ncols=other.cols)
+            acc = [0] * other.cols
+            for a, brow in zip(arow, nonzero):
+                if a:
+                    for j, b in brow:
+                        acc[j] += a * b
+            out.append(tuple(x % modulus for x in acc) if modulus else tuple(acc))
+        return IntMatrix(tuple(out), self.rows, other.cols)
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         return self.mul(other)
@@ -183,10 +187,14 @@ class IntMatrix:
 
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """U*A*V = D with U, V unimodular and d1 | d2 | ... >= 0 on the diagonal.
+    """U*A*V = D with U, V invertible and D diagonal.
 
-    u_inv and v_inv are carried along because cokernel generators and class
-    lifts need them constantly.
+    Over Z, U and V are unimodular and d1 | d2 | ... >= 0.  Over Z/n (a
+    modulus n given to `smith`) the equation holds mod n, every entry of D,
+    U, V and their inverses lies in [0, n), each d_i divides n or is 0, and
+    the invariant factors gcd(d_i, n) form a divisibility chain (0 reads as
+    n).  u_inv and v_inv are carried along because cokernel generators and
+    class lifts need them.
     """
 
     U: IntMatrix
@@ -201,89 +209,135 @@ class SmithDecomposition:
         )
 
 
-def _swap_rows(m, u, uinv, i, j):
-    m[i], m[j] = m[j], m[i]
-    u[i], u[j] = u[j], u[i]
-    for row in uinv:
-        row[i], row[j] = row[j], row[i]
+def _eye(n):
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def _swap_cols(m, v, vinv, i, j):
-    for row in m:
-        row[i], row[j] = row[j], row[i]
-    for row in v:
-        row[i], row[j] = row[j], row[i]
-    vinv[i], vinv[j] = vinv[j], vinv[i]
+def _axpy(x, y, c, mod):
+    """y + c*x entrywise, reduced mod `mod` when it is set."""
+    if mod:
+        return [(b + c * a) % mod for a, b in zip(x, y)]
+    return [b + c * a for a, b in zip(x, y)]
 
 
-def _add_row(m, u, uinv, src, dst, c):
-    # row dst += c * row src
-    if c == 0:
-        return
-    m[dst] = [a + c * b for a, b in zip(m[dst], m[src])]
-    u[dst] = [a + c * b for a, b in zip(u[dst], u[src])]
-    for row in uinv:
-        row[src] -= c * row[dst]
+def _col_axpy(rows, src, dst, c, mod):
+    """Column dst += c * column src, in place."""
+    for row in rows:
+        a = row[src]
+        if a:
+            b = row[dst] + c * a
+            row[dst] = b % mod if mod else b
 
 
-def _add_col(m, v, vinv, src, dst, c):
-    # col dst += c * col src
-    if c == 0:
-        return
-    for row in m:
-        row[dst] += c * row[src]
-    for row in v:
-        row[dst] += c * row[src]
-    vinv[src] = [a - c * b for a, b in zip(vinv[src], vinv[dst])]
+class _Elimination:
+    """A matrix under elementary operations, with the transforms that keep
+    U*A*V equal to it (mod `mod` when set, every entry then kept in
+    [0, mod)).  Without row transforms U and U^-1 are not accumulated."""
+
+    def __init__(self, A: IntMatrix, mod: int | None, row_transforms: bool):
+        self.mod = mod
+        self.M = [[a % mod for a in row] if mod else list(row) for row in A.entries]
+        self.U = _eye(A.rows) if row_transforms else None
+        self.Uinv = _eye(A.rows) if row_transforms else None
+        self.V = _eye(A.cols)
+        self.Vinv = _eye(A.cols)
+
+    def swap_rows(self, i, j):
+        for m in (self.M, self.U) if self.U is not None else (self.M,):
+            m[i], m[j] = m[j], m[i]
+        for row in self.Uinv or ():
+            row[i], row[j] = row[j], row[i]
+
+    def swap_cols(self, i, j):
+        for row in self.M + self.V:
+            row[i], row[j] = row[j], row[i]
+        self.Vinv[i], self.Vinv[j] = self.Vinv[j], self.Vinv[i]
+
+    def add_row(self, src, dst, c):
+        """row dst += c * row src"""
+        if c == 0:
+            return
+        mod = self.mod
+        self.M[dst] = _axpy(self.M[src], self.M[dst], c, mod)
+        if self.U is not None:
+            self.U[dst] = _axpy(self.U[src], self.U[dst], c, mod)
+            _col_axpy(self.Uinv, dst, src, -c, mod)
+
+    def add_col(self, src, dst, c):
+        """col dst += c * col src"""
+        if c == 0:
+            return
+        mod = self.mod
+        _col_axpy(self.M, src, dst, c, mod)
+        _col_axpy(self.V, src, dst, c, mod)
+        self.Vinv[src] = _axpy(self.Vinv[dst], self.Vinv[src], -c, mod)
+
+    def scale_row(self, i, c, c_inv):
+        """row i *= c, a unit with inverse c_inv"""
+        mod = self.mod
+        for m in (self.M, self.U) if self.U is not None else (self.M,):
+            m[i] = [(c * a) % mod if mod else c * a for a in m[i]]
+        for row in self.Uinv or ():
+            row[i] = (c_inv * row[i]) % mod if mod else c_inv * row[i]
+
+    def normalize_pivot(self, t):
+        """Over Z/n, scale row t by a unit so that the pivot a becomes
+        gcd(a, n): a unit pivot becomes 1 and clears its row and column in
+        one pass."""
+        mod, a = self.mod, self.M[t][t]
+        g = gcd(a, mod)
+        if a == g:
+            return
+        step = mod // g
+        c = pow(a // g, -1, step)  # a * c = g mod n; lift c to a unit mod n
+        while gcd(c, mod) != 1:
+            c += step
+        self.scale_row(t, c, pow(c, -1, mod))
 
 
-def _negate_row(m, u, uinv, i):
-    m[i] = [-a for a in m[i]]
-    u[i] = [-a for a in u[i]]
-    for row in uinv:
-        row[i] = -row[i]
+def _smith_reduce(A: IntMatrix, modulus: int | None, row_transforms: bool) -> _Elimination:
+    """A reduced to Smith normal form, over Z or over Z/modulus,
+    deterministic for fixed input.
 
-
-def smith(A: IntMatrix) -> SmithDecomposition:
-    """Smith normal form with transforms, deterministic for fixed input.
-
-    Pivot choice: smallest nonzero absolute value, ties broken by position.
+    Pivot choice: over Z the smallest nonzero absolute value, over Z/n the
+    least gcd(a, n); ties are broken by position.  Euclidean steps clear the
+    pivot's row and column.
     """
     m, n = A.rows, A.cols
-    M = [list(row) for row in A.entries]
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    Uinv = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    Vinv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    e = _Elimination(A, modulus, row_transforms)
+    M = e.M
+    weight = partial(gcd, modulus) if modulus else abs
 
     t = 0
     while t < min(m, n):
-        # locate pivot
+        # locate pivot; a weight of 1 cannot be beaten
         best = None
         for i in range(t, m):
             row = M[i]
             for j in range(t, n):
                 a = row[j]
-                if a:
-                    if best is None or abs(a) < best[0]:
-                        best = (abs(a), i, j)
+                if a and (best is None or weight(a) < best[0]):
+                    best = (weight(a), i, j)
+            if best is not None and best[0] == 1:
+                break
         if best is None:
             break
         _, pi, pj = best
         if pi != t:
-            _swap_rows(M, U, Uinv, t, pi)
+            e.swap_rows(t, pi)
         if pj != t:
-            _swap_cols(M, V, Vinv, t, pj)
+            e.swap_cols(t, pj)
         while True:
+            if modulus:
+                e.normalize_pivot(t)
             # clear column t below the pivot
             restart = False
             for i in range(t + 1, m):
                 a = M[i][t]
                 if a:
-                    q = a // M[t][t]
-                    _add_row(M, U, Uinv, t, i, -q)
+                    e.add_row(t, i, -(a // M[t][t]))
                     if M[i][t]:
-                        _swap_rows(M, U, Uinv, t, i)
+                        e.swap_rows(t, i)
                         restart = True
                         break
             if restart:
@@ -291,10 +345,9 @@ def smith(A: IntMatrix) -> SmithDecomposition:
             for j in range(t + 1, n):
                 a = M[t][j]
                 if a:
-                    q = a // M[t][t]
-                    _add_col(M, V, Vinv, t, j, -q)
+                    e.add_col(t, j, -(a // M[t][t]))
                     if M[t][j]:
-                        _swap_cols(M, V, Vinv, t, j)
+                        e.swap_cols(t, j)
                         restart = True
                         break
             if restart:
@@ -303,37 +356,41 @@ def smith(A: IntMatrix) -> SmithDecomposition:
         # pivot must divide the remaining block; if not, fold the bad row in
         piv = M[t][t]
         bad = None
-        for i in range(t + 1, m):
-            row = M[i]
-            for j in range(t + 1, n):
-                if row[j] % piv:
-                    bad = i
-                    break
-            if bad is not None:
+        for i in range(t + 1, m if abs(piv) != 1 else t + 1):
+            if any(a % piv for a in M[i][t + 1:]):
+                bad = i
                 break
         if bad is not None:
-            _add_row(M, U, Uinv, bad, t, 1)
+            e.add_row(bad, t, 1)
             continue
         t += 1
 
-    for i in range(min(m, n)):
-        if M[i][i] < 0:
-            _negate_row(M, U, Uinv, i)
+    if not modulus:
+        for i in range(min(m, n)):
+            if M[i][i] < 0:
+                e.scale_row(i, -1, -1)
+    return e
 
+
+def smith(A: IntMatrix, modulus: int | None = None) -> SmithDecomposition:
+    """Smith normal form of A with transforms, over Z or over Z/modulus."""
+    e = _smith_reduce(A, modulus, row_transforms=True)
+
+    def wrap(rows, ncols):
+        return IntMatrix(tuple(map(tuple, rows)), len(rows), ncols)
+
+    m, n = A.rows, A.cols
     return SmithDecomposition(
-        IntMatrix.from_rows(U, ncols=m),
-        IntMatrix.from_rows(M, ncols=n),
-        IntMatrix.from_rows(V, ncols=n),
-        IntMatrix.from_rows(Uinv, ncols=m),
-        IntMatrix.from_rows(Vinv, ncols=n),
+        wrap(e.U, m), wrap(e.M, n), wrap(e.V, n), wrap(e.Uinv, m), wrap(e.Vinv, n)
     )
 
 
 def solve(A: IntMatrix, b, modulus: int | None = None, snf: SmithDecomposition | None = None):
-    """One solution x of A x = b over Z (or Z/modulus), or None."""
+    """One solution x of A x = b over Z (or Z/modulus), or None.  A given
+    snf must be smith(A, modulus)."""
     if snf is None:
-        snf = smith(A)
-    ub = snf.U.apply(b)
+        snf = smith(A, modulus)
+    ub = snf.U.apply(b, modulus)
     d = snf.diagonal()
     y = [0] * A.cols
     for i in range(A.rows):
@@ -349,22 +406,13 @@ def solve(A: IntMatrix, b, modulus: int | None = None, snf: SmithDecomposition |
                 if i < A.cols:
                     y[i] = r // di
         else:
-            r %= modulus
-            if di == 0:
-                if r:
-                    return None
-            else:
-                g = gcd(di, modulus)
-                if r % g:
-                    return None
+            g = gcd(di, modulus)  # di = 0 reads as the modulus
+            if r % g:
+                return None
+            if i < A.cols:
                 # solve di * y = r mod modulus
-                dd, rr, mm = di // g, r // g, modulus // g
-                if i < A.cols:
-                    y[i] = (rr * pow(dd, -1, mm)) % mm
-    x = snf.V.apply(y)
-    if modulus is not None:
-        x = tuple(a % modulus for a in x)
-    return tuple(x)
+                y[i] = (r // g) * pow(di // g, -1, modulus // g) % (modulus // g)
+    return snf.V.apply(y, modulus)
 
 
 def kernel_basis(A: IntMatrix, modulus: int | None = None, snf: SmithDecomposition | None = None):
@@ -372,24 +420,25 @@ def kernel_basis(A: IntMatrix, modulus: int | None = None, snf: SmithDecompositi
 
     Over Z/n the generators are the columns of V scaled by n/gcd(d_i, n);
     together they generate {x : A x = 0 mod n} as a subgroup of (Z/n)^cols.
+    A given snf must be smith(A, modulus); without one, the elimination
+    skips U and U^-1, which the kernel does not read.
     """
     if snf is None:
-        snf = smith(A)
-    d = snf.diagonal()
+        e = _smith_reduce(A, modulus, row_transforms=False)
+        d, V = [e.M[i][i] for i in range(min(A.rows, A.cols))], e.V
+    else:
+        d, V = snf.diagonal(), snf.V.entries
     out = []
     for j in range(A.cols):
         dj = d[j] if j < len(d) else 0
-        col = snf.V.column(j)
+        col = tuple(row[j] for row in V)
         if modulus is None:
             if dj == 0:
                 out.append(col)
         else:
             scale = modulus // gcd(dj, modulus)
-            if scale != modulus or dj == 0:
-                vec = tuple((scale * a) % modulus for a in col)
-            else:
-                continue  # scaled generator is 0 mod n; n*Z^a relations are implicit
-            out.append(vec)
+            if scale != modulus:  # otherwise the scaled generator is 0 mod n
+                out.append(tuple(scale * a % modulus for a in col))
     return out
 
 
@@ -472,7 +521,8 @@ class Subquotient:
     """ker(d_out)/im(d_in) with class-of-cycle and representative-of-class maps.
 
     Ambient coordinates are Z^a (a = d_out.cols = d_in.rows), reduced mod n
-    when a modulus is given.
+    when a modulus is given; then every elimination runs over Z/n, with its
+    entries kept in [0, n).
     """
 
     def __init__(self, d_out: IntMatrix, d_in: IntMatrix, modulus: int | None = None):
@@ -491,21 +541,20 @@ class Subquotient:
         self.K = K
         k = K.cols
 
-        # relation lattice: x in Z^k with K x in im(d_in) (+ n Z^ambient)
+        # relations: the x in Z^k (or (Z/n)^k) with K x in im(d_in)
         blocks = K.hstack(d_in)
-        if modulus is not None:
-            blocks = blocks.hstack(IntMatrix.identity(self.ambient).scale(modulus))
-        self._solve_snf = smith(blocks)
+        self._solve_snf = smith(blocks, modulus)
         self._blocks = blocks
-        rel_cols = []
-        for vec in kernel_basis(blocks):
-            rel_cols.append(vec[:k])
+        rel_cols = [vec[:k] for vec in kernel_basis(blocks, modulus, snf=self._solve_snf)]
         R = IntMatrix.from_columns(rel_cols, nrows=k)
-        s = smith(R)
+        s = smith(R, modulus)
         self._U = s.U
         self._Uinv = s.u_inv
         d = s.diagonal()
-        self._diag = tuple(d[i] if i < len(d) else 0 for i in range(k))
+        d = [d[i] if i < len(d) else 0 for i in range(k)]
+        if modulus is not None:
+            d = [gcd(x, modulus) for x in d]  # 0 reads as the modulus
+        self._diag = tuple(d)
         self._kept = tuple(i for i in range(k) if self._diag[i] != 1)
 
         torsion = tuple(self._diag[i] for i in self._kept if self._diag[i] >= 2)
@@ -523,21 +572,16 @@ class Subquotient:
         y = [0] * self.K.cols
         for c, i in zip(coords, self._kept):
             y[i] = c
-        x = self._Uinv.apply(y)
-        v = self.K.apply(x)
-        if self.modulus is not None:
-            v = tuple(a % self.modulus for a in v)
-        return v
+        return self.K.apply(self._Uinv.apply(y), self.modulus)
 
     def project(self, vec):
         """Coordinates of the class of a cycle; raises if vec is not a cycle."""
         if len(vec) != self.ambient:
             raise ValueError("ambient dimension mismatch")
-        z = solve(self._blocks, vec, snf=self._solve_snf)
+        z = solve(self._blocks, vec, self.modulus, snf=self._solve_snf)
         if z is None:
             raise ValueError("vector is not a cycle")
-        x = z[: self.K.cols]
-        y = self._U.apply(x)
+        y = self._U.apply(z[: self.K.cols], self.modulus)
         out = []
         for i in self._kept:
             d = self._diag[i]

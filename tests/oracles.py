@@ -1,0 +1,142 @@
+"""Group orders counted by enumeration, sharing no code with torusbrauer.
+
+Plain Python over small finite sets: the fixed vectors of (Z/n)^k under a
+list of integer matrices, |H^2| of a cyclic group on a finite module by
+Tate periodicity, |H^2(C, A)| = |A^C| / |N_C A|, and the fixed symbols of
+each pair orbit of a Galois datum.  Lattices and characters are
+given as lists: rho lists one integer matrix per group element and chi one
+sign per element, in the same order.  The tests keep every enumeration below
+about 10^5 vectors.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+
+def matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def inverse_of_finite_order(a):
+    """a^-1 = a^(k-1) for the order k of a (at most 12 for the test lattices)."""
+    one = [[int(i == j) for j in range(len(a))] for i in range(len(a))]
+    prev, power = one, a
+    for _ in range(12):
+        if power == one:
+            return prev
+        prev, power = power, matmul(power, a)
+    raise ValueError("matrix has no small finite order")
+
+
+def wedge2(a):
+    """Lambda^2 a on the basis e_i ^ e_j (i < j) in lexicographic order."""
+    pairs = list(itertools.combinations(range(len(a)), 2))
+    return [[a[i][k] * a[j][l] - a[i][l] * a[j][k] for k, l in pairs] for i, j in pairs]
+
+
+def hom_action(rho, chi, n: int, degree: int):
+    """The matrices of g on Hom(Lambda^degree N, mu_n), f -> chi(g) f(g^-1 .),
+    in the coordinates f(e_S); degree is 1 or 2."""
+    out = []
+    for a, u in zip(rho, chi):
+        inv = inverse_of_finite_order(a)
+        w = inv if degree == 1 else wedge2(inv)
+        out.append([[u * x % n for x in col] for col in zip(*w)])
+    return out
+
+
+def _apply(a, v, n: int):
+    return tuple(sum(x * y for x, y in zip(row, v)) % n for row in a)
+
+
+def fixed_count(actions, n: int) -> int:
+    """#{v in (Z/n)^k : a v = v for every matrix a}."""
+    k = len(actions[0])
+    return sum(
+        all(_apply(a, v, n) == v for a in actions)
+        for v in itertools.product(range(n), repeat=k)
+    )
+
+
+def tate_h2_order(actions, n: int) -> int:
+    """|H^2(C, (Z/n)^k)| for a cyclic group C listed in full by its matrices:
+    the fixed vectors over the image of the norm, sum of all matrices."""
+    k = len(actions[0])
+    norm = [[sum(col) for col in zip(*rows)] for rows in zip(*actions)]
+    image = {_apply(norm, v, n) for v in itertools.product(range(n), repeat=k)}
+    return fixed_count(actions, n) // len(image)
+
+
+def shapiro_h2_order(rho, chi, n: int) -> int:
+    """|H^2(pi, Hom(N, mu_n))| for N induced from the line through e_0.
+
+    By Shapiro's lemma this is |H^2(H, Z/n)| for the stabiliser H of the
+    line, where h acts on Hom(Z e_0, mu_n) = Z/n by chi(h) * eps(h), with
+    rho(h) e_0 = eps(h) e_0.  H must be cyclic.
+    """
+    actions = []
+    for a, u in zip(rho, chi):
+        column = [row[0] for row in a]
+        if column[0] in (1, -1) and not any(column[1:]):
+            actions.append([[u * column[0] % n]])
+    if len(actions) * len(rho[0]) != len(rho):
+        raise ValueError("lattice is not induced from the line through e_0")
+    return tate_h2_order(actions, n)
+
+
+def galois_closure(r: int, M: int, generators):
+    """All (perm, unit) products of the generators in S_r x (Z/M)^*, where
+    (p, u)(q, v) = (p o q, u v)."""
+    gens = [(tuple(p), u % M) for p, u in generators]
+    one = (tuple(range(r)), 1 % M)
+    seen, frontier = {one}, [one]
+    while frontier:
+        p, u = frontier.pop()
+        for q, v in gens:
+            x = (tuple(p[q[i]] for i in range(r)), u * v % M)
+            if x not in seen:
+                seen.add(x)
+                frontier.append(x)
+    return seen
+
+
+def brauer_orbit_orders(r: int, M: int, generators):
+    """For each orbit of pairs {i, j}, the number of fixed symbols x e_ij.
+
+    The pair module is the sum over orbits of modules induced from the
+    stabiliser of a representative pair, so its fixed subgroup is the sum of
+    cyclic groups of these orders.  An element (p, u) stabilising {i, j} sends
+    x e_ij to u^-1 s x e_ij, with s = -1 when p swaps i and j, so x is fixed
+    exactly when x (s - u) = 0 mod M.
+    """
+    elements = galois_closure(r, M, generators)
+    orders, seen = [], set()
+    for i, j in itertools.combinations(range(r), 2):
+        if (i, j) in seen:
+            continue
+        seen |= {tuple(sorted((p[i], p[j]))) for p, _ in elements}
+        conditions = [(1 if p[i] == i else -1) - u for p, u in elements if {p[i], p[j]} == {i, j}]
+        orders.append(sum(all(x * c % M == 0 for c in conditions) for x in range(M)))
+    return orders
+
+
+def invariant_factors(orders):
+    """Invariant factors d1 | d2 | ... (all > 1) of the sum of the Z/m."""
+    powers = {}  # prime -> exponents of its primary parts
+    for m in orders:
+        p = 2
+        while m > 1:
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            if e:
+                powers.setdefault(p, []).append(e)
+            p += 1
+    depth = max((len(es) for es in powers.values()), default=0)
+    factors = [1] * depth
+    for p, es in powers.items():
+        for k, e in enumerate(sorted(es, reverse=True)):
+            factors[depth - 1 - k] *= p**e
+    return tuple(factors)

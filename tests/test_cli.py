@@ -43,6 +43,33 @@ class TestGolden:
         assert code == EXIT_OK
         assert text == (GOLDEN / f"{stem}.txt.golden").read_text()
 
+    # oracle_generators of the goldens before the oracle's subquotient was
+    # computed by elimination over Z/M: the generators may change with the
+    # elimination, the subgroup of (Z/M)^a they span and their orders may not
+    PREVIOUS_ORACLE_GENERATORS = {
+        "qi_datum": [[3]],
+        "s3_datum": [[1, 1, 1]],
+        "split_datum": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+    }
+
+    @pytest.mark.parametrize("stem", sorted(PREVIOUS_ORACLE_GENERATORS))
+    def test_oracle_generators_span_previous_subgroup(self, stem):
+        doc = json.loads((GOLDEN / f"{stem}.json.golden").read_text())
+        M = doc["input"]["M"]
+
+        def span(gens):
+            out = {tuple(0 for _ in gens[0])}
+            for g in gens:
+                out = {tuple((a + k * b) % M for a, b in zip(v, g)) for v in out for k in range(M)}
+            return out
+
+        def order(g):
+            return next(k for k in range(1, M + 1) if all(k * x % M == 0 for x in g))
+
+        old, new = self.PREVIOUS_ORACLE_GENERATORS[stem], doc["oracle_generators"]
+        assert span(new) == span(old)
+        assert sorted(map(order, new)) == sorted(map(order, old))
+
     def test_roundtrip_lossless(self):
         _, text = run(["--json", "qt-brauer", str(INPUTS / "qi_datum.json")])
         doc = json.loads(text)
@@ -149,6 +176,66 @@ class TestExitCodes:
     def test_ragged_matrix_schema(self, tmp_path):
         doc = {"kind": "involution-lattice", "matrix": [[0, 1], [1]]}
         assert run(["real-torus", write(tmp_path, "ragged.json", doc)])[0] == EXIT_SCHEMA
+
+    def test_non_square_matrix_schema(self, tmp_path):
+        doc = {"kind": "involution-lattice", "matrix": [[1, 0]]}
+        code, text = run(["real-torus", write(tmp_path, "wide.json", doc)])
+        assert code == EXIT_SCHEMA
+        assert "square" in text and text.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command,doc",
+        [
+            ("real-torus", {"kind": "involution-lattice", "matrix": [[True, 0], [0, -1]]}),
+            ("qt-brauer", {"kind": "galois-datum", "r": 2, "M": 4,
+                           "generators": [{"perm": [True, False], "unit": 3}]}),
+            ("d2", {"kind": "split-extension", "pi": {"cyclic": 2},
+                    "action": [[[1, 0], [0, 1]], [[0, 1], [1, 0]]],
+                    "coefficients": {"mu": 2, "chi": [True, True]}}),
+            ("d2", {"kind": "split-extension", "pi": {"table": [[0, True], [True, 0]]},
+                    "action": [[[1]], [[1]]], "coefficients": {"mu": 2, "chi": [1, 1]}}),
+        ],
+        ids=["matrix", "perm", "chi", "table"],
+    )
+    def test_booleans_are_not_integers(self, tmp_path, command, doc):
+        code, text = run([command, write(tmp_path, "bool.json", doc)])
+        assert code == EXIT_SCHEMA
+        assert text.startswith("input error: ") and text.count("\n") == 1
+
+    def test_cyclic_over_cap_validation(self, tmp_path):
+        # refused before the 10^6 x 10^6 table is built
+        doc = {"kind": "split-extension", "pi": {"cyclic": 1000000}, "action": [],
+               "coefficients": {"mu": 2, "chi": []}}
+        code, text = run(["d2", write(tmp_path, "c1e6.json", doc)])
+        assert code == EXIT_VALIDATION and text.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "action, mu, source, target",
+        [
+            ([[[1, 0], [0, 1]], [[0, 1], [1, 0]]], 1000000007, "0", "0"),
+            ([[[1, 0], [0, 1]], [[0, 1], [1, 0]]], 2000000014, "Z/2", "0"),
+            ([[[1]], [[-1]]], 2000000014, "0", "Z/2"),
+        ],
+    )
+    def test_large_level_d2(self, tmp_path, action, mu, source, target):
+        # the work of a mod-n subquotient does not grow with n
+        doc = {"kind": "split-extension", "pi": {"cyclic": 2}, "action": action,
+               "coefficients": {"mu": mu, "chi": [1, 1]}}
+        path = write(tmp_path, "big.json", doc)
+        code, text = run(["--json", "d2", path])
+        assert code == EXIT_OK
+        out = json.loads(text)
+        assert (out["source"], out["target"], out["d2_zero"]) == (source, target, True)
+        code, text = run(["--json", "v2", path])
+        assert code == EXIT_OK and json.loads(text)["v2_zero"] is True
+
+    def test_large_level_real_torus(self):
+        code, text = run(
+            ["--json", "real-torus", str(INPUTS / "ind_lattice.json"), "--modulus", "1000000007"]
+        )
+        assert code == EXIT_OK
+        (level,) = json.loads(text)["levels"]
+        assert level["n"] == 1000000007 and level["d2_zero"] is True
 
     def test_zero_modulus_flag_schema(self):
         path = str(INPUTS / "ind_lattice.json")

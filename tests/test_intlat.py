@@ -1,4 +1,7 @@
+import itertools
 import random
+import tracemalloc
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -74,6 +77,138 @@ class TestSmith:
     def test_deterministic(self):
         a = IntMatrix.from_rows([[4, 6, 2], [2, 8, 10]])
         assert smith(a) == smith(a)
+
+
+def _entries(m):
+    return [a for row in m.entries for a in row]
+
+
+def _span_mod(gens, n, dim):
+    """The subgroup of (Z/n)^dim generated by gens, by closure."""
+    span, frontier = {(0,) * dim}, [(0,) * dim]
+    while frontier:
+        v = frontier.pop()
+        for g in gens:
+            w = tuple((a + b) % n for a, b in zip(v, g))
+            if w not in span:
+                span.add(w)
+                frontier.append(w)
+    return span
+
+
+def _integral_kernel_mod(A, n):
+    """Generators of {x : A x = 0 mod n} from integral Smith: the columns of
+    V scaled by n/gcd(d_j, n)."""
+    s = smith(A)
+    d = s.diagonal()
+    scales = [n // gcd(d[j] if j < len(d) else 0, n) for j in range(A.cols)]
+    return [
+        tuple(scale * a % n for a in s.V.column(j))
+        for j, scale in enumerate(scales)
+        if scale != n
+    ]
+
+
+def _reference_subquotient(d_out, d_in, n):
+    """Invariant factors of ker(d_out)/im(d_in) over Z/n, computed over Z:
+    integral Smith on [K | d_in | n I]."""
+    K = IntMatrix.from_columns(_integral_kernel_mod(d_out, n), nrows=d_out.cols)
+    blocks = K.hstack(d_in).hstack(IntMatrix.identity(d_out.cols).scale(n))
+    rel = [v[: K.cols] for v in kernel_basis(blocks)]
+    d = smith(IntMatrix.from_columns(rel, nrows=K.cols)).diagonal()
+    return tuple(x for x in d if x != 1)
+
+
+def _order_mod_image(vec, d_in, n):
+    """Least t >= 1 with t * vec in im(d_in) + n Z^a, by integral solves."""
+    rel = d_in.hstack(IntMatrix.identity(len(vec)).scale(n))
+    return next(t for t in range(1, n + 1) if solve(rel, tuple(t * a for a in vec)) is not None)
+
+
+@st.composite
+def mod_n_chains(draw):
+    """(d_out, d_in, n) with d_out * d_in = 0 mod n: d_in combines kernel
+    generators mod n of a random d_out."""
+    n = draw(st.integers(2, 12))
+    a = draw(st.integers(1, 4))
+    rows = draw(st.integers(0, 3))
+    ent = st.integers(-n, n)
+    d_out = IntMatrix.from_rows(
+        draw(st.lists(st.lists(ent, min_size=a, max_size=a), min_size=rows, max_size=rows)),
+        ncols=a,
+    )
+    kgens = _integral_kernel_mod(d_out, n)
+    b = draw(st.integers(0, 3))
+    k = len(kgens)
+    coeffs = draw(st.lists(st.lists(ent, min_size=k, max_size=k), min_size=b, max_size=b))
+    cols = [[sum(c * g[i] for c, g in zip(cs, kgens)) for i in range(a)] for cs in coeffs]
+    return d_out, IntMatrix.from_columns(cols, nrows=a), n
+
+
+class TestModN:
+    """Elimination over Z/n: transforms and entries stay below n."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_matrices(max_dim=4, max_entry=12), st.integers(2, 12))
+    def test_smith_mod_n(self, a, n):
+        s = smith(a, n)
+        assert s.U.mul(a, n).mul(s.V, n).entries == s.D.entries
+        assert s.U.mul(s.u_inv, n).entries == IntMatrix.identity(a.rows).entries
+        assert s.V.mul(s.v_inv, n).entries == IntMatrix.identity(a.cols).entries
+        for m in (s.D, s.U, s.V, s.u_inv, s.v_inv):
+            assert all(0 <= x < n for x in _entries(m))
+        assert all(s.D[i, j] == 0 for i in range(a.rows) for j in range(a.cols) if i != j)
+        factors = [gcd(x, n) for x in s.diagonal()]
+        assert all(y % x == 0 for x, y in zip(factors, factors[1:]))
+        # the kernel skips the row transforms and reads the same V
+        assert kernel_basis(a, n) == kernel_basis(a, n, snf=s)
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_matrices(max_dim=3, max_entry=12), st.integers(2, 12), st.data())
+    def test_kernel_and_solve_mod_n(self, a, n, data):
+        kernel = {
+            v for v in itertools.product(range(n), repeat=a.cols)
+            if all(x % n == 0 for x in a.apply(v))
+        }
+        gens = kernel_basis(a, modulus=n)
+        assert all(0 <= x < n for g in gens for x in g)
+        assert _span_mod(gens, n, a.cols) == kernel
+        x = data.draw(st.lists(st.integers(0, n - 1), min_size=a.cols, max_size=a.cols))
+        b = a.apply(x, n)
+        y = solve(a, b, modulus=n)
+        assert a.apply(y, n) == b and all(0 <= v < n for v in y)
+
+    @settings(max_examples=150, deadline=None)
+    @given(mod_n_chains(), st.data())
+    def test_subquotient_matches_integral_reference(self, chain, data):
+        d_out, d_in, n = chain
+        h = Subquotient(d_out, d_in, modulus=n)
+        g = h.group
+        assert g.free_rank == 0
+        assert g.torsion == _reference_subquotient(d_out, d_in, n)
+        for gen, t in zip(g.generators, g.torsion):
+            assert all(0 <= x < n for x in gen)
+            assert all(x % n == 0 for x in d_out.apply(gen))
+            assert _order_mod_image(gen, d_in, n) == t
+        k = len(g.torsion)
+        coords = tuple(data.draw(st.lists(st.integers(-2 * n, 2 * n), min_size=k, max_size=k)))
+        assert h.project(h.lift(coords)) == h.coords_mod(coords)
+
+    def test_work_does_not_grow_with_the_modulus(self):
+        # a 2 x 2 elimination allocates nothing of size n, not even at
+        # n = 10^6 + 3 (a table indexed by residues would take ~8 MB here)
+        n = 1000003
+        a = IntMatrix.from_rows([[2, 4], [6, n - 1]])
+        tracemalloc.start()
+        try:
+            s = smith(a, n)
+            h = Subquotient(IntMatrix.zero(1, 2), a, modulus=n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 200_000
+        assert s.U.mul(a, n).mul(s.V, n).entries == s.D.entries
+        assert h.group.torsion == ()
 
 
 class TestSolveKernel:

@@ -1,0 +1,124 @@
+"""Group orders computed by torusbrauer against counts that share no code
+with it (tests/oracles.py).
+
+For d2 the lattices are those of acceptance criterion 6, written as plain
+lists in the CLI's element order.  Levels follow the benchmark's `twisting`
+workload (C2 and C3 at 2..7, V4 at 2..5, the sign character from level 3
+on), and S3 runs at every level 2..4 with both characters.  For the Brauer
+oracle the data are acceptance criterion 2's stream.
+"""
+
+import itertools
+import math
+import random
+
+import pytest
+
+from tests import oracles
+from torusbrauer.brauer import BrauerAnalysis
+from torusbrauer.cli import parse_split_extension
+from torusbrauer.groups import GaloisDatum
+from torusbrauer.spectral import d2_02
+
+
+def _perm_matrix(p):
+    return [[int(p[j] == i) for j in range(len(p))] for i in range(len(p))]
+
+
+def _scaled(mats, signs):
+    return [[[u * x for x in row] for row in m] for m, u in zip(mats, signs)]
+
+
+def _lattices():
+    """name -> (pi document, rho, sign character or None, target oracle)."""
+    i2, i3, sw = _perm_matrix((0, 1)), _perm_matrix((0, 1, 2)), _perm_matrix((1, 0))
+    sw_plus = _perm_matrix((1, 0, 2))
+    c3 = _perm_matrix((1, 2, 0))
+    c2_sign = (1, -1)
+    # V4 elements are (0,0), (0,1), (1,0), (1,1): x = (1,0) swaps e_0 and e_1,
+    # and the sign character is -1 on y = (0,1) and on xy.
+    v4 = [i3, i3, sw_plus, sw_plus]
+    v4_sign = (1, -1, 1, -1)
+    s3 = [(0, 1, 2)] + [p for p in itertools.permutations(range(3)) if p != (0, 1, 2)]
+    s3_rho = [_perm_matrix(p) for p in s3]
+    parity = tuple(
+        (-1) ** sum(p[i] > p[j] for i in range(3) for j in range(i + 1, 3)) for p in s3
+    )
+    return {
+        "C2 swap": ({"cyclic": 2}, [i2, sw], c2_sign, "tate"),
+        "C2 swap (x) sign": ({"cyclic": 2}, _scaled([i2, sw], c2_sign), c2_sign, "tate"),
+        "C2 swap + 1": ({"cyclic": 2}, [i3, sw_plus], c2_sign, "tate"),
+        "C3 permutation": ({"cyclic": 3}, [i3, c3, _perm_matrix((2, 0, 1))], None, "tate"),
+        "V4 permutation": ({"klein": True}, v4, v4_sign, None),
+        "V4 permutation (x) sign": ({"klein": True}, _scaled(v4, v4_sign), v4_sign, None),
+        "S3 permutation": ({"symmetric": 3}, s3_rho, parity, "shapiro"),
+        "S3 permutation (x) sign": ({"symmetric": 3}, _scaled(s3_rho, parity), parity, "shapiro"),
+    }
+
+
+LATTICES = _lattices()
+LEVELS = {"C2": range(2, 8), "C3": range(2, 8), "V4": range(2, 6), "S3": range(2, 5)}
+
+
+def _cases():
+    for name, (_, _, sign, _) in LATTICES.items():
+        for n in LEVELS[name[:2]]:
+            yield name, n, False
+            if sign is not None and (n > 2 or name.startswith("S3")):
+                yield name, n, True
+
+
+def _order(group) -> int:
+    assert group.free_rank == 0
+    return math.prod(group.torsion)
+
+
+@pytest.mark.parametrize("name,n,signed", list(_cases()))
+def test_d2_orders_match_enumeration(name, n, signed):
+    pi, rho, sign, target = LATTICES[name]
+    chi = list(sign) if signed else [1] * len(rho)
+    doc = {"kind": "split-extension", "pi": pi, "action": rho,
+           "coefficients": {"mu": n, "chi": chi}}
+    report = d2_02(parse_split_extension(doc))
+
+    assert _order(report.source) == oracles.fixed_count(oracles.hom_action(rho, chi, n, 2), n)
+    if target == "tate":
+        expected = oracles.tate_h2_order(oracles.hom_action(rho, chi, n, 1), n)
+        assert _order(report.target) == expected
+    elif target == "shapiro":
+        assert _order(report.target) == oracles.shapiro_h2_order(rho, chi, n)
+    assert report.matrix.rows == len(report.target.generators)
+    assert report.matrix.cols == len(report.source.generators)
+
+
+def test_brauer_oracle_matches_orbit_counts():
+    rng = random.Random(2024)  # the stream of acceptance criterion 2
+    for _ in range(50):
+        r = rng.randrange(2, 5)
+        M = rng.choice([2, 4, 6, 8, 12])
+        units = [u for u in range(1, M) if math.gcd(u, M) == 1]
+        gens = []
+        for _ in range(rng.randrange(0, 3)):
+            p = list(range(r))
+            rng.shuffle(p)
+            gens.append((tuple(p), rng.choice(units)))
+        oracle = BrauerAnalysis(GaloisDatum.from_generators(r, M, gens)).oracle
+        expected = oracles.invariant_factors(oracles.brauer_orbit_orders(r, M, gens))
+        assert (oracle.free_rank, oracle.torsion) == (0, expected), (r, M, gens)
+
+
+def test_oracles_on_hand_computed_cases():
+    # C2 swapping two coordinates: H^2(C2, Z/n[C2]) = 0, and the fixed
+    # vectors of the swap on (Z/n)^2 are the n diagonal ones.
+    swap = [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]
+    assert oracles.tate_h2_order(swap, 6) == 1
+    assert oracles.fixed_count(swap, 6) == 6
+    # C2 acting trivially on Z/n: H^2 = (Z/n)/2(Z/n), of order gcd(2, n)
+    for n in (2, 3, 4, 7):
+        assert oracles.tate_h2_order([[[1]], [[1]]], n) == math.gcd(2, n)
+    # Lambda^2 of the swap on Z^3 (e_0 <-> e_1) fixes e_0^e_1 up to sign -1
+    assert oracles.wedge2(_perm_matrix((1, 0, 2))) == [[-1, 0, 0], [0, 0, 1], [0, 1, 0]]
+    assert oracles.invariant_factors([2, 3]) == (6,)
+    assert oracles.invariant_factors([4, 6, 1]) == (2, 12)
+    # the quasi-trivial example: the swap with unit 3 mod 4 fixes all of Z/4
+    assert oracles.brauer_orbit_orders(2, 4, [((1, 0), 3)]) == [4]
