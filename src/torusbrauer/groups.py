@@ -130,6 +130,14 @@ class FiniteGroup:
 
     @staticmethod
     def symmetric(n: int) -> tuple["FiniteGroup", list]:
+        # the order k! passes the cap at a small k: stop multiplying there
+        order = 1
+        for k in range(2, n + 1):
+            order *= k
+            if order > MAX_GROUP_ORDER:
+                raise ValidationError(
+                    f"symmetric group of degree {n} has more than {MAX_GROUP_ORDER} elements"
+                )
         perms = [tuple(p) for p in itertools.permutations(range(n))]
         ident = tuple(range(n))
         perms.remove(ident)

@@ -25,7 +25,7 @@ class IntMatrix:
 
     @staticmethod
     def from_rows(rows, ncols=None) -> "IntMatrix":
-        rows = tuple(tuple(int(x) for x in row) for row in rows)
+        rows = tuple(map(tuple, rows))
         r = len(rows)
         if r:
             c = len(rows[0])
@@ -221,7 +221,7 @@ def _axpy(x, y, c, mod):
 
 
 def _col_axpy(rows, src, dst, c, mod):
-    """Column dst += c * column src, in place."""
+    """Column dst += c * column src of a dense matrix, in place."""
     for row in rows:
         a = row[src]
         if a:
@@ -232,11 +232,20 @@ def _col_axpy(rows, src, dst, c, mod):
 class _Elimination:
     """A matrix under elementary operations, with the transforms that keep
     U*A*V equal to it (mod `mod` when set, every entry then kept in
-    [0, mod)).  Without row transforms U and U^-1 are not accumulated."""
+    [0, mod)).  Without row transforms U and U^-1 are not accumulated.
+
+    The matrix is held as sparse rows {column: nonzero entry}, so row
+    operations and the pivot search cost what the nonzeros cost; the four
+    transforms are dense lists.  Column operations are made at step t only,
+    with column t as source after it has been cleared below the pivot, and
+    rows above t hold only their diagonal: such an operation changes row t of
+    the matrix and nothing else.
+    """
 
     def __init__(self, A: IntMatrix, mod: int | None, row_transforms: bool):
         self.mod = mod
-        self.M = [[a % mod for a in row] if mod else list(row) for row in A.entries]
+        rows = ([a % mod for a in row] for row in A.entries) if mod else A.entries
+        self.M = [{j: a for j, a in enumerate(row) if a} for row in rows]
         self.U = _eye(A.rows) if row_transforms else None
         self.Uinv = _eye(A.rows) if row_transforms else None
         self.V = _eye(A.cols)
@@ -248,35 +257,60 @@ class _Elimination:
         for row in self.Uinv or ():
             row[i], row[j] = row[j], row[i]
 
-    def swap_cols(self, i, j):
-        for row in self.M + self.V:
-            row[i], row[j] = row[j], row[i]
-        self.Vinv[i], self.Vinv[j] = self.Vinv[j], self.Vinv[i]
+    def swap_cols(self, t, j):
+        """Swap columns t and j > t at step t."""
+        for row in self.M[t:]:
+            if t in row:
+                if j in row:
+                    row[t], row[j] = row[j], row[t]
+                else:
+                    row[j] = row.pop(t)
+            elif j in row:
+                row[t] = row.pop(j)
+        for row in self.V:
+            row[t], row[j] = row[j], row[t]
+        self.Vinv[t], self.Vinv[j] = self.Vinv[j], self.Vinv[t]
 
     def add_row(self, src, dst, c):
         """row dst += c * row src"""
         if c == 0:
             return
         mod = self.mod
-        self.M[dst] = _axpy(self.M[src], self.M[dst], c, mod)
+        row = self.M[dst]
+        for j, a in self.M[src].items():
+            b = row.get(j, 0) + c * a
+            if mod:
+                b %= mod
+            if b:
+                row[j] = b
+            else:
+                row.pop(j, None)
         if self.U is not None:
             self.U[dst] = _axpy(self.U[src], self.U[dst], c, mod)
             _col_axpy(self.Uinv, dst, src, -c, mod)
 
-    def add_col(self, src, dst, c):
-        """col dst += c * col src"""
+    def add_col(self, t, j, c):
+        """col j += c * col t at step t: of the matrix only row t changes"""
         if c == 0:
             return
         mod = self.mod
-        _col_axpy(self.M, src, dst, c, mod)
-        _col_axpy(self.V, src, dst, c, mod)
-        self.Vinv[src] = _axpy(self.Vinv[dst], self.Vinv[src], -c, mod)
+        row = self.M[t]
+        b = row.get(j, 0) + c * row[t]
+        if mod:
+            b %= mod
+        if b:
+            row[j] = b
+        else:
+            row.pop(j, None)
+        _col_axpy(self.V, t, j, c, mod)
+        self.Vinv[t] = _axpy(self.Vinv[j], self.Vinv[t], -c, mod)
 
     def scale_row(self, i, c, c_inv):
         """row i *= c, a unit with inverse c_inv"""
         mod = self.mod
-        for m in (self.M, self.U) if self.U is not None else (self.M,):
-            m[i] = [(c * a) % mod if mod else c * a for a in m[i]]
+        self.M[i] = {j: (c * a) % mod if mod else c * a for j, a in self.M[i].items()}
+        if self.U is not None:
+            self.U[i] = [(c * a) % mod if mod else c * a for a in self.U[i]]
         for row in self.Uinv or ():
             row[i] = (c_inv * row[i]) % mod if mod else c_inv * row[i]
 
@@ -300,8 +334,10 @@ def _smith_reduce(A: IntMatrix, modulus: int | None, row_transforms: bool) -> _E
     deterministic for fixed input.
 
     Pivot choice: over Z the smallest nonzero absolute value, over Z/n the
-    least gcd(a, n); ties are broken by position.  Euclidean steps clear the
-    pivot's row and column.
+    least gcd(a, n); ties go to the earlier row, then the earlier column.
+    Euclidean steps clear the pivot's row and column.  At step t the rows
+    from t on hold entries only in columns from t on, so the search reads
+    each such row's nonzeros and nothing else.
     """
     m, n = A.rows, A.cols
     e = _Elimination(A, modulus, row_transforms)
@@ -310,19 +346,18 @@ def _smith_reduce(A: IntMatrix, modulus: int | None, row_transforms: bool) -> _E
 
     t = 0
     while t < min(m, n):
-        # locate pivot; a weight of 1 cannot be beaten
-        best = None
+        # locate pivot; every weight is >= 1, so 0 means none found yet and
+        # a weight of 1 cannot be beaten
+        best = pi = pj = 0
         for i in range(t, m):
-            row = M[i]
-            for j in range(t, n):
-                a = row[j]
-                if a and (best is None or weight(a) < best[0]):
-                    best = (weight(a), i, j)
-            if best is not None and best[0] == 1:
+            for j, a in M[i].items():
+                w = weight(a)
+                if not best or w < best or (w == best and i == pi and j < pj):
+                    best, pi, pj = w, i, j
+            if best == 1:
                 break
-        if best is None:
+        if not best:
             break
-        _, pi, pj = best
         if pi != t:
             e.swap_rows(t, pi)
         if pj != t:
@@ -330,23 +365,21 @@ def _smith_reduce(A: IntMatrix, modulus: int | None, row_transforms: bool) -> _E
         while True:
             if modulus:
                 e.normalize_pivot(t)
-            # clear column t below the pivot
+            # clear column t below the pivot (each step changes only row i)
             restart = False
-            for i in range(t + 1, m):
-                a = M[i][t]
-                if a:
-                    e.add_row(t, i, -(a // M[t][t]))
-                    if M[i][t]:
-                        e.swap_rows(t, i)
-                        restart = True
-                        break
+            for i in [i for i in range(t + 1, m) if t in M[i]]:
+                e.add_row(t, i, -(M[i][t] // M[t][t]))
+                if t in M[i]:
+                    e.swap_rows(t, i)
+                    restart = True
+                    break
             if restart:
                 continue
-            for j in range(t + 1, n):
-                a = M[t][j]
-                if a:
-                    e.add_col(t, j, -(a // M[t][t]))
-                    if M[t][j]:
+            # clear row t right of the pivot (each step changes only entry j)
+            for j in sorted(M[t]):
+                if j > t:
+                    e.add_col(t, j, -(M[t][j] // M[t][t]))
+                    if j in M[t]:
                         e.swap_cols(t, j)
                         restart = True
                         break
@@ -357,7 +390,7 @@ def _smith_reduce(A: IntMatrix, modulus: int | None, row_transforms: bool) -> _E
         piv = M[t][t]
         bad = None
         for i in range(t + 1, m if abs(piv) != 1 else t + 1):
-            if any(a % piv for a in M[i][t + 1:]):
+            if any(a % piv for a in M[i].values()):
                 bad = i
                 break
         if bad is not None:
@@ -367,7 +400,7 @@ def _smith_reduce(A: IntMatrix, modulus: int | None, row_transforms: bool) -> _E
 
     if not modulus:
         for i in range(min(m, n)):
-            if M[i][i] < 0:
+            if M[i].get(i, 0) < 0:
                 e.scale_row(i, -1, -1)
     return e
 
@@ -380,8 +413,12 @@ def smith(A: IntMatrix, modulus: int | None = None) -> SmithDecomposition:
         return IntMatrix(tuple(map(tuple, rows)), len(rows), ncols)
 
     m, n = A.rows, A.cols
+    D = [[0] * n for _ in range(m)]
+    for i, row in enumerate(e.M):
+        for j, a in row.items():
+            D[i][j] = a
     return SmithDecomposition(
-        wrap(e.U, m), wrap(e.M, n), wrap(e.V, n), wrap(e.Uinv, m), wrap(e.Vinv, n)
+        wrap(e.U, m), wrap(D, n), wrap(e.V, n), wrap(e.Uinv, m), wrap(e.Vinv, n)
     )
 
 
@@ -425,7 +462,7 @@ def kernel_basis(A: IntMatrix, modulus: int | None = None, snf: SmithDecompositi
     """
     if snf is None:
         e = _smith_reduce(A, modulus, row_transforms=False)
-        d, V = [e.M[i][i] for i in range(min(A.rows, A.cols))], e.V
+        d, V = [e.M[i].get(i, 0) for i in range(min(A.rows, A.cols))], e.V
     else:
         d, V = snf.diagonal(), snf.V.entries
     out = []

@@ -43,6 +43,21 @@ class TestGolden:
         assert code == EXIT_OK
         assert text == (GOLDEN / f"{stem}.txt.golden").read_text()
 
+    SECOND_PAGE = [
+        ("s3_extension", "d2", []),
+        ("v4_extension", "d2", []),
+        ("v4_extension", "v2", []),
+        ("ind_lattice", "real-torus", ["--modulus", "2,3,4,8"]),
+    ]
+
+    @pytest.mark.parametrize("fmt", ["json", "txt"])
+    @pytest.mark.parametrize("stem,command,extra", SECOND_PAGE)
+    def test_second_page_byte_stable(self, stem, command, extra, fmt):
+        flags = ["--json"] if fmt == "json" else []
+        code, text = run(flags + ["--seed", "0", command, str(INPUTS / f"{stem}.json")] + extra)
+        assert code == EXIT_OK
+        assert text == (GOLDEN / f"{stem}.{command}.{fmt}.golden").read_text()
+
     # oracle_generators of the goldens before the oracle's subquotient was
     # computed by elimination over Z/M: the generators may change with the
     # elimination, the subgroup of (Z/M)^a they span and their orders may not
@@ -258,6 +273,16 @@ class TestExitCodes:
         doc = {"kind": "split-extension", "pi": {"symmetric": 8}, "action": [],
                "coefficients": {"mu": 2, "chi": []}}
         code, text = run(["d2", write(tmp_path, "s8.json", doc)])
+        assert code == EXIT_VALIDATION
+        assert text.count("\n") == 1
+
+    # the cap is checked on n! before any permutation is listed: 12! tuples
+    # would exhaust memory, and 10^9! is never computed
+    @pytest.mark.parametrize("degree", [12, 20, 10**9])
+    def test_large_symmetric_validation(self, tmp_path, degree):
+        doc = {"kind": "split-extension", "pi": {"symmetric": degree}, "action": [],
+               "coefficients": {"mu": 2, "chi": []}}
+        code, text = run(["d2", write(tmp_path, "sym.json", doc)])
         assert code == EXIT_VALIDATION
         assert text.count("\n") == 1
 

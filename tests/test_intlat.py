@@ -211,6 +211,54 @@ class TestModN:
         assert h.group.torsion == ()
 
 
+@st.composite
+def tall_sparse_matrices(draw, max_rows=24, max_cols=6):
+    """Mostly zero matrices of up to 24 x 6 with entries in [-2, 2] and
+    whole zero rows and columns: the shape of the bar coboundary matrices
+    that the elimination keeps as sparse rows."""
+    r = draw(st.integers(1, max_rows))
+    c = draw(st.integers(1, max_cols))
+    entry = st.sampled_from((0, 0, 0, 0, 0, 0, 1, -1, 2, -2))
+    rows = draw(st.lists(st.lists(entry, min_size=c, max_size=c), min_size=r, max_size=r))
+    zero_rows = draw(st.sets(st.integers(0, r - 1), max_size=r // 2))
+    zero_cols = draw(st.sets(st.integers(0, c - 1), max_size=c // 2))
+    return IntMatrix.from_rows(
+        [[0 if i in zero_rows or j in zero_cols else a for j, a in enumerate(row)]
+         for i, row in enumerate(rows)]
+    )
+
+
+class TestTallSparse:
+    """Smith forms of tall, mostly zero matrices, over Z and over Z/n."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(tall_sparse_matrices())
+    def test_smith_over_z(self, a):
+        s = smith(a)
+        assert s.U.mul(a).mul(s.V).entries == s.D.entries
+        assert s.U.mul(s.u_inv).entries == IntMatrix.identity(a.rows).entries
+        assert s.V.mul(s.v_inv).entries == IntMatrix.identity(a.cols).entries
+        assert all(s.D[i, j] == 0 for i in range(a.rows) for j in range(a.cols) if i != j)
+        d = s.diagonal()
+        assert all(x >= 0 for x in d)
+        assert all(y == 0 if x == 0 else y % x == 0 for x, y in zip(d, d[1:]))
+        assert kernel_basis(a) == kernel_basis(a, snf=s)
+
+    @settings(max_examples=150, deadline=None)
+    @given(tall_sparse_matrices(), st.integers(2, 12))
+    def test_smith_mod_n(self, a, n):
+        s = smith(a, n)
+        assert s.U.mul(a, n).mul(s.V, n).entries == s.D.entries
+        assert s.U.mul(s.u_inv, n).entries == IntMatrix.identity(a.rows).entries
+        assert s.V.mul(s.v_inv, n).entries == IntMatrix.identity(a.cols).entries
+        for m in (s.D, s.U, s.V, s.u_inv, s.v_inv):
+            assert all(0 <= x < n for x in _entries(m))
+        assert all(s.D[i, j] == 0 for i in range(a.rows) for j in range(a.cols) if i != j)
+        factors = [gcd(x, n) for x in s.diagonal()]
+        assert all(y % x == 0 for x, y in zip(factors, factors[1:]))
+        assert kernel_basis(a, n) == kernel_basis(a, n, snf=s)
+
+
 class TestSolveKernel:
     def test_solve_integer(self):
         a = IntMatrix.from_rows([[2, 0], [0, 3]])
