@@ -243,7 +243,8 @@ class BrauerAnalysis:
     def _generation(self) -> str | None:
         for o in self.orbits:
             v = self.sums[o.pair]
-            if any(tuple(self.module.act(g, v)) != v for g in self.datum.group.elements()):
+            # the stabilizer of v is a subgroup: fixed by generators is fixed
+            if any(tuple(self.module.act(g, v)) != v for g in self.datum.group.generators):
                 return f"{o.describe()}: orbit sum {v} is not fixed"
         sums = self.orbit_sums
         for gen in self.oracle.generators:

@@ -21,6 +21,7 @@ Exit codes: 0 success, 2 malformed input, 3 invariant violation,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import random
@@ -432,7 +433,10 @@ def cmd_selftest(suite_filter, seed: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: `parse_args` gives each call a fresh
+    namespace, so no parsed value reaches the next call."""
     p = argparse.ArgumentParser(
         prog="torusbrauer",
         description="exact Brauer-group and spectral-differential computations",

@@ -5,8 +5,9 @@ trivial / sign / induced summands."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
+from operator import itemgetter
 
 from .errors import (
     NonSignCharacterOnLatticeError,
@@ -21,29 +22,45 @@ MAX_GROUP_ORDER = 10000
 
 @dataclass(frozen=True)
 class FiniteGroup:
-    """Multiplication table on element ids 0..n-1.  Id 0 is the identity."""
+    """Multiplication table on element ids 0..n-1.  Id 0 is the identity.
+
+    `generators` is a generating set, chosen greedily in id order: an id is
+    taken when it is not yet a product of the ids taken before it.  Each new
+    generator at least doubles the subgroup reached, so there are at most
+    log2 |G| of them.
+
+    A map rho with rho(0) = 1 is a homomorphism as soon as rho(sh) =
+    rho(s) rho(h) for every generator s and every h: the g for which this
+    holds for all h contain 0 and are closed under products.  GaloisDatum,
+    GLattice and CoeffModule check that, |S|·|G| products in place of
+    |G|²."""
 
     table: tuple[tuple[int, ...], ...]
+    generators: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        n = len(self.table)
-        for row in self.table:
+        t = self.table
+        n = len(t)
+        if n == 0:
+            raise ValidationError("malformed multiplication table")
+        for row in t:
             if len(row) != n or any(not (0 <= x < n) for x in row):
                 raise ValidationError("malformed multiplication table")
         for g in range(n):
-            if self.table[0][g] != g or self.table[g][0] != g:
+            if t[0][g] != g or t[g][0] != g:
                 raise ValidationError("id 0 is not a two-sided identity")
         for g in range(n):
-            if 0 not in self.table[g]:
+            if 0 not in t[g]:
                 raise ValidationError(f"element {g} has no inverse")
-        for g in range(n):
-            for h in range(n):
-                for k in range(n):
-                    if (
-                        self.table[self.table[g][h]][k]
-                        != self.table[g][self.table[h][k]]
-                    ):
-                        raise ValidationError("multiplication is not associative")
+        object.__setattr__(self, "generators", _greedy_generators(t))
+        # Light's test: the s with (xs)y = x(sy) for all x, y are closed
+        # under products and include 0, so checking each generator s is
+        # checking every triple; row xs must be row x read through row s
+        for s in self.generators:
+            through_s = itemgetter(*t[s])
+            for x in range(n):
+                if t[t[x][s]] != through_s(t[x]):
+                    raise ValidationError("multiplication is not associative")
 
     @property
     def order(self) -> int:
@@ -158,6 +175,25 @@ class FiniteGroup:
         return grp
 
 
+def _greedy_generators(table) -> tuple[int, ...]:
+    """Scan ids in order and take each one that right products of the ids
+    already taken, starting from 0, do not reach."""
+    seen = bytearray(len(table))
+    seen[0] = 1
+    reached, gens = [0], []
+    for g in range(len(table)):
+        if seen[g]:
+            continue
+        gens.append(g)
+        for x in reached:  # also visits what this loop appends
+            row = table[x]
+            for s in gens:
+                if not seen[row[s]]:
+                    seen[row[s]] = 1
+                    reached.append(row[s])
+    return tuple(gens)
+
+
 @dataclass(frozen=True)
 class Subgroup:
     """A subgroup of `ambient`, with `embed[h] = ambient id of h`."""
@@ -235,7 +271,7 @@ class GaloisDatum:
         for u in self.chi:
             if gcd(u, self.M) != 1:
                 raise ValidationError("chi values must be units mod M")
-        for g in G.elements():
+        for g in G.generators:  # enough: see FiniteGroup
             for h in G.elements():
                 gh = G.mul(g, h)
                 composed = tuple(self.perm[g][self.perm[h][i]] for i in range(self.r))
@@ -286,7 +322,7 @@ class GLattice:
         for m in self.rho:
             if m.rows != self.rank or m.cols != self.rank:
                 raise ValidationError("action matrix has wrong shape")
-        for g in G.elements():
+        for g in G.generators:  # enough: see FiniteGroup
             for h in G.elements():
                 if self.rho[g].mul(self.rho[h]).entries != self.rho[G.mul(g, h)].entries:
                     raise ValidationError("lattice action is not a homomorphism")
@@ -340,7 +376,7 @@ class CoeffModule:
             ident = ident.mod(n)
         if self.action[0].entries != ident.entries:
             raise ValidationError("identity must act as the identity matrix")
-        for g in G.elements():
+        for g in G.generators:  # enough: see FiniteGroup
             for h in G.elements():
                 prod = self.action[g].mul(self.action[h], modulus=n)
                 if prod.entries != self.action[G.mul(g, h)].entries:

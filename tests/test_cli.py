@@ -9,6 +9,7 @@ from torusbrauer.cli import (
     EXIT_OK,
     EXIT_SCHEMA,
     EXIT_VALIDATION,
+    build_parser,
     run,
 )
 from torusbrauer.spectral import twisted_resolution
@@ -217,6 +218,14 @@ class TestExitCodes:
         assert code == EXIT_SCHEMA
         assert text.startswith("input error: ") and text.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["d2", "v2"])
+    def test_empty_table_validation(self, tmp_path, command):
+        doc = {"kind": "split-extension", "pi": {"table": []}, "action": [],
+               "coefficients": {"mu": 2, "chi": []}}
+        code, text = run([command, write(tmp_path, "empty.json", doc)])
+        assert code == EXIT_VALIDATION
+        assert text == "validation error: malformed multiplication table\n"
+
     def test_cyclic_over_cap_validation(self, tmp_path):
         # refused before the 10^6 x 10^6 table is built
         doc = {"kind": "split-extension", "pi": {"cyclic": 1000000}, "action": [],
@@ -331,6 +340,44 @@ class TestExitCodes:
         code, text = run([command, str(INPUTS / f"{stem}.json")])
         assert code == EXIT_SCHEMA
         assert f'"{expected}"' in text and f'"{given}"' in text
+
+
+class TestParserReuse:
+    """One parser serves every call of the process; each call must see only
+    its own arguments."""
+
+    ARGVS = [
+        ["--json", "real-torus", str(INPUTS / "ind_lattice.json"), "--modulus", "3"],
+        ["real-torus", str(INPUTS / "ind_lattice.json")],
+        ["--json", "--seed", "5", "selftest", "--suite", "intlat"],
+        ["selftest", "--suite", "cohom"],
+        ["--json", "qt-brauer", str(INPUTS / "qi_datum.json")],
+        ["qt-brauer", str(INPUTS / "s3_datum.json")],
+        ["--json", "real-torus", str(INPUTS / "ind_lattice.json")],
+    ]
+
+    @staticmethod
+    def _untimed(text):
+        return [line for line in text.splitlines() if "seconds" not in line]
+
+    def test_parser_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_no_value_leaks_between_calls(self):
+        forward = [run(argv) for argv in self.ARGVS]
+        backward = [run(argv) for argv in reversed(self.ARGVS)][::-1]
+        for (code_a, text_a), (code_b, text_b) in zip(forward, backward):
+            assert code_a == code_b == EXIT_OK
+            assert self._untimed(text_a) == self._untimed(text_b)
+        fresh = build_parser.__wrapped__()
+        for argv in self.ARGVS:
+            assert vars(build_parser().parse_args(argv)) == vars(fresh.parse_args(argv))
+        # text after JSON, the default levels after --modulus 3, the
+        # default seed after --seed 5
+        assert forward[1][1].startswith("command: real-torus\n")
+        assert [lv["n"] for lv in json.loads(forward[0][1])["levels"]] == [3]
+        assert [lv["n"] for lv in json.loads(forward[6][1])["levels"]] == [2, 4]
+        assert "seed: 0" in forward[3][1]
 
 
 class TestCachePolicy:
