@@ -21,15 +21,10 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .errors import NotQuadraticError, RankTooSmallError
-from .groups import (
-    FinAbGroup,
-    GaloisDatum,
-    invariants_finite,
-    pair_module,
-    subgroup_from_ids,
-)
-from .intlat import IntMatrix, invariant_factors, solve
+from .cohomology import cohomology
+from .errors import RankTooSmallError
+from .groups import GaloisDatum, pair_module, subgroup_from_ids
+from .intlat import FinAbGroup, IntMatrix, invariant_factors, smith, solve
 
 
 # ---------------------------------------------------------------------------
@@ -138,12 +133,6 @@ def _orbit_report(datum: GaloisDatum, pair, orbit) -> OrbitReport:
     )
 
 
-def n_prime(datum: GaloisDatum, report: OrbitReport) -> int:
-    if not report.quadratic:
-        raise NotQuadraticError("orbit has no pair-swapping stabilizer element")
-    return report.n_prime
-
-
 def _symbol(report: OrbitReport) -> SymbolExpr:
     if report.quadratic:
         return SymbolExpr(
@@ -158,13 +147,6 @@ def _vector_order(v, m: int) -> int:
         g = math.gcd(g, x % m)
     g = math.gcd(g, m)
     return m // g if g else 1
-
-
-def _in_span(columns, target, m: int) -> bool:
-    if not columns:
-        return all(x % m == 0 for x in target)
-    mat = IntMatrix.from_columns([list(c) for c in columns])
-    return solve(mat, tuple(x % m for x in target), modulus=m) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +169,7 @@ class BrauerAnalysis:
         }
         self.orbits = [self.reports[pair] for pair in reps]
         self.module = pair_module(datum, datum.M)
-        self.oracle = invariants_finite(self.module)
+        self.oracle = cohomology(datum.group, self.module, 0).group
         self.sums = {
             pair: self._orbit_sum(self.reports[pair], t)
             for t, pair in enumerate(itertools.combinations(range(datum.r), 2))
@@ -246,9 +228,11 @@ class BrauerAnalysis:
             # the stabilizer of v is a subgroup: fixed by generators is fixed
             if any(tuple(self.module.act(g, v)) != v for g in self.datum.group.generators):
                 return f"{o.describe()}: orbit sum {v} is not fixed"
-        sums = self.orbit_sums
+        m = self.datum.M
+        sums = IntMatrix.from_columns(self.orbit_sums)
+        snf = smith(sums, m)
         for gen in self.oracle.generators:
-            if not _in_span(sums, gen, self.datum.M):
+            if solve(sums, gen, m, snf=snf) is None:
                 return f"oracle generator {gen} is not in the span of the orbit sums"
         return None
 
@@ -260,13 +244,19 @@ class BrauerAnalysis:
         return None
 
     def _representative_independence(self) -> str | None:
+        """A subgroup of the finite cyclic group <base> with the order of
+        <base> is all of it: <alt> = <base> when alt is in <base> and has
+        the order of base."""
         m = self.datum.M
         for o in self.orbits:
             base = self.sums[o.pair]
+            column = IntMatrix.from_columns([base])
+            snf = smith(column, m)
+            order = _vector_order(base, m)
             for pair in o.orbit:
                 alt, alt_m_o = self.sums[pair], self.reports[pair].m_o
                 if alt_m_o != o.m_o:
                     return f"{o.describe()}: pair {_pair_str(pair)} has m_o={alt_m_o}"
-                if not (_in_span([base], alt, m) and _in_span([alt], base, m)):
+                if solve(column, alt, m, snf=snf) is None or _vector_order(alt, m) != order:
                     return f"{o.describe()}: pair {_pair_str(pair)} generates another subgroup"
         return None

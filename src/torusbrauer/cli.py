@@ -30,19 +30,14 @@ import time
 
 from . import __version__
 from .brauer import BrauerAnalysis
+from .cohomology import cohomology
 from .errors import (
     DisagreementError,
     SchemaError,
     TorusBrauerError,
     ValidationError,
 )
-from .groups import (
-    CoeffModule,
-    FiniteGroup,
-    GaloisDatum,
-    GLattice,
-    invariants_finite,
-)
+from .groups import CoeffModule, FiniteGroup, GaloisDatum, GLattice
 from .intlat import IntMatrix
 from .spectral import (
     SplitExtensionSpec,
@@ -159,6 +154,8 @@ def parse_group(spec) -> FiniteGroup:
     if "symmetric" in spec:
         return FiniteGroup.symmetric(_positive(spec, "symmetric"))[0]
     if "klein" in spec:
+        if spec["klein"] is not True:
+            raise SchemaError('field "klein" must be true')
         c2 = FiniteGroup.cyclic(2)
         return FiniteGroup.direct_product(c2, c2)
     if "table" in spec:
@@ -329,7 +326,7 @@ def cmd_v2(doc: dict, rng) -> dict:
     ext = parse_split_extension(doc)
     cls = v2(ext.N)
     verdicts = pushforward_formula_check(
-        ext, invariants_finite(lattice_cohomology(ext.N, ext.M, 2)).generators, rng=rng
+        ext, cohomology(ext.pi, lattice_cohomology(ext.N, ext.M, 2), 0).group.generators, rng=rng
     )
     return {
         "command": "v2",
@@ -354,8 +351,6 @@ def _suite_intlat(rng):
 
 
 def _suite_cohom(rng):
-    from .cohomology import cohomology
-
     for m in (2, 3, 4):
         g = FiniteGroup.cyclic(m)
         mod = CoeffModule.trivial(g, 1, m)

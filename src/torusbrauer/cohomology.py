@@ -18,11 +18,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import (
-    DegreeTooLargeError,
-    NotEquivariantError,
-    ValidationError,
-)
+from .errors import DegreeTooLargeError, ValidationError
 from .groups import CoeffModule, FiniteGroup, Subgroup
 from .intlat import IntMatrix, Subquotient
 
@@ -46,11 +42,8 @@ CACHE_SIZE = 32
 class BarResolution:
     """Standard resolution of Z by free Z[G]-modules on tuples."""
 
-    def __init__(self, group: FiniteGroup, max_degree: int):
-        if max_degree > 4:
-            raise DegreeTooLargeError("bar resolution supported up to degree 4")
+    def __init__(self, group: FiniteGroup):
         self.group = group
-        self.max_degree = max_degree
 
     def rank(self, p: int) -> int:
         return self.group.order**p
@@ -93,10 +86,6 @@ class BarResolution:
 
     def augmentation(self, element: dict) -> int:
         return sum(c for (T, _), c in element.items() if not T)
-
-
-def bar_resolution(group: FiniteGroup, max_degree: int) -> BarResolution:
-    return BarResolution(group, max_degree)
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +227,7 @@ class CyclicComparison:
     def __init__(self, G: FiniteGroup):
         self.G = G
         self.per = PeriodicData(G)
-        self.bar = BarResolution(G, 4)
+        self.bar = BarResolution(G)
         self._tau: dict = {}  # (p, T) -> group ring element of Per_p
         self._sigma: dict = {}  # p -> bar element for sigma_p(1)
 
@@ -402,10 +391,6 @@ class GroupCohomology:
             out.append(self.class_from_coords(coords))
         return out
 
-    def zero_class(self) -> CohomologyClass:
-        ngen = len(self.group.generators)
-        return CohomologyClass(self.degree, self.M, {}, (0,) * ngen, self)
-
 
 @lru_cache(maxsize=CACHE_SIZE)
 def cohomology(G: FiniteGroup, M: CoeffModule, degree: int, resolution="auto") -> GroupCohomology:
@@ -415,42 +400,6 @@ def cohomology(G: FiniteGroup, M: CoeffModule, degree: int, resolution="auto") -
 # ---------------------------------------------------------------------------
 # induced maps
 # ---------------------------------------------------------------------------
-
-
-def check_equivariant(f: IntMatrix, M: CoeffModule, M2: CoeffModule):
-    if M.group != M2.group:
-        raise NotEquivariantError("modules live over different groups")
-    if f.rows != M2.rank or f.cols != M.rank:
-        raise NotEquivariantError("map has wrong shape")
-    n2 = M2.modulus
-    if M.modulus is not None:
-        # well-definedness: f kills modulus*Z^k
-        if n2 is None:
-            if not f.scale(M.modulus).is_zero():
-                raise NotEquivariantError("map not well-defined on torsion module")
-        elif not f.scale(M.modulus).mod(n2).is_zero():
-            raise NotEquivariantError("map not well-defined on torsion module")
-    for g in M.group.elements():
-        lhs = f.mul(M.action[g])
-        rhs = M2.action[g].mul(f)
-        diff = lhs.add(rhs.neg())
-        if n2 is not None:
-            diff = diff.mod(n2)
-        if not diff.is_zero():
-            raise NotEquivariantError("map does not commute with the action")
-
-
-def map_on_cohomology(f: IntMatrix, M2: CoeffModule, cls: CohomologyClass) -> CohomologyClass:
-    """Pushforward of a class along an equivariant coefficient map."""
-    M = cls.module
-    check_equivariant(f, M, M2)
-    table = {}
-    for T, val in cls.table.items():
-        out = M2.reduce(f.apply(val))
-        if any(out):
-            table[T] = out
-    eng = cohomology(cls.engine.G, M2, cls.degree)
-    return eng.classify(table)
 
 
 def restriction(cls: CohomologyClass, sub: Subgroup) -> CohomologyClass:
@@ -488,8 +437,8 @@ class _TransferData:
             self.right_reps.append(g)
             for h in sub.embed:
                 seen.add(self.G.mul(h, g))
-        self.barG = BarResolution(self.G, 4)
-        self.barH = BarResolution(self.H, 4)
+        self.barG = BarResolution(self.G)
+        self.barH = BarResolution(self.H)
         self._theta: dict = {}
 
     def _decompose(self, g: int) -> tuple[int, int]:

@@ -33,15 +33,7 @@ class NotASubgroupError(ValidationError):
     pass
 
 
-class NotEquivariantError(ValidationError):
-    pass
-
-
 class NotInvariantError(ValidationError):
-    pass
-
-
-class NotQuadraticError(ValidationError):
     pass
 
 

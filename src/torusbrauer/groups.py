@@ -15,7 +15,7 @@ from .errors import (
     NotASubgroupError,
     ValidationError,
 )
-from .intlat import FinAbGroup, IntMatrix, Subquotient, kernel_basis, smith, solve
+from .intlat import IntMatrix, Subquotient, kernel_basis, smith, solve
 
 MAX_GROUP_ORDER = 10000
 
@@ -66,10 +66,6 @@ class FiniteGroup:
     def order(self) -> int:
         return len(self.table)
 
-    @property
-    def identity(self) -> int:
-        return 0
-
     def mul(self, g: int, h: int) -> int:
         return self.table[g][h]
 
@@ -92,12 +88,6 @@ class FiniteGroup:
                 return g
         return None
 
-    def word(self, ids) -> int:
-        out = 0
-        for g in ids:
-            out = self.mul(out, g)
-        return out
-
     @staticmethod
     def trivial() -> "FiniteGroup":
         return FiniteGroup(((0,),))
@@ -116,7 +106,14 @@ class FiniteGroup:
         group plus the element list (identity listed first).
 
         The size cap is checked as each element is added, so a group over the
-        cap is refused before a closure pass costs the square of its size."""
+        cap is refused before a closure pass costs the square of its size.
+
+        A pass multiplies each element a listed when it starts by the
+        elements listed when a's turn comes, and lists a new product at once.
+        Each product is computed once: row a of the table goes on from where
+        the previous pass stopped, since a product computed before lists
+        nothing new.  So element ids, which documents index action matrices
+        by, come out as if every pass began again at b = 0."""
         elems = [identity]
         index = {identity: 0}
 
@@ -131,19 +128,21 @@ class FiniteGroup:
         for e in elements:
             if e not in index:
                 add(e)
-        changed = True
-        while changed:
-            changed = False
-            for a in list(elems):
-                for b in list(elems):
+        rows: list[list[int]] = []
+        grown = True
+        while grown:
+            grown = False
+            rows += [[] for _ in range(len(elems) - len(rows))]
+            for a, row in zip(elems[: len(rows)], rows):
+                for b in elems[len(row) :]:
                     c = mul(a, b)
-                    if c not in index:
+                    i = index.get(c)
+                    if i is None:
+                        i = len(elems)
                         add(c)
-                        changed = True
-        table = tuple(
-            tuple(index[mul(a, b)] for b in elems) for a in elems
-        )
-        return FiniteGroup(table), elems
+                        grown = True
+                    row.append(i)
+        return FiniteGroup(tuple(map(tuple, rows))), elems
 
     @staticmethod
     def symmetric(n: int) -> tuple["FiniteGroup", list]:
@@ -205,9 +204,6 @@ class Subgroup:
     @property
     def index(self) -> int:
         return self.ambient.order // self.group.order
-
-    def contains(self, g: int) -> bool:
-        return g in self.embed
 
     def left_coset_reps(self) -> tuple[int, ...]:
         """One representative per left coset gH; the identity represents H."""
@@ -440,55 +436,15 @@ def permutation_lattice(datum: GaloisDatum) -> GLattice:
     return GLattice(datum.group, datum.r, tuple(mats))
 
 
-def tate_twist(obj, chi_values, power: int = 1):
-    """Multiply every action matrix entrywise by chi_values[g]^power."""
-    if isinstance(obj, GLattice):
-        for u in chi_values:
-            if u not in (1, -1):
-                raise NonSignCharacterOnLatticeError(
-                    "lattice twists need a sign-valued character"
-                )
-        mats = tuple(
-            m.scale(chi_values[g] ** (power % 2) if power % 2 else 1)
-            for g, m in zip(obj.group.elements(), obj.rho)
-        )
-        return GLattice(obj.group, obj.rank, mats)
-    if isinstance(obj, CoeffModule):
-        n = obj.modulus
-        mats = []
-        for g, m in zip(obj.group.elements(), obj.action):
-            c = chi_values[g] ** power if power >= 0 else pow(chi_values[g], power, n)
-            if n is not None:
-                mats.append(m.scale(c).mod(n))
-            else:
-                mats.append(m.scale(c))
-        return CoeffModule(obj.group, obj.rank, n, tuple(mats))
-    raise TypeError("tate_twist expects a GLattice or CoeffModule")
-
-
-def invariants_subquotient(module: CoeffModule) -> Subquotient:
-    """Fixed submodule as a Subquotient (kernel of stacked rho(g) - 1)."""
-    G = module.group
-    rows = []
-    for g in G.elements():
-        if g == 0:
-            continue
-        m = module.action[g]
-        for i in range(module.rank):
-            row = list(m.entries[i])
-            row[i] -= 1
-            rows.append(row)
-    if not rows:
-        stacked = IntMatrix.zero(0, module.rank)
-    else:
-        stacked = IntMatrix.from_rows(rows, ncols=module.rank)
-    return Subquotient(
-        stacked, IntMatrix.zero(module.rank, 0), modulus=module.modulus
-    )
-
-
-def invariants_finite(module: CoeffModule) -> FinAbGroup:
-    return invariants_subquotient(module).group
+def tate_twist(lattice: GLattice, chi_values) -> GLattice:
+    """Multiply every action matrix by the sign chi_values[g]."""
+    for u in chi_values:
+        if u not in (1, -1):
+            raise NonSignCharacterOnLatticeError(
+                "lattice twists need a sign-valued character"
+            )
+    mats = tuple(m.scale(chi_values[g]) for g, m in zip(lattice.group.elements(), lattice.rho))
+    return GLattice(lattice.group, lattice.rank, mats)
 
 
 @dataclass(frozen=True)

@@ -100,9 +100,6 @@ class IntMatrix:
             out.append(tuple(x % modulus for x in acc) if modulus else tuple(acc))
         return IntMatrix(tuple(out), self.rows, other.cols)
 
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        return self.mul(other)
-
     def apply(self, vec, modulus: int | None = None):
         if len(vec) != self.cols:
             raise ValueError("dimension mismatch")

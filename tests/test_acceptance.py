@@ -21,8 +21,8 @@ from torusbrauer.cli import (
     run,
 )
 from torusbrauer.cohomology import (
+    BarResolution,
     PeriodicData,
-    bar_resolution,
     cohomology,
     corestriction,
     restriction,
@@ -34,7 +34,6 @@ from torusbrauer.groups import (
     GaloisDatum,
     GLattice,
     c2_decompose,
-    invariants_finite,
     involution_lattice,
     permutation_lattice,
     subgroup_generated,
@@ -320,7 +319,7 @@ def test_criterion_6_pushforward_formula_and_additivity(capsys):
             labels.add(label)
             for m in mods:
                 ext = SplitExtensionSpec(lat.group, lat, m)
-                inv = invariants_finite(lattice_cohomology(lat, m, 2))
+                inv = cohomology(lat.group, lattice_cohomology(lat, m, 2), 0).group
                 assert all(pushforward_formula_check(ext, inv.generators, rng=rng)), (label, m.modulus)
                 checked += len(inv.generators)
         assert labels == {"C2", "C3", "V4", "S3"}
@@ -366,7 +365,7 @@ def test_criterion_7_engine_invariants(capsys):
 
         # boundaries square to zero and homotopies contract, on random chains
         s3, _ = FiniteGroup.symmetric(3)
-        bar = bar_resolution(s3, 3)
+        bar = BarResolution(s3)
         for p in (2, 3):
             for _ in range(4):
                 x = {}

@@ -5,8 +5,8 @@ import random
 import pytest
 
 from torusbrauer import brauer, cli
-from torusbrauer.brauer import BrauerAnalysis, n_prime, n_value, pair_orbits
-from torusbrauer.errors import NotQuadraticError, RankTooSmallError
+from torusbrauer.brauer import BrauerAnalysis, n_value, pair_orbits
+from torusbrauer.errors import RankTooSmallError
 from torusbrauer.groups import GaloisDatum
 
 EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "examples_cli"
@@ -83,12 +83,6 @@ class TestOrbitReport:
         assert rep.n == 2 and rep.n_prime == 2 and rep.m_o == 2
         assert len(rep.stabilizer_unordered) == 2 * len(rep.stabilizer_ordered)
 
-    def test_not_quadratic_rejected(self):
-        rep = BrauerAnalysis(trivial_datum()).reports[(0, 1)]
-        assert not rep.quadratic and rep.m_o == rep.n
-        with pytest.raises(NotQuadraticError):
-            n_prime(trivial_datum(), rep)
-
     def test_n_prime_divides_one_plus_chi(self):
         rng = random.Random(5)
         for _ in range(40):
@@ -98,6 +92,8 @@ class TestOrbitReport:
                 if rep.quadratic:
                     assert (1 + d.chi[rep.sigma]) % rep.n_prime == 0
                     assert rep.n % rep.n_prime == 0
+                else:
+                    assert rep.n_prime is None and rep.m_o == rep.n
 
 
 class TestBruteInvariants:
@@ -165,6 +161,29 @@ class TestVerification:
         for _ in range(25):
             d = random_datum(rng)
             assert BrauerAnalysis(d).failures() == {}, (d.r, d.M, d.perm, d.chi)
+
+    def test_generation_fails_without_an_orbit_sum(self):
+        a = BrauerAnalysis(trivial_datum())
+        assert a.failures() == {}
+        a.orbits = a.orbits[:-1]
+        assert a.failures()["generation"].endswith("is not in the span of the orbit sums")
+
+    def test_representative_independence_needs_the_same_subgroup(self):
+        # one orbit of three pairs under a 3-cycle, with m_o = 12
+        a = BrauerAnalysis(GaloisDatum.from_generators(3, 12, [((1, 2, 0), 1)]))
+        (o,) = a.orbits
+        assert a.failures() == {} and o.m_o == 12 and len(o.orbit) == 3
+        base = a.sums[o.pair]
+        other = next(pair for pair in o.orbit if pair != o.pair)
+        # 2*base lies in <base> but generates a subgroup of index 2
+        a.sums[other] = tuple(2 * x % 12 for x in base)
+        assert a.failures() == {
+            "representative_independence": f"{o.describe()}: pair "
+            f"({other[0] + 1}, {other[1] + 1}) generates another subgroup"
+        }
+        # a unit multiple generates <base> itself
+        a.sums[other] = tuple(5 * x % 12 for x in base)
+        assert a.failures() == {}
 
     def test_every_pair_has_a_report_and_a_sum(self):
         a = BrauerAnalysis(s3_datum())

@@ -278,6 +278,14 @@ class TestExitCodes:
         assert code == EXIT_SCHEMA
         assert '"symmetric"' in text and text.count("\n") == 1
 
+    @pytest.mark.parametrize("value", [False, 1, "yes", None, {}])
+    def test_klein_other_than_true_schema(self, tmp_path, value):
+        doc = {"kind": "split-extension", "pi": {"klein": value}, "action": [],
+               "coefficients": {"mu": 2, "chi": []}}
+        code, text = run(["d2", write(tmp_path, "klein.json", doc)])
+        assert code == EXIT_SCHEMA
+        assert '"klein"' in text and text.count("\n") == 1
+
     def test_symmetric_over_cap_validation(self, tmp_path):
         doc = {"kind": "split-extension", "pi": {"symmetric": 8}, "action": [],
                "coefficients": {"mu": 2, "chi": []}}

@@ -9,13 +9,10 @@ from torusbrauer.cohomology import (
     CyclicComparison,
     PeriodicData,
     bar_delta_matrix,
-    bar_resolution,
     cohomology,
     corestriction,
-    map_on_cohomology,
     restriction,
 )
-from torusbrauer.errors import DegreeTooLargeError, NotEquivariantError
 from torusbrauer.groups import (
     CoeffModule,
     FiniteGroup,
@@ -36,17 +33,13 @@ def random_element(bar, p, rng, terms=3):
 class TestBarResolution:
     def test_ranks(self):
         c2 = FiniteGroup.cyclic(2)
-        bar = bar_resolution(c2, 2)
+        bar = BarResolution(c2)
         assert [bar.rank(p) for p in range(3)] == [1, 2, 4]
-
-    def test_degree_cap(self):
-        with pytest.raises(DegreeTooLargeError):
-            bar_resolution(FiniteGroup.cyclic(2), 5)
 
     @pytest.mark.parametrize("order", [2, 3, 4])
     def test_boundary_squares_to_zero(self, order):
         g = FiniteGroup.cyclic(order)
-        bar = bar_resolution(g, 4)
+        bar = BarResolution(g)
         rng = random.Random(order)
         for p in range(2, 5):
             for _ in range(5):
@@ -55,7 +48,7 @@ class TestBarResolution:
 
     def test_homotopy_identity(self):
         s3, _ = FiniteGroup.symmetric(3)
-        bar = bar_resolution(s3, 3)
+        bar = BarResolution(s3)
         rng = random.Random(5)
         for p in range(1, 3):
             for _ in range(5):
@@ -220,36 +213,6 @@ class TestCyclicVsBar:
             per = cohomology(g, mod, q, resolution="periodic")
             bar = cohomology(g, mod, q, resolution="bar")
             assert per.group.same_structure(bar.group)
-
-
-class TestInducedMaps:
-    def test_pushforward_reduction(self):
-        c2 = FiniteGroup.cyclic(2)
-        z = CoeffModule.trivial(c2, 1, None)
-        m2 = CoeffModule.trivial(c2, 1, 2)
-        h2 = cohomology(c2, z, 2)
-        gen = h2.generator_classes()[0]
-        img = map_on_cohomology(IntMatrix.identity(1), m2, gen)
-        assert not img.is_zero()
-
-    def test_non_equivariant_rejected(self):
-        c2 = FiniteGroup.cyclic(2)
-        z1 = CoeffModule.make(
-            c2, 1, None, [IntMatrix.identity(1), IntMatrix.from_rows([[-1]])]
-        )
-        z = CoeffModule.trivial(c2, 1, None)
-        h1 = cohomology(c2, z1, 1)
-        gen = h1.generator_classes()[0]
-        with pytest.raises(NotEquivariantError):
-            map_on_cohomology(IntMatrix.identity(1), z, gen)
-
-    def test_ill_defined_on_torsion_rejected(self):
-        c2 = FiniteGroup.cyclic(2)
-        m4 = CoeffModule.trivial(c2, 1, 4)
-        z = CoeffModule.trivial(c2, 1, None)
-        h = cohomology(c2, m4, 1)
-        with pytest.raises(NotEquivariantError):
-            map_on_cohomology(IntMatrix.identity(1), z, h.zero_class())
 
 
 def c4_c2_pair():

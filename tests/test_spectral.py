@@ -15,7 +15,6 @@ from torusbrauer.groups import (
     FiniteGroup,
     GaloisDatum,
     GLattice,
-    invariants_finite,
     involution_lattice,
     permutation_lattice,
     tate_twist,
@@ -45,6 +44,11 @@ from torusbrauer.spectral import (
 
 def c2():
     return FiniteGroup.cyclic(2)
+
+
+def fixed(module):
+    """The fixed submodule H^0, with generators."""
+    return cohomology(module.group, module, 0).group
 
 
 def swap_lattice():
@@ -248,7 +252,7 @@ class TestD2:
         n = s3_perm_lattice()
         m = CoeffModule.trivial(n.group, 1, 2)
         ext = SplitExtensionSpec(n.group, n, m)
-        inv = invariants_finite(lattice_cohomology(n, m, 2))
+        inv = fixed(lattice_cohomology(n, m, 2))
         eng = e2_21(ext)
         for g1 in inv.generators:
             for g2 in inv.generators:
@@ -266,7 +270,7 @@ class TestD2:
         n = c3_rotation()
         m = CoeffModule.trivial(n.group, 1, 3)
         ext = SplitExtensionSpec(n.group, n, m)
-        inv = invariants_finite(lattice_cohomology(n, m, 2))
+        inv = fixed(lattice_cohomology(n, m, 2))
         res = twisted_resolution(n)
         coch = CochainComplex(ext, res)
         d_in = coch.delta_matrix(1, 1, 1)
@@ -287,7 +291,7 @@ class TestD2:
         m3 = CoeffModule.trivial(g, 1, 3)
         ext6 = SplitExtensionSpec(g, n, m6)
         ext3 = SplitExtensionSpec(g, n, m3)
-        inv = invariants_finite(lattice_cohomology(n, m6, 2))
+        inv = fixed(lattice_cohomology(n, m6, 2))
         for gen in inv.generators:
             pushed_alpha = tuple(x % 3 for x in gen)
             lhs = d2_class_coords(ext3, pushed_alpha)
@@ -352,7 +356,7 @@ class TestPushforwardFormula:
         n = swap_lattice()
         m = CoeffModule.mu(n.group, 2, (1, 1))
         ext = SplitExtensionSpec(n.group, n, m)
-        assert pushforward_formula_check(ext, [(0,) * binomial(n.rank, 2)]) == [True]
+        assert pushforward_formula_check(ext, [(0,) * binomial(n.rank, 2)], rng=random.Random(0)) == [True]
 
     def test_c2_random_lattices(self):
         rng = random.Random(21)
@@ -367,14 +371,14 @@ class TestPushforwardFormula:
                 continue
             m = CoeffModule.mu(n.group, 2, (1, 1))
             ext = SplitExtensionSpec(n.group, n, m)
-            inv = invariants_finite(lattice_cohomology(n, m, 2))
+            inv = fixed(lattice_cohomology(n, m, 2))
             assert all(pushforward_formula_check(ext, inv.generators, rng=rng))
 
     def test_s3_permutation_mod2(self):
         n = s3_perm_lattice()
         m = CoeffModule.trivial(n.group, 1, 2)
         ext = SplitExtensionSpec(n.group, n, m)
-        inv = invariants_finite(lattice_cohomology(n, m, 2))
+        inv = fixed(lattice_cohomology(n, m, 2))
         rng = random.Random(3)
         assert len(inv.generators) >= 1
         assert pushforward_formula_check(ext, inv.generators, rng=rng) == [True] * len(inv.generators)
@@ -383,7 +387,7 @@ class TestPushforwardFormula:
         n = c3_rotation()
         m = CoeffModule.trivial(n.group, 1, 3)
         ext = SplitExtensionSpec(n.group, n, m)
-        inv = invariants_finite(lattice_cohomology(n, m, 2))
+        inv = fixed(lattice_cohomology(n, m, 2))
         rng = random.Random(8)
         assert all(pushforward_formula_check(ext, inv.generators, rng=rng))
 
@@ -490,7 +494,7 @@ class TestOneEngine:
         bar = cohomology(ext.pi, per.M, 2, resolution="bar")
         assert per.resolution == "periodic"
         assert per.group.same_structure(bar.group)
-        inv = invariants_finite(lattice_cohomology(ext.N, ext.M, 2))
+        inv = fixed(lattice_cohomology(ext.N, ext.M, 2))
         for gen in inv.generators:
             table = vector_to_table(ext.pi, per.M, 2, d2_cocycle(ext, gen))
             assert per.classify(table).is_zero() == bar.classify(table).is_zero()
