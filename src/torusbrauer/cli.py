@@ -37,7 +37,7 @@ from .errors import (
     TorusBrauerError,
     ValidationError,
 )
-from .groups import CoeffModule, FiniteGroup, GaloisDatum, GLattice
+from .groups import MAX_GROUP_ORDER, CoeffModule, FiniteGroup, GaloisDatum, GLattice
 from .intlat import IntMatrix
 from .spectral import (
     SplitExtensionSpec,
@@ -146,49 +146,65 @@ def parse_involution(doc: dict) -> IntMatrix:
     return S
 
 
-def parse_group(spec) -> FiniteGroup:
+def parse_group(spec):
+    """The order of the group a spec of pi names, read from the spec, and a
+    function that builds the group.  An order over MAX_GROUP_ORDER may stand
+    for a larger one: building refuses such a group at once."""
     if not isinstance(spec, dict):
         raise SchemaError("pi must be an object")
     if "cyclic" in spec:
-        return FiniteGroup.cyclic(_positive(spec, "cyclic"))
+        m = _positive(spec, "cyclic")
+        return m, lambda: FiniteGroup.cyclic(m)
     if "symmetric" in spec:
-        return FiniteGroup.symmetric(_positive(spec, "symmetric"))[0]
+        n = _positive(spec, "symmetric")
+        order = 1
+        for k in range(2, n + 1):
+            if order > MAX_GROUP_ORDER:
+                break
+            order *= k
+        return order, lambda: FiniteGroup.symmetric(n)[0]
     if "klein" in spec:
         if spec["klein"] is not True:
             raise SchemaError('field "klein" must be true')
         c2 = FiniteGroup.cyclic(2)
-        return FiniteGroup.direct_product(c2, c2)
+        return 4, lambda: FiniteGroup.direct_product(c2, c2)
     if "table" in spec:
         table = _require(spec, "table", list)
         if not all(isinstance(row, list) and all(_is_int(x) for x in row) for row in table):
             raise SchemaError("pi.table must be a square integer table")
-        return FiniteGroup(tuple(tuple(row) for row in table))
+        return len(table), lambda: FiniteGroup(tuple(tuple(row) for row in table))
     raise SchemaError("pi needs one of: cyclic, symmetric, klein, table")
 
 
 def parse_split_extension(doc: dict) -> SplitExtensionSpec:
-    pi = parse_group(_require(doc, "pi", dict))
+    order, build = parse_group(_require(doc, "pi", dict))
+    # the lists with one entry per element are checked against the order
+    # before the group is built, which costs |pi|^2
+    if order > MAX_GROUP_ORDER:
+        build()  # refuses the group
     action = _require(doc, "action", list)
-    if len(action) != pi.order:
+    if len(action) != order:
         raise SchemaError("one action matrix per group element required")
     mats = tuple(_matrix(m, "action matrix") for m in action)
-    N = GLattice(pi, mats[0].rows, mats)
     coeff = _require(doc, "coefficients", dict)
     if "mu" in coeff:
         n = _level(coeff, "mu")
         chi = _require(coeff, "chi", list)
-        if len(chi) != pi.order or not all(_is_int(x) for x in chi):
+        if len(chi) != order or not all(_is_int(x) for x in chi):
             raise SchemaError("chi must list one unit per group element")
-        M = CoeffModule.mu(pi, n, tuple(chi))
     else:
         rank = _require(coeff, "rank", int)
         modulus = None if coeff.get("modulus") is None else _level(coeff, "modulus")
         mlist = _require(coeff, "matrices", list)
-        if len(mlist) != pi.order:
+        if len(mlist) != order:
             raise SchemaError("one coefficient matrix per group element required")
-        M = CoeffModule.make(
-            pi, rank, modulus, [_matrix(m, "coefficient matrix") for m in mlist]
-        )
+        cmats = [_matrix(m, "coefficient matrix") for m in mlist]
+    pi = build()
+    N = GLattice(pi, mats[0].rows, mats)
+    if "mu" in coeff:
+        M = CoeffModule.mu(pi, n, tuple(chi))
+    else:
+        M = CoeffModule.make(pi, rank, modulus, cmats)
     return SplitExtensionSpec(pi, N, M)
 
 
@@ -309,7 +325,7 @@ def cmd_real_torus(doc: dict, moduli) -> dict:
 def cmd_d2(doc: dict, rng) -> dict:
     ext = parse_split_extension(doc)
     rep = d2_02(ext)
-    verdicts = pushforward_formula_check(ext, rep.source.generators, rng=rng)
+    verdicts = pushforward_formula_check(ext, rep.source.generators, rng=rng, cocycles=rep.cocycles)
     return {
         "command": "d2",
         "version": __version__,

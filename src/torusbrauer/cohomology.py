@@ -20,7 +20,7 @@ from functools import lru_cache
 
 from .errors import DegreeTooLargeError, ValidationError
 from .groups import CoeffModule, FiniteGroup, Subgroup
-from .intlat import IntMatrix, Subquotient
+from .intlat import IntMatrix, SparseMatrix, Subquotient, _add_entry
 
 MAX_DEGREE = 3
 
@@ -101,36 +101,31 @@ def _tuple_index(G: FiniteGroup, T) -> int:
     return idx
 
 
-def bar_delta_matrix(G: FiniteGroup, M: CoeffModule, p: int) -> IntMatrix:
-    """Matrix of the inhomogeneous cochain differential C^p -> C^{p+1}."""
-    n = G.order
-    k = M.rank
-    rows = [
-        [0] * (n**p * k) for _ in range(n ** (p + 1) * k)
-    ]
-
-    def add_block(row_tuple, col_tuple, mat_or_sign):
-        ri = _tuple_index(G, row_tuple) * k
-        ci = _tuple_index(G, col_tuple) * k
-        if isinstance(mat_or_sign, int):
-            for j in range(k):
-                rows[ri + j][ci + j] += mat_or_sign
-        else:
-            for a in range(k):
-                for b in range(k):
-                    if mat_or_sign.entries[a][b]:
-                        rows[ri + a][ci + b] += mat_or_sign.entries[a][b]
-
+def bar_delta_matrix(G: FiniteGroup, M: CoeffModule, p: int) -> SparseMatrix:
+    """Matrix of the inhomogeneous cochain differential C^p -> C^{p+1}, as
+    sparse rows with entries reduced mod the modulus of M."""
+    k, mod = M.rank, M.modulus
+    action = [m.sparse().nonzeros for m in M.action]
+    rows = []
+    # tuples come in the order of _tuple_index, so row blocks are appended
     for T in itertools.product(G.elements(), repeat=p + 1):
-        add_block(T, T[1:], M.action[T[0]])
-        for i in range(1, p + 1):
-            merged = T[: i - 1] + (G.mul(T[i - 1], T[i]),) + T[i + 1 :]
-            add_block(T, merged, (-1) ** i)
-        add_block(T, T[:-1], (-1) ** (p + 1))
-    mat = IntMatrix.from_rows(rows, ncols=n**p * k)
-    if M.modulus is not None:
-        mat = mat.mod(M.modulus)
-    return mat
+        block = [{} for _ in range(k)]
+        base = _tuple_index(G, T[1:]) * k
+        for row, entries in zip(block, action[T[0]]):
+            for j, x in entries.items():
+                _add_entry(row, base + j, x, mod)
+        faces = [
+            (T[: i - 1] + (G.mul(T[i - 1], T[i]),) + T[i + 1 :], (-1) ** i)
+            for i in range(1, p + 1)
+        ]
+        faces.append((T[:-1], (-1) ** (p + 1)))
+        for face, sign in faces:
+            base = _tuple_index(G, face) * k
+            for j, row in enumerate(block):
+                _add_entry(row, base + j, sign, mod)
+        rows.extend(block)
+    n = G.order
+    return SparseMatrix(tuple(rows), n ** (p + 1) * k, n**p * k)
 
 
 def table_to_vector(G: FiniteGroup, M: CoeffModule, degree: int, table: dict):
@@ -314,9 +309,6 @@ class GroupCohomology:
             norm = IntMatrix.zero(M.rank, M.rank)
             for g in G.elements():
                 norm = norm.add(M.action[g])
-            if M.modulus is not None:
-                diff = diff.mod(M.modulus)
-                norm = norm.mod(M.modulus)
 
             def delta(p):  # C^p -> C^{p+1}
                 return diff if p % 2 == 0 else norm

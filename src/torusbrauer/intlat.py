@@ -126,6 +126,11 @@ class IntMatrix:
     def neg(self) -> "IntMatrix":
         return self.scale(-1)
 
+    def sparse(self, modulus: int | None = None) -> "SparseMatrix":
+        """Rows {column: nonzero entry}, entries reduced to [0, modulus) when
+        it is set."""
+        return SparseMatrix(_nonzero_rows(map(enumerate, self.entries), modulus), self.rows, self.cols)
+
     def mod(self, n: int) -> "IntMatrix":
         return IntMatrix.from_rows(
             [[a % n for a in row] for row in self.entries], ncols=self.cols
@@ -206,53 +211,143 @@ class SmithDecomposition:
         )
 
 
-def _eye(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def _axpy(x, y, c, mod):
-    """y + c*x entrywise, reduced mod `mod` when it is set."""
+def _nonzero_rows(rows, mod):
+    """Rows {column: entry} from rows of (column, entry) pairs, reduced to
+    [0, mod) when mod is set, zeros dropped."""
     if mod:
-        return [(b + c * a) % mod for a, b in zip(x, y)]
-    return [b + c * a for a, b in zip(x, y)]
+        return tuple({j: b for j, a in row if (b := a % mod)} for row in rows)
+    return tuple({j: a for j, a in row if a} for row in rows)
 
 
-def _col_axpy(rows, src, dst, c, mod):
-    """Column dst += c * column src of a dense matrix, in place."""
-    for row in rows:
-        a = row[src]
-        if a:
-            b = row[dst] + c * a
-            row[dst] = b % mod if mod else b
+def _axpy(src: dict, dst: dict, c, mod):
+    """dst += c * src in place, over the nonzeros of src, reduced mod `mod`
+    when it is set."""
+    get = dst.get
+    for j, a in src.items():
+        b = (get(j, 0) + c * a) % mod if mod else get(j, 0) + c * a
+        if b:
+            dst[j] = b
+        else:
+            dst.pop(j, None)
+
+
+def _add_entry(row: dict, j, c, mod):
+    """row[j] += c in place, reduced mod `mod` when it is set; a zero is
+    dropped."""
+    b = row.get(j, 0) + c
+    if mod:
+        b %= mod
+    if b:
+        row[j] = b
+    else:
+        row.pop(j, None)
+
+
+def _scaled(row: dict, c, mod):
+    """row * c for a unit c: no entry becomes zero."""
+    return {j: (c * a) % mod if mod else c * a for j, a in row.items()}
+
+
+def _dot(row: dict, vec, mod):
+    s = sum(a * vec[j] for j, a in row.items())
+    return s % mod if mod else s
+
+
+def _combine(cols, coeffs, n, mod):
+    """The sum of coeffs[j] * cols[j], for columns {row: entry} of height n,
+    as a tuple reduced mod `mod` when it is set."""
+    acc = [0] * n
+    for c, col in zip(coeffs, cols):
+        if c:
+            for i, a in col.items():
+                acc[i] += c * a
+    return tuple(x % mod for x in acc) if mod else tuple(acc)
+
+
+def _columns_to_rows(cols, nrows):
+    """Rows {column: entry} of the matrix with the given columns
+    {row: entry}; entries in rows from nrows on are dropped."""
+    rows = [{} for _ in range(nrows)]
+    for j, col in enumerate(cols):
+        for i, a in col.items():
+            if i < nrows:
+                rows[i][j] = a
+    return rows
+
+
+@dataclass(frozen=True)
+class SparseMatrix:
+    """Integer matrix held as rows {column: nonzero entry}.
+
+    The cochain differentials are built in this form (a bar matrix has
+    |G|^(p+1) * rank rows with about (p + 2) * rank nonzeros each) and enter
+    the eliminations as they are.
+    """
+
+    nonzeros: tuple[dict, ...]
+    rows: int
+    cols: int
+
+    def sparse(self, modulus: int | None = None) -> "SparseMatrix":
+        """A copy with fresh rows, entries reduced to [0, modulus) when it
+        is set."""
+        return SparseMatrix(
+            _nonzero_rows((row.items() for row in self.nonzeros), modulus), self.rows, self.cols
+        )
+
+    def apply(self, vec, modulus: int | None = None):
+        if len(vec) != self.cols:
+            raise ValueError("dimension mismatch")
+        return tuple(_dot(row, vec, modulus) for row in self.nonzeros)
+
+    def mul(self, other: "SparseMatrix", modulus: int | None = None) -> "SparseMatrix":
+        if self.cols != other.rows:
+            raise ValueError("dimension mismatch")
+        out = []
+        for row in self.nonzeros:
+            acc: dict = {}
+            for i, a in row.items():
+                _axpy(other.nonzeros[i], acc, a, modulus)
+            out.append(acc)
+        return SparseMatrix(tuple(out), self.rows, other.cols)
+
+    def is_zero(self) -> bool:
+        return not any(self.nonzeros)
 
 
 class _Elimination:
     """A matrix under elementary operations, with the transforms that keep
     U*A*V equal to it (mod `mod` when set, every entry then kept in
-    [0, mod)).  Without row transforms U and U^-1 are not accumulated.
+    [0, mod)).
 
-    The matrix is held as sparse rows {column: nonzero entry}, so row
-    operations and the pivot search cost what the nonzeros cost; the four
-    transforms are dense lists.  Column operations are made at step t only,
-    with column t as source after it has been cleared below the pivot, and
-    rows above t hold only their diagonal: such an operation changes row t of
-    the matrix and nothing else.
+    The matrix and its transforms are held as sparse rows {index: nonzero
+    entry}: the matrix, U and V^-1 by rows, U^-1 and V by columns, so that
+    every operation is a row operation on each of them and costs what the
+    nonzeros of its source cost.  Only the transforms named in `keep` are
+    accumulated.  Column operations are made at step t only, with column t
+    as source after it has been cleared below the pivot, and rows above t
+    hold only their diagonal: such an operation changes row t of the matrix
+    and nothing else.
     """
 
-    def __init__(self, A: IntMatrix, mod: int | None, row_transforms: bool):
+    def __init__(self, A: SparseMatrix, mod: int | None, keep):
         self.mod = mod
-        rows = ([a % mod for a in row] for row in A.entries) if mod else A.entries
-        self.M = [{j: a for j, a in enumerate(row) if a} for row in rows]
-        self.U = _eye(A.rows) if row_transforms else None
-        self.Uinv = _eye(A.rows) if row_transforms else None
-        self.V = _eye(A.cols)
-        self.Vinv = _eye(A.cols)
+        self.M = list(A.nonzeros)  # rows owned by the elimination, changed in place
+        self.cols = A.cols
+
+        def eye(n, name):
+            return [{i: 1} for i in range(n)] if name in keep else None
+
+        self.U, self.U_inv_cols = eye(A.rows, "U"), eye(A.rows, "U_inv")
+        self.V_cols, self.V_inv = eye(A.cols, "V"), eye(A.cols, "V_inv")
+
+    def diagonal(self):
+        return [self.M[i].get(i, 0) for i in range(min(len(self.M), self.cols))]
 
     def swap_rows(self, i, j):
-        for m in (self.M, self.U) if self.U is not None else (self.M,):
-            m[i], m[j] = m[j], m[i]
-        for row in self.Uinv or ():
-            row[i], row[j] = row[j], row[i]
+        for m in (self.M, self.U, self.U_inv_cols):
+            if m is not None:
+                m[i], m[j] = m[j], m[i]
 
     def swap_cols(self, t, j):
         """Swap columns t and j > t at step t."""
@@ -264,52 +359,40 @@ class _Elimination:
                     row[j] = row.pop(t)
             elif j in row:
                 row[t] = row.pop(j)
-        for row in self.V:
-            row[t], row[j] = row[j], row[t]
-        self.Vinv[t], self.Vinv[j] = self.Vinv[j], self.Vinv[t]
+        for m in (self.V_cols, self.V_inv):
+            if m is not None:
+                m[t], m[j] = m[j], m[t]
 
     def add_row(self, src, dst, c):
         """row dst += c * row src"""
         if c == 0:
             return
         mod = self.mod
-        row = self.M[dst]
-        for j, a in self.M[src].items():
-            b = row.get(j, 0) + c * a
-            if mod:
-                b %= mod
-            if b:
-                row[j] = b
-            else:
-                row.pop(j, None)
+        _axpy(self.M[src], self.M[dst], c, mod)
         if self.U is not None:
-            self.U[dst] = _axpy(self.U[src], self.U[dst], c, mod)
-            _col_axpy(self.Uinv, dst, src, -c, mod)
+            _axpy(self.U[src], self.U[dst], c, mod)
+        if self.U_inv_cols is not None:
+            _axpy(self.U_inv_cols[dst], self.U_inv_cols[src], -c, mod)
 
     def add_col(self, t, j, c):
         """col j += c * col t at step t: of the matrix only row t changes"""
         if c == 0:
             return
         mod = self.mod
-        row = self.M[t]
-        b = row.get(j, 0) + c * row[t]
-        if mod:
-            b %= mod
-        if b:
-            row[j] = b
-        else:
-            row.pop(j, None)
-        _col_axpy(self.V, t, j, c, mod)
-        self.Vinv[t] = _axpy(self.Vinv[j], self.Vinv[t], -c, mod)
+        _add_entry(self.M[t], j, c * self.M[t][t], mod)
+        if self.V_cols is not None:
+            _axpy(self.V_cols[t], self.V_cols[j], c, mod)
+        if self.V_inv is not None:
+            _axpy(self.V_inv[j], self.V_inv[t], -c, mod)
 
     def scale_row(self, i, c, c_inv):
         """row i *= c, a unit with inverse c_inv"""
         mod = self.mod
-        self.M[i] = {j: (c * a) % mod if mod else c * a for j, a in self.M[i].items()}
+        self.M[i] = _scaled(self.M[i], c, mod)
         if self.U is not None:
-            self.U[i] = [(c * a) % mod if mod else c * a for a in self.U[i]]
-        for row in self.Uinv or ():
-            row[i] = (c_inv * row[i]) % mod if mod else c_inv * row[i]
+            self.U[i] = _scaled(self.U[i], c, mod)
+        if self.U_inv_cols is not None:
+            self.U_inv_cols[i] = _scaled(self.U_inv_cols[i], c_inv, mod)
 
     def normalize_pivot(self, t):
         """Over Z/n, scale row t by a unit so that the pivot a becomes
@@ -326,9 +409,11 @@ class _Elimination:
         self.scale_row(t, c, pow(c, -1, mod))
 
 
-def _smith_reduce(A: IntMatrix, modulus: int | None, row_transforms: bool) -> _Elimination:
+def _smith_reduce(A: SparseMatrix, modulus: int | None, keep) -> _Elimination:
     """A reduced to Smith normal form, over Z or over Z/modulus,
-    deterministic for fixed input.
+    deterministic for fixed input.  The rows of A are changed in place and
+    must hold entries in [0, modulus) when it is set (`sparse` gives such
+    rows).
 
     Pivot choice: over Z the smallest nonzero absolute value, over Z/n the
     least gcd(a, n); ties go to the earlier row, then the earlier column.
@@ -337,7 +422,7 @@ def _smith_reduce(A: IntMatrix, modulus: int | None, row_transforms: bool) -> _E
     each such row's nonzeros and nothing else.
     """
     m, n = A.rows, A.cols
-    e = _Elimination(A, modulus, row_transforms)
+    e = _Elimination(A, modulus, keep)
     M = e.M
     weight = partial(gcd, modulus) if modulus else abs
 
@@ -402,34 +487,30 @@ def _smith_reduce(A: IntMatrix, modulus: int | None, row_transforms: bool) -> _E
     return e
 
 
+def _dense(lines, ncols: int) -> IntMatrix:
+    return IntMatrix.from_rows([[line.get(j, 0) for j in range(ncols)] for line in lines], ncols)
+
+
 def smith(A: IntMatrix, modulus: int | None = None) -> SmithDecomposition:
-    """Smith normal form of A with transforms, over Z or over Z/modulus."""
-    e = _smith_reduce(A, modulus, row_transforms=True)
-
-    def wrap(rows, ncols):
-        return IntMatrix(tuple(map(tuple, rows)), len(rows), ncols)
-
+    """Smith normal form of A with all four transforms, over Z or over
+    Z/modulus."""
+    e = _smith_reduce(A.sparse(modulus), modulus, {"U", "U_inv", "V", "V_inv"})
     m, n = A.rows, A.cols
-    D = [[0] * n for _ in range(m)]
-    for i, row in enumerate(e.M):
-        for j, a in row.items():
-            D[i][j] = a
     return SmithDecomposition(
-        wrap(e.U, m), wrap(D, n), wrap(e.V, n), wrap(e.Uinv, m), wrap(e.Vinv, n)
+        _dense(e.U, m),
+        _dense(e.M, n),
+        _dense(e.V_cols, n).transpose(),
+        _dense(e.U_inv_cols, m).transpose(),
+        _dense(e.V_inv, n),
     )
 
 
-def solve(A: IntMatrix, b, modulus: int | None = None, snf: SmithDecomposition | None = None):
-    """One solution x of A x = b over Z (or Z/modulus), or None.  A given
-    snf must be smith(A, modulus)."""
-    if snf is None:
-        snf = smith(A, modulus)
-    ub = snf.U.apply(b, modulus)
-    d = snf.diagonal()
-    y = [0] * A.cols
-    for i in range(A.rows):
+def _diagonal_solve(d, ub, ncols: int, modulus: int | None):
+    """One y with D y = ub, for D the len(ub) x ncols matrix with diagonal
+    d, or None."""
+    y = [0] * ncols
+    for i, r in enumerate(ub):
         di = d[i] if i < len(d) else 0
-        r = ub[i]
         if modulus is None:
             if di == 0:
                 if r != 0:
@@ -437,16 +518,43 @@ def solve(A: IntMatrix, b, modulus: int | None = None, snf: SmithDecomposition |
             else:
                 if r % di:
                     return None
-                if i < A.cols:
+                if i < ncols:
                     y[i] = r // di
         else:
             g = gcd(di, modulus)  # di = 0 reads as the modulus
             if r % g:
                 return None
-            if i < A.cols:
+            if i < ncols:
                 # solve di * y = r mod modulus
                 y[i] = (r // g) * pow(di // g, -1, modulus // g) % (modulus // g)
-    return snf.V.apply(y, modulus)
+    return y
+
+
+def solve(A: IntMatrix, b, modulus: int | None = None, snf: SmithDecomposition | None = None):
+    """One solution x of A x = b over Z (or Z/modulus), or None.  A given
+    snf must be smith(A, modulus)."""
+    if snf is None:
+        snf = smith(A, modulus)
+    y = _diagonal_solve(snf.diagonal(), snf.U.apply(b, modulus), A.cols, modulus)
+    return None if y is None else snf.V.apply(y, modulus)
+
+
+def _kernel_columns(d, V_cols, modulus: int | None):
+    """Kernel generators as columns {row: entry}, from the diagonal d and
+    the columns of V of an elimination of A: over Z the columns with
+    d_j = 0, over Z/n each column scaled by n/gcd(d_j, n) unless that makes
+    it 0 mod n."""
+    out = []
+    for j, col in enumerate(V_cols):
+        dj = d[j] if j < len(d) else 0
+        if modulus is None:
+            if dj == 0:
+                out.append(col)
+        else:
+            scale = modulus // gcd(dj, modulus)
+            if scale != modulus:
+                out.append({i: b for i, a in col.items() if (b := scale * a % modulus)})
+    return out
 
 
 def kernel_basis(A: IntMatrix, modulus: int | None = None, snf: SmithDecomposition | None = None):
@@ -455,25 +563,16 @@ def kernel_basis(A: IntMatrix, modulus: int | None = None, snf: SmithDecompositi
     Over Z/n the generators are the columns of V scaled by n/gcd(d_i, n);
     together they generate {x : A x = 0 mod n} as a subgroup of (Z/n)^cols.
     A given snf must be smith(A, modulus); without one, the elimination
-    skips U and U^-1, which the kernel does not read.
+    accumulates V alone.
     """
     if snf is None:
-        e = _smith_reduce(A, modulus, row_transforms=False)
-        d, V = [e.M[i].get(i, 0) for i in range(min(A.rows, A.cols))], e.V
+        e = _smith_reduce(A.sparse(modulus), modulus, {"V"})
+        d, cols = e.diagonal(), e.V_cols
     else:
-        d, V = snf.diagonal(), snf.V.entries
-    out = []
-    for j in range(A.cols):
-        dj = d[j] if j < len(d) else 0
-        col = tuple(row[j] for row in V)
-        if modulus is None:
-            if dj == 0:
-                out.append(col)
-        else:
-            scale = modulus // gcd(dj, modulus)
-            if scale != modulus:  # otherwise the scaled generator is 0 mod n
-                out.append(tuple(scale * a % modulus for a in col))
-    return out
+        d, cols = snf.diagonal(), [dict(enumerate(c)) for c in snf.V.columns()]
+    return [
+        tuple(col.get(i, 0) for i in range(A.cols)) for col in _kernel_columns(d, cols, modulus)
+    ]
 
 
 @dataclass(frozen=True)
@@ -554,36 +653,43 @@ def invariant_factors(cyclic_orders) -> tuple[int, ...]:
 class Subquotient:
     """ker(d_out)/im(d_in) with class-of-cycle and representative-of-class maps.
 
-    Ambient coordinates are Z^a (a = d_out.cols = d_in.rows), reduced mod n
-    when a modulus is given; then every elimination runs over Z/n, with its
-    entries kept in [0, n).
+    d_out and d_in are IntMatrix or SparseMatrix; both enter the eliminations
+    as sparse rows.  Ambient coordinates are Z^a (a = d_out.cols =
+    d_in.rows), reduced mod n when a modulus is given; then every
+    elimination runs over Z/n, with its entries kept in [0, n).  Each
+    elimination accumulates only the transforms read here: V for the kernel
+    K of d_out, U and V of [K | d_in] to solve for the class of a cycle, U
+    and U^-1 of the relations to read and lift coordinates.
     """
 
-    def __init__(self, d_out: IntMatrix, d_in: IntMatrix, modulus: int | None = None):
+    def __init__(self, d_out, d_in, modulus: int | None = None):
         if d_out.cols != d_in.rows:
             raise ValueError("chain dimensions do not match")
-        comp = d_out.mul(d_in, modulus=modulus)
-        if not comp.is_zero():
+        d_out, d_in = d_out.sparse(modulus), d_in.sparse(modulus)
+        if not d_out.mul(d_in, modulus).is_zero():
             raise CompositionNonzeroError("d_out * d_in != 0")
         if modulus is not None and modulus < 1:
             raise ValueError("modulus must be >= 1")
         self.modulus = modulus
-        self.ambient = d_out.cols
+        self.ambient = a = d_out.cols
 
-        kgens = kernel_basis(d_out, modulus=modulus)
-        K = IntMatrix.from_columns(kgens, nrows=self.ambient)
-        self.K = K
-        k = K.cols
+        ker = _smith_reduce(d_out, modulus, {"V"})
+        self._K = K = _kernel_columns(ker.diagonal(), ker.V_cols, modulus)
+        k = len(K)
 
         # relations: the x in Z^k (or (Z/n)^k) with K x in im(d_in)
-        blocks = K.hstack(d_in)
-        self._solve_snf = smith(blocks, modulus)
-        self._blocks = blocks
-        rel_cols = [vec[:k] for vec in kernel_basis(blocks, modulus, snf=self._solve_snf)]
-        R = IntMatrix.from_columns(rel_cols, nrows=k)
-        s = smith(R, modulus)
-        self._U = s.U
-        self._Uinv = s.u_inv
+        blocks = _columns_to_rows(K, a)
+        for row, extra in zip(blocks, d_in.nonzeros):
+            for j, x in extra.items():
+                row[k + j] = x
+        self._solver = _smith_reduce(
+            SparseMatrix(tuple(blocks), a, k + d_in.cols), modulus, {"U", "V"}
+        )
+        self._solver_diag = self._solver.diagonal()
+        rel = _kernel_columns(self._solver_diag, self._solver.V_cols, modulus)
+        s = _smith_reduce(SparseMatrix(tuple(_columns_to_rows(rel, k)), k, len(rel)),
+                          modulus, {"U", "U_inv"})
+        self._U, self._U_inv_cols = s.U, s.U_inv_cols
         d = s.diagonal()
         d = [d[i] if i < len(d) else 0 for i in range(k)]
         if modulus is not None:
@@ -603,19 +709,23 @@ class Subquotient:
         """Ambient representative of the class with the given coordinates."""
         if len(coords) != len(self._kept):
             raise ValueError("coordinate length mismatch")
-        y = [0] * self.K.cols
+        y = [0] * len(self._K)
         for c, i in zip(coords, self._kept):
             y[i] = c
-        return self.K.apply(self._Uinv.apply(y), self.modulus)
+        x = _combine(self._U_inv_cols, y, len(y), None)
+        return _combine(self._K, x, self.ambient, self.modulus)
 
     def project(self, vec):
         """Coordinates of the class of a cycle; raises if vec is not a cycle."""
         if len(vec) != self.ambient:
             raise ValueError("ambient dimension mismatch")
-        z = solve(self._blocks, vec, self.modulus, snf=self._solve_snf)
+        e, mod = self._solver, self.modulus
+        ub = [_dot(row, vec, mod) for row in e.U]
+        z = _diagonal_solve(self._solver_diag, ub, len(e.V_cols), mod)
         if z is None:
             raise ValueError("vector is not a cycle")
-        y = self._U.apply(z[: self.K.cols], self.modulus)
+        x = _combine(e.V_cols, z, len(e.V_cols), mod)[: len(self._K)]
+        y = [_dot(row, x, mod) for row in self._U]
         out = []
         for i in self._kept:
             d = self._diag[i]

@@ -38,7 +38,7 @@ from .groups import (
     involution_lattice,
     tate_twist,
 )
-from .intlat import FinAbGroup, IntMatrix, Subquotient
+from .intlat import FinAbGroup, IntMatrix, SparseMatrix, Subquotient, _add_entry
 
 MAX_TOTAL_DEGREE = 4
 
@@ -338,28 +338,27 @@ class CochainComplex:
                 out[j] += c * val[j]
         return self.M.reduce(out)
 
-    def delta_matrix(self, k: int, p: int, q: int) -> IntMatrix:
-        """Matrix of f |-> f . d_k from bidegree (p,q) into (p+k, q-k+1)."""
+    def delta_matrix(self, k: int, p: int, q: int) -> SparseMatrix:
+        """Matrix of f |-> f . d_k from bidegree (p,q) into (p+k, q-k+1), as
+        sparse rows with entries reduced mod the modulus of M."""
         pt, qt = p + k, q - k + 1
-        rows = [[0] * self.dim(p, q) for _ in range(self.dim(pt, qt))]
-        kM = self.M.rank
+        kM, mod = self.M.rank, self.M.modulus
+        action = [m.sparse().nonzeros for m in self.M.action]
         subs_src = _subsets(self.r, q)
         nsub_src = len(subs_src)
+        rows = []
+        # the basis comes in the order of `index`, so row blocks are appended
         for T, S in self.res.basis(pt, qt):
-            rbase = self.index(T, S, 0, qt)
+            block = [{} for _ in range(kM)]
             for (a, u, T2, S2), c in self.res.d_basis(k, T, S).items():
                 cbase = (
                     _tuple_index(self.pi, T2) * nsub_src + subs_src.index(S2)
                 ) * kM
-                act = self.M.action[u]
-                for i in range(kM):
-                    for j in range(kM):
-                        if act.entries[i][j]:
-                            rows[rbase + i][cbase + j] += c * act.entries[i][j]
-        mat = IntMatrix.from_rows(rows, ncols=self.dim(p, q))
-        if self.M.modulus is not None:
-            mat = mat.mod(self.M.modulus)
-        return mat
+                for row, entries in zip(block, action[u]):
+                    for j, x in entries.items():
+                        _add_entry(row, cbase + j, c * x, mod)
+            rows.extend(block)
+        return SparseMatrix(tuple(rows), self.dim(pt, qt), self.dim(p, q))
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +386,8 @@ def row_class_coords(ext: SplitExtensionSpec, vec):
     return eng.coords_of(vector_to_table(ext.pi, eng.M, 2, vec))
 
 
-def row_coboundaries(ext: SplitExtensionSpec) -> IntMatrix:
+@lru_cache(maxsize=CACHE_SIZE)
+def row_coboundaries(ext: SplitExtensionSpec) -> SparseMatrix:
     """The row differential C^{1,1} -> C^{2,1}, whose image is the coboundary
     subgroup at bidegree (2,1)."""
     return bar_delta_matrix(ext.pi, lattice_cohomology(ext.N, ext.M, 1), 1)
@@ -434,6 +434,7 @@ class D2Report:
     source: FinAbGroup  # invariants of Hom(Lambda^2 N, M)
     target: FinAbGroup  # H^2(pi, Hom(N, M))
     matrix: IntMatrix  # target coordinates of d2 on each source generator
+    cocycles: tuple  # the row cocycle d2 gives on each source generator
 
     def is_zero(self) -> bool:
         return self.matrix.is_zero()
@@ -445,13 +446,10 @@ def d2_02(ext: SplitExtensionSpec) -> D2Report:
     the generators of the source."""
     inv = cohomology(ext.pi, lattice_cohomology(ext.N, ext.M, 2), 0).group
     target = e2_21(ext).group
-    cols = [list(d2_class_coords(ext, gen)) for gen in inv.generators]
+    cocycles = tuple(d2_cocycle(ext, gen) for gen in inv.generators)
+    cols = [list(row_class_coords(ext, c)) for c in cocycles]
     mat = IntMatrix.from_columns(cols, nrows=len(target.generators))
-    return D2Report(ext, inv, target, mat)
-
-
-def d2_class_coords(ext: SplitExtensionSpec, alpha):
-    return row_class_coords(ext, d2_cocycle(ext, alpha))
+    return D2Report(ext, inv, target, mat, cocycles)
 
 
 # ---------------------------------------------------------------------------
@@ -479,8 +477,10 @@ class V2Class:
         return not any(self.coords())
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def v2(N: GLattice) -> V2Class:
-    """d2 of the identity, with the universal coefficient module Lambda^2 N."""
+    """d2 of the identity, with the universal coefficient module Lambda^2 N.
+    Memoised: every level and command on one lattice reads one class."""
     univ = h2_lattice(N)
     ext = SplitExtensionSpec(N.group, N, univ)
     if N.rank < 2:
@@ -511,7 +511,7 @@ def pushforward_cocycle(ext: SplitExtensionSpec, atilde: IntMatrix, src):
     return tuple(ext.M.reduce(out))
 
 
-def pushforward_formula_check(ext: SplitExtensionSpec, alphas, rng) -> list[bool]:
+def pushforward_formula_check(ext: SplitExtensionSpec, alphas, rng, cocycles=None) -> list[bool]:
     """For each invariant alpha, in order: d2 of alpha equals the pushforward
     of the universal class along the alternating-form avatar of alpha.
 
@@ -519,14 +519,15 @@ def pushforward_formula_check(ext: SplitExtensionSpec, alphas, rng) -> list[bool
     universal cocycle is first shifted by a random coboundary, drawn afresh
     for each alpha, before being pushed forward.  The difference of the two
     sides is judged by its coordinates in E2^{2,1}, from the engine d2
-    builds.  The universal class and its coboundary matrix are built once
-    per call.
+    builds.  `cocycles`, when given, are the d2 cocycles of the alphas
+    (`D2Report.cocycles`), which are then not computed again.
     """
     vcl = v2(ext.N)
     d_univ = row_coboundaries(vcl.ext_univ) if ext.N.rank >= 2 else None
     verdicts = []
-    for alpha in alphas:
-        lhs_vec = d2_cocycle(ext, alpha)
+    if cocycles is None:
+        cocycles = [d2_cocycle(ext, alpha) for alpha in alphas]
+    for alpha, lhs_vec in zip(alphas, cocycles):
         cocycle = vcl.cocycle
         if d_univ is not None:
             pert = tuple(rng.randrange(-3, 4) for _ in range(d_univ.cols))
@@ -574,7 +575,7 @@ def v2_additivity_check(N1: GLattice, N2: GLattice) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def total_delta_matrix(ext: SplitExtensionSpec, n: int) -> IntMatrix:
+def total_delta_matrix(ext: SplitExtensionSpec, n: int) -> SparseMatrix:
     res = twisted_resolution(ext.N)
     coch = CochainComplex(ext, res)
     r = ext.N.rank
@@ -592,7 +593,7 @@ def total_delta_matrix(ext: SplitExtensionSpec, n: int) -> IntMatrix:
     for t in tgt:
         tgt_offsets[t] = acc
         acc += coch.dim(*t)
-    rows = [[0] * total_src for _ in range(acc)]
+    rows = [{} for _ in range(acc)]
     for pt, qt in tgt:
         for k in range(1, pt + 1):
             p, q = pt - k, qt + k - 1
@@ -600,14 +601,9 @@ def total_delta_matrix(ext: SplitExtensionSpec, n: int) -> IntMatrix:
                 continue
             block = coch.delta_matrix(k, p, q)
             ro, co = tgt_offsets[(pt, qt)], src_offsets[(p, q)]
-            for i in range(block.rows):
-                for j in range(block.cols):
-                    if block.entries[i][j]:
-                        rows[ro + i][co + j] = block.entries[i][j]
-    mat = IntMatrix.from_rows(rows, ncols=total_src)
-    if ext.M.modulus is not None:
-        mat = mat.mod(ext.M.modulus)
-    return mat
+            for i, row in enumerate(block.nonzeros):
+                rows[ro + i].update((co + j, a) for j, a in row.items())
+    return SparseMatrix(tuple(rows), acc, total_src)
 
 
 def total_cohomology(ext: SplitExtensionSpec, n: int) -> FinAbGroup:

@@ -1,5 +1,6 @@
 import json
 import pathlib
+import time
 
 import pytest
 
@@ -12,7 +13,7 @@ from torusbrauer.cli import (
     build_parser,
     run,
 )
-from torusbrauer.spectral import twisted_resolution
+from torusbrauer.spectral import twisted_resolution, v2
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -303,6 +304,32 @@ class TestExitCodes:
         assert code == EXIT_VALIDATION
         assert text.count("\n") == 1
 
+    # a cyclic group of order 9999 takes tens of seconds to build; a short
+    # per-element list is refused against the order the spec states
+    @pytest.mark.parametrize(
+        "pi, action, coefficients",
+        [
+            ({"cyclic": 9999}, [[[1]]], {"mu": 2, "chi": [1]}),
+            ({"cyclic": 9999}, [[[1]]] * 9999, {"mu": 2, "chi": [1]}),
+            ({"cyclic": 9999}, [[[1]]] * 9999, {"rank": 1, "matrices": [[[1]]]}),
+            ({"symmetric": 7}, [[[1]]], {"mu": 2, "chi": [1]}),
+            ({"klein": True}, [[[1]]] * 3, {"mu": 2, "chi": [1] * 4}),
+        ],
+        ids=["action", "chi", "matrices", "symmetric", "klein"],
+    )
+    @pytest.mark.parametrize("command", ["d2", "v2"])
+    def test_short_list_refused_before_the_group_is_built(
+        self, tmp_path, command, pi, action, coefficients
+    ):
+        doc = {"kind": "split-extension", "pi": pi, "action": action,
+               "coefficients": coefficients}
+        path = write(tmp_path, "short.json", doc)
+        start = time.perf_counter()
+        code, text = run([command, path])
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_SCHEMA
+        assert text.startswith("input error: ") and text.count("\n") == 1
+
     def test_mu_zero_schema(self, tmp_path):
         doc = json.loads((INPUTS / "ind_extension.json").read_text())
         doc["coefficients"]["mu"] = 0
@@ -390,7 +417,9 @@ class TestParserReuse:
 
 class TestCachePolicy:
     def test_one_twisted_resolution_per_lattice(self, tmp_path):
+        # every memo read below starts empty, whatever ran before
         twisted_resolution.cache_clear()
+        v2.cache_clear()
         doc = json.loads((INPUTS / "ind_extension.json").read_text())
         for level in (2, 4):
             doc["coefficients"]["mu"] = level
@@ -398,6 +427,9 @@ class TestCachePolicy:
             for command in ("d2", "v2"):
                 assert run([command, path])[0] == EXIT_OK
         info = twisted_resolution.cache_info()
+        assert info.misses == 1 and info.hits > 0
+        # one universal class per lattice, across levels and commands
+        info = v2.cache_info()
         assert info.misses == 1 and info.hits > 0
 
 

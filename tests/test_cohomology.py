@@ -18,7 +18,8 @@ from torusbrauer.groups import (
     FiniteGroup,
     subgroup_generated,
 )
-from torusbrauer.intlat import IntMatrix
+from torusbrauer.errors import CompositionNonzeroError
+from torusbrauer.intlat import IntMatrix, SparseMatrix, Subquotient
 
 
 def random_element(bar, p, rng, terms=3):
@@ -70,6 +71,55 @@ class TestBarResolution:
         d1 = bar_delta_matrix(s3, m, 1)
         d2 = bar_delta_matrix(s3, m, 2)
         assert d2.mul(d1, modulus=2).is_zero()
+
+
+def s3_permutation_module(modulus):
+    """Z^3 (or (Z/n)^3) with S3 permuting the coordinates."""
+    s3, perms = FiniteGroup.symmetric(3)
+    mats = [
+        IntMatrix.from_rows([[1 if p[j] == i else 0 for j in range(3)] for i in range(3)])
+        for p in perms
+    ]
+    return s3, CoeffModule.make(s3, 3, modulus, mats)
+
+
+def add_one(mat: SparseMatrix, i: int, j: int) -> SparseMatrix:
+    """mat with 1 added to entry (i, j) of its rows."""
+    rows = [dict(row) for row in mat.nonzeros]
+    rows[i][j] = rows[i].get(j, 0) + 1
+    return SparseMatrix(tuple(rows), mat.rows, mat.cols)
+
+
+class TestSparseBarRows:
+    """The bar differentials are sparse rows, and the composition check of
+    Subquotient runs on them."""
+
+    @pytest.mark.parametrize("modulus", [None, 4])
+    def test_rows_are_reduced_and_nonzero(self, modulus):
+        s3, m = s3_permutation_module(modulus)
+        d1 = bar_delta_matrix(s3, m, 1)
+        assert (d1.rows, d1.cols) == (6**2 * 3, 6 * 3)
+        for row in d1.nonzeros:
+            assert all(a != 0 for a in row.values())
+            if modulus is not None:
+                assert all(0 <= a < modulus for a in row.values())
+
+    @pytest.mark.parametrize("modulus", [None, 4])
+    @pytest.mark.parametrize("side", ["d_out", "d_in"])
+    def test_one_perturbed_entry_is_caught(self, modulus, side):
+        s3, m = s3_permutation_module(modulus)
+        d_in, d_out = bar_delta_matrix(s3, m, 0), bar_delta_matrix(s3, m, 1)
+        Subquotient(d_out, d_in, modulus=modulus)
+        if side == "d_out":
+            # d_out * d_in gains row j of d_in in row 0
+            j = next(j for j, row in enumerate(d_in.nonzeros) if row)
+            d_out = add_one(d_out, 0, j)
+        else:
+            # d_out * d_in gains column j of d_out in column 0
+            j = next(iter(d_out.nonzeros[-1]))
+            d_in = add_one(d_in, j, 0)
+        with pytest.raises(CompositionNonzeroError):
+            Subquotient(d_out, d_in, modulus=modulus)
 
 
 class TestPeriodic:

@@ -10,6 +10,7 @@ from torusbrauer.errors import CompositionNonzeroError
 from torusbrauer.intlat import (
     FinAbGroup,
     IntMatrix,
+    SparseMatrix,
     Subquotient,
     cokernel,
     invariant_factors,
@@ -370,6 +371,49 @@ class TestHomologyOfPair:
             vec = (1, 3, 5)
             back = h.lift(h.project(vec))
             assert h.project(back) == h.project(vec)
+
+
+@st.composite
+def integral_chains(draw):
+    """(d_out, d_in, None) with d_out * d_in = 0 over Z: the rows of d_out
+    combine vectors that annihilate the columns of d_in."""
+    d_in = draw(small_matrices(max_dim=4, max_entry=6))
+    ann = kernel_basis(d_in.transpose())
+    rows = draw(st.integers(0, 3))
+    coeffs = draw(st.lists(st.lists(st.integers(-3, 3), min_size=len(ann), max_size=len(ann)),
+                           min_size=rows, max_size=rows))
+    d_out = IntMatrix.from_rows(
+        [[sum(c * y[i] for c, y in zip(cs, ann)) for i in range(d_in.rows)] for cs in coeffs],
+        ncols=d_in.rows,
+    )
+    return d_out, d_in, None
+
+
+def as_rows(m: IntMatrix) -> SparseMatrix:
+    """The nonzero entries of m as sparse rows, not reduced by any modulus."""
+    return SparseMatrix(
+        tuple({j: a for j, a in enumerate(row) if a} for row in m.entries), m.rows, m.cols
+    )
+
+
+class TestSparseInput:
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(mod_n_chains(), integral_chains()), st.data())
+    def test_rows_and_dense_give_one_subquotient(self, chain, data):
+        d_out, d_in, n = chain
+        dense = Subquotient(d_out, d_in, modulus=n)
+        rows = Subquotient(as_rows(d_out), as_rows(d_in), modulus=n)
+        assert rows.group == dense.group  # structure and generators
+        small = st.integers(-5, 5)
+        for _ in range(3):
+            # a random cycle: generators of the group plus a boundary
+            cs = data.draw(st.lists(small, min_size=len(dense.group.generators),
+                                    max_size=len(dense.group.generators)))
+            x = data.draw(st.lists(small, min_size=d_in.cols, max_size=d_in.cols))
+            vec = list(d_in.apply(x))
+            for c, gen in zip(cs, dense.group.generators):
+                vec = [v + c * g for v, g in zip(vec, gen)]
+            assert rows.project(vec) == dense.project(vec)
 
 
 class TestInvariantFactors:

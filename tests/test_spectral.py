@@ -27,7 +27,6 @@ from torusbrauer.spectral import (
     binomial,
     pushforward_formula_check,
     d2_02,
-    d2_class_coords,
     d2_cocycle,
     e2_21,
     exterior_power_matrix,
@@ -257,11 +256,12 @@ class TestD2:
         for g1 in inv.generators:
             for g2 in inv.generators:
                 s = tuple((a + b) % 2 for a, b in zip(g1, g2))
-                lhs = d2_class_coords(ext, s)
+                lhs = row_class_coords(ext, d2_cocycle(ext, s))
                 rhs = eng.sub.coords_mod(
                     tuple(
                         a + b
-                        for a, b in zip(d2_class_coords(ext, g1), d2_class_coords(ext, g2))
+                        for a, b in zip(row_class_coords(ext, d2_cocycle(ext, g1)),
+                                        row_class_coords(ext, d2_cocycle(ext, g2)))
                     )
                 )
                 assert lhs == rhs
@@ -294,7 +294,7 @@ class TestD2:
         inv = fixed(lattice_cohomology(n, m6, 2))
         for gen in inv.generators:
             pushed_alpha = tuple(x % 3 for x in gen)
-            lhs = d2_class_coords(ext3, pushed_alpha)
+            lhs = row_class_coords(ext3, d2_cocycle(ext3, pushed_alpha))
             pushed_cocycle = tuple(x % 3 for x in d2_cocycle(ext6, gen))
             rhs = row_class_coords(ext3, pushed_cocycle)
             assert lhs == rhs
@@ -454,6 +454,46 @@ class TestBasisChangeInvariance:
                 assert rep.is_zero() == ref.is_zero()
 
 
+def criterion6_lattices():
+    """The C2, C3 and V4 lattices of acceptance criterion 6."""
+    swap, g3 = swap_lattice(), FiniteGroup.cyclic(3)
+    i3 = IntMatrix.identity(3)
+    rot = IntMatrix.from_rows([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+    # V4 elements are (0,0), (0,1), (1,0), (1,1): (1, *) swaps e_0 and e_1,
+    # and the sign character is -1 on (*, 1)
+    sw = IntMatrix.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+    perm_v4 = GLattice(FiniteGroup.direct_product(c2(), c2()), 3, (i3, i3, sw, sw))
+    return {
+        "C2 swap": swap,
+        "C2 swap (x) sign": tate_twist(swap, (1, -1)),
+        "C2 swap + 1": direct_sum(swap, GLattice.trivial(c2(), 1)),
+        "C3 permutation": GLattice(g3, 3, (i3, rot, rot.mul(rot))),
+        "V4 permutation": perm_v4,
+        "V4 permutation (x) sign": tate_twist(perm_v4, (1, -1, 1, -1)),
+    }
+
+
+class TestV2BasisChange:
+    """v2(N) lies in H^2(pi, Hom(N, Lambda^2 N)); a change of lattice basis
+    is an isomorphism of these coefficients, so it keeps the structure of
+    E2^{2,1}, whether v2 vanishes and the order of its class."""
+
+    @pytest.mark.parametrize("name", sorted(criterion6_lattices()))
+    def test_ladder_conjugates(self, name):
+        N = criterion6_lattices()[name]
+        ref = v2(N)
+        ref_group = e2_21(ref.ext_univ).group
+        for k in (1, 2):
+            for transpose in (False, True):
+                P = ladder(k, N.rank, transpose)
+                Q = unimodular_inverse(P)
+                cls = v2(GLattice(N.group, N.rank, tuple(P.mul(m).mul(Q) for m in N.rho)))
+                group = e2_21(cls.ext_univ).group
+                assert group.same_structure(ref_group)
+                assert cls.is_zero() == ref.is_zero()
+                assert class_order(group, cls.coords()) == class_order(ref_group, ref.coords())
+
+
 # lattice and level of each case; coefficients are Z/n with trivial action
 ENGINE_CASES = {
     "C2 swap mu_4": (swap_lattice, 4),
@@ -485,7 +525,7 @@ class TestOneEngine:
         ext = engine_case(case)
         row = CochainComplex(ext, twisted_resolution(ext.N)).delta_matrix(1, p, 1)
         bar = bar_delta_matrix(ext.pi, lattice_cohomology(ext.N, ext.M, 1), p)
-        assert row.entries == bar.entries
+        assert row == bar
 
     @pytest.mark.parametrize("case", ["C2 swap mu_4", "C2 swap + 1 mu_4", "C3 rotation mu_3"])
     def test_periodic_engine_agrees_with_bar(self, case):
