@@ -20,7 +20,7 @@ from functools import lru_cache
 
 from .errors import DegreeTooLargeError, ValidationError
 from .groups import CoeffModule, FiniteGroup, Subgroup
-from .intlat import IntMatrix, SparseMatrix, Subquotient, _add_entry
+from .intlat import IntMatrix, Subquotient, _add_entry
 
 MAX_DEGREE = 3
 
@@ -101,11 +101,11 @@ def _tuple_index(G: FiniteGroup, T) -> int:
     return idx
 
 
-def bar_delta_matrix(G: FiniteGroup, M: CoeffModule, p: int) -> SparseMatrix:
+def bar_delta_matrix(G: FiniteGroup, M: CoeffModule, p: int) -> IntMatrix:
     """Matrix of the inhomogeneous cochain differential C^p -> C^{p+1}, as
-    sparse rows with entries reduced mod the modulus of M."""
+    rows with entries reduced mod the modulus of M."""
     k, mod = M.rank, M.modulus
-    action = [m.sparse().nonzeros for m in M.action]
+    action = [m.nonzeros for m in M.action]
     rows = []
     # tuples come in the order of _tuple_index, so row blocks are appended
     for T in itertools.product(G.elements(), repeat=p + 1):
@@ -125,7 +125,7 @@ def bar_delta_matrix(G: FiniteGroup, M: CoeffModule, p: int) -> SparseMatrix:
                 _add_entry(row, base + j, sign, mod)
         rows.extend(block)
     n = G.order
-    return SparseMatrix(tuple(rows), n ** (p + 1) * k, n**p * k)
+    return IntMatrix(tuple(rows), n ** (p + 1) * k, n**p * k)
 
 
 def table_to_vector(G: FiniteGroup, M: CoeffModule, degree: int, table: dict):
@@ -305,7 +305,7 @@ class GroupCohomology:
             self.cmp = CyclicComparison(G)
             per = self.cmp.per
             t = per.t
-            diff = M.action[t].add(IntMatrix.identity(M.rank).neg())
+            diff = M.action[t].add(IntMatrix.identity(M.rank).scale(-1))
             norm = IntMatrix.zero(M.rank, M.rank)
             for g in G.elements():
                 norm = norm.add(M.action[g])

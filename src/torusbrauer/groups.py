@@ -312,15 +312,14 @@ class GLattice:
         G = self.group
         if len(self.rho) != G.order:
             raise ValidationError("one matrix per group element required")
-        ident = IntMatrix.identity(self.rank)
-        if self.rho[0].entries != ident.entries:
+        if self.rho[0] != IntMatrix.identity(self.rank):
             raise ValidationError("identity must act as the identity matrix")
         for m in self.rho:
             if m.rows != self.rank or m.cols != self.rank:
                 raise ValidationError("action matrix has wrong shape")
         for g in G.generators:  # enough: see FiniteGroup
             for h in G.elements():
-                if self.rho[g].mul(self.rho[h]).entries != self.rho[G.mul(g, h)].entries:
+                if self.rho[g].mul(self.rho[h]) != self.rho[G.mul(g, h)]:
                     raise ValidationError("lattice action is not a homomorphism")
 
     @staticmethod
@@ -331,17 +330,12 @@ class GLattice:
     def direct_sum(self, other: "GLattice") -> "GLattice":
         if self.group != other.group:
             raise ValidationError("direct sum needs a common group")
-        r1, r2 = self.rank, other.rank
+        r1, r = self.rank, self.rank + other.rank
         mats = []
-        for g in self.group.elements():
-            a, b = self.rho[g], other.rho[g]
-            rows = []
-            for i in range(r1):
-                rows.append(a.entries[i] + (0,) * r2)
-            for i in range(r2):
-                rows.append((0,) * r1 + b.entries[i])
-            mats.append(IntMatrix.from_rows(rows))
-        return GLattice(self.group, r1 + r2, tuple(mats))
+        for a, b in zip(self.rho, other.rho):
+            shifted = tuple({r1 + j: x for j, x in row.items()} for row in b.nonzeros)
+            mats.append(IntMatrix(a.nonzeros + shifted, r, r))
+        return GLattice(self.group, r, tuple(mats))
 
 
 @dataclass(frozen=True)
@@ -364,18 +358,14 @@ class CoeffModule:
             if m.rows != self.rank or m.cols != self.rank:
                 raise ValidationError("action matrix has wrong shape")
             if n is not None and any(
-                x < 0 or x >= n for row in m.entries for x in row
+                not 0 < x < n for row in m.nonzeros for x in row.values()
             ):
                 raise ValidationError("entries must be reduced mod n")
-        ident = IntMatrix.identity(self.rank)
-        if n is not None:
-            ident = ident.mod(n)
-        if self.action[0].entries != ident.entries:
+        if self.action[0] != IntMatrix.identity(self.rank):
             raise ValidationError("identity must act as the identity matrix")
         for g in G.generators:  # enough: see FiniteGroup
             for h in G.elements():
-                prod = self.action[g].mul(self.action[h], modulus=n)
-                if prod.entries != self.action[G.mul(g, h)].entries:
+                if self.action[g].mul(self.action[h], modulus=n) != self.action[G.mul(g, h)]:
                     raise ValidationError("module action is not a homomorphism")
 
     @staticmethod
@@ -426,13 +416,11 @@ def unimodular_inverse(B: IntMatrix) -> IntMatrix:
 def permutation_lattice(datum: GaloisDatum) -> GLattice:
     """Character lattice of the quasi-trivial torus: permutation matrices."""
     mats = []
-    for g in datum.group.elements():
-        p = datum.perm[g]
-        mats.append(
-            IntMatrix.from_rows(
-                [[1 if p[j] == i else 0 for j in range(datum.r)] for i in range(datum.r)]
-            )
-        )
+    for p in datum.perm:
+        rows = [None] * datum.r
+        for j, i in enumerate(p):  # e_j goes to e_p(j)
+            rows[i] = {j: 1}
+        mats.append(IntMatrix(tuple(rows), datum.r, datum.r))
     return GLattice(datum.group, datum.r, tuple(mats))
 
 
@@ -473,8 +461,8 @@ def _basis_completion(W: IntMatrix) -> IntMatrix:
     s = smith(W)
     if any(d != 1 for d in s.diagonal()):
         raise ValidationError("columns do not span a primitive sublattice")
-    extra = [s.u_inv.column(j) for j in range(W.cols, W.rows)]
-    cols = W.columns() + extra
+    cols = [W.column(j) for j in range(W.cols)]
+    cols += [s.u_inv.column(j) for j in range(W.cols, W.rows)]
     return IntMatrix.from_columns(cols, nrows=W.rows)
 
 
@@ -496,11 +484,11 @@ def c2_decompose(S: IntMatrix) -> C2Decomposition:
     functional dual to g) yields an invariant complement.
     """
     n = S.rows
-    if S.cols != n or S.mul(S).entries != IntMatrix.identity(n).entries:
+    ident = IntMatrix.identity(n)
+    if S.cols != n or S.mul(S) != ident:
         raise NotAnInvolutionError("matrix is not an involution")
 
-    ident = IntMatrix.identity(n)
-    s_minus_1 = S.add(ident.neg())
+    s_minus_1 = S.add(ident.scale(-1))
     s_plus_1 = S.add(ident)
     plus = kernel_basis(s_minus_1)
     minus = kernel_basis(s_plus_1)
@@ -533,10 +521,8 @@ def c2_decompose(S: IntMatrix) -> C2Decomposition:
     L = IntMatrix.from_columns([g, Sg], nrows=n)
     full = _basis_completion(L)
     full_inv = unimodular_inverse(full)
-    psi = full_inv.row(0)  # functional with psi(g)=1, psi(Sg)=0
-    psi_s = tuple(
-        sum(psi[i] * S.entries[i][j] for i in range(n)) for j in range(n)
-    )
+    psi = full_inv.entries[0]  # functional with psi(g)=1, psi(Sg)=0
+    psi_s = S.transpose().apply(psi)
     # equivariant projector onto span(g, Sg)
     proj = IntMatrix.from_rows(
         [
@@ -575,14 +561,14 @@ def _verified(S: IntMatrix, a: int, b: int, c: int, b_inv: IntMatrix) -> C2Decom
     is checked to be the canonical block matrix of type (a, b, c).  Every
     caller that works on the canonical form relies on this isomorphism."""
     out = C2Decomposition(a, b, c, unimodular_inverse(b_inv))
-    if out.B.mul(S).mul(b_inv).entries != out.canonical_matrix().entries:
+    if out.B.mul(S).mul(b_inv) != out.canonical_matrix():
         raise ValidationError("decomposition verification failed")
     return out
 
 
 def involution_lattice(S: IntMatrix) -> GLattice:
     """C2-lattice defined by a single involution matrix."""
-    if S.mul(S).entries != IntMatrix.identity(S.rows).entries:
+    if S.mul(S) != IntMatrix.identity(S.rows):
         raise NotAnInvolutionError("matrix is not an involution")
     return GLattice(FiniteGroup.cyclic(2), S.rows, (IntMatrix.identity(S.rows), S))
 
@@ -601,13 +587,13 @@ def pair_module(datum: GaloisDatum, m: int) -> CoeffModule:
             raise ValidationError("chi values must be units mod the given modulus")
         u = pow(datum.chi[g] % m, -1, m)
         p = datum.perm[g]
-        rows = [[0] * len(pairs) for _ in pairs]
+        rows = [None] * len(pairs)
         for (i, j), t in index.items():
             gi, gj = p[i], p[j]
             sign = 1
             if gi > gj:
                 gi, gj = gj, gi
                 sign = -1
-            rows[index[(gi, gj)]][t] = (sign * u) % m
-        mats.append(IntMatrix.from_rows(rows, ncols=len(pairs)))
+            rows[index[(gi, gj)]] = {t: (sign * u) % m}
+        mats.append(IntMatrix(tuple(rows), len(pairs), len(pairs)))
     return CoeffModule(datum.group, len(pairs), m, tuple(mats))

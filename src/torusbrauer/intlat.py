@@ -17,11 +17,34 @@ from .errors import CompositionNonzeroError
 
 @dataclass(frozen=True)
 class IntMatrix:
-    """Immutable integer matrix, stored as a tuple of row tuples."""
+    """Immutable integer matrix, stored as sparse rows {column: nonzero
+    entry}.
 
-    entries: tuple[tuple[int, ...], ...]
+    Module actions are monomial or nearly so, and a bar matrix has
+    |G|^(p+1) * rank rows with about (p + 2) * rank nonzeros each, so every
+    product, application and elimination runs over the nonzeros.  Rows hold
+    no zero entries and are never changed once the matrix is built (an
+    elimination works on its own copy), so a matrix compares and hashes by
+    value however it was built.
+    """
+
+    nonzeros: tuple[dict, ...]
     rows: int
     cols: int
+    # computed on first use: lattices and modules hash their matrices on
+    # every memo lookup
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __hash__(self):
+        if self._hash is None:
+            rows = tuple(frozenset(row.items()) for row in self.nonzeros)
+            object.__setattr__(self, "_hash", hash((self.rows, self.cols, rows)))
+        return self._hash
+
+    @property
+    def entries(self) -> tuple[tuple[int, ...], ...]:
+        """The dense rows."""
+        return tuple(tuple(row.get(j, 0) for j in range(self.cols)) for row in self.nonzeros)
 
     @staticmethod
     def from_rows(rows, ncols=None) -> "IntMatrix":
@@ -33,158 +56,100 @@ class IntMatrix:
                 raise ValueError("ragged rows")
         else:
             c = 0 if ncols is None else ncols
-        return IntMatrix(rows, r, c)
+        return IntMatrix(tuple({j: a for j, a in enumerate(row) if a} for row in rows), r, c)
 
     @staticmethod
     def zero(rows: int, cols: int) -> "IntMatrix":
-        return IntMatrix(tuple((0,) * cols for _ in range(rows)), rows, cols)
+        return IntMatrix(tuple({} for _ in range(rows)), rows, cols)
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
-        return IntMatrix(
-            tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), n, n
-        )
-
-    @staticmethod
-    def diagonal(diag) -> "IntMatrix":
-        diag = list(diag)
-        n = len(diag)
-        return IntMatrix(
-            tuple(tuple(diag[i] if i == j else 0 for j in range(n)) for i in range(n)),
-            n,
-            n,
-        )
+        return IntMatrix(tuple({i: 1} for i in range(n)), n, n)
 
     @staticmethod
     def from_columns(cols, nrows=None) -> "IntMatrix":
-        cols = [tuple(c) for c in cols]
-        if cols:
-            nrows = len(cols[0])
-        elif nrows is None:
-            nrows = 0
-        return IntMatrix.from_rows(
-            [[c[i] for c in cols] for i in range(nrows)], ncols=len(cols)
-        )
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
-
-    def row(self, i):
-        return self.entries[i]
+        return IntMatrix.from_rows(cols, ncols=nrows).transpose()
 
     def column(self, j):
-        return tuple(self.entries[i][j] for i in range(self.rows))
-
-    def columns(self):
-        return [self.column(j) for j in range(self.cols)]
+        return tuple(row.get(j, 0) for row in self.nonzeros)
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix.from_rows(
-            [self.column(j) for j in range(self.cols)], ncols=self.rows
-        )
+        return IntMatrix(tuple(_columns_to_rows(self.nonzeros, self.cols)), self.cols, self.rows)
 
     def mul(self, other: "IntMatrix", modulus: int | None = None) -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
-        # row by row over the nonzero entries: the bar and cochain matrices
-        # are sparse
-        nonzero = [[(j, b) for j, b in enumerate(row) if b] for row in other.entries]
         out = []
-        for arow in self.entries:
-            acc = [0] * other.cols
-            for a, brow in zip(arow, nonzero):
-                if a:
-                    for j, b in brow:
-                        acc[j] += a * b
-            out.append(tuple(x % modulus for x in acc) if modulus else tuple(acc))
+        for row in self.nonzeros:
+            acc: dict = {}
+            for i, a in row.items():
+                _axpy(other.nonzeros[i], acc, a, modulus)
+            out.append(acc)
         return IntMatrix(tuple(out), self.rows, other.cols)
 
     def apply(self, vec, modulus: int | None = None):
         if len(vec) != self.cols:
             raise ValueError("dimension mismatch")
-        out = []
-        for row in self.entries:
-            s = sum(a * b for a, b in zip(row, vec) if a and b)
-            out.append(s % modulus if modulus else s)
-        return tuple(out)
+        out = [sum([a * vec[j] for j, a in row.items()]) for row in self.nonzeros]
+        return tuple([x % modulus for x in out] if modulus else out)
 
     def add(self, other: "IntMatrix") -> "IntMatrix":
-        return IntMatrix.from_rows(
-            [
-                [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.entries, other.entries)
-            ],
-            ncols=self.cols,
-        )
+        out = []
+        for r1, r2 in zip(self.nonzeros, other.nonzeros):
+            acc = dict(r1)
+            _axpy(r2, acc, 1, None)
+            out.append(acc)
+        return IntMatrix(tuple(out), self.rows, self.cols)
 
     def scale(self, c: int) -> "IntMatrix":
-        return IntMatrix.from_rows(
-            [[c * a for a in row] for row in self.entries], ncols=self.cols
+        return IntMatrix(
+            tuple({j: b for j, a in row.items() if (b := c * a)} for row in self.nonzeros),
+            self.rows,
+            self.cols,
         )
-
-    def neg(self) -> "IntMatrix":
-        return self.scale(-1)
-
-    def sparse(self, modulus: int | None = None) -> "SparseMatrix":
-        """Rows {column: nonzero entry}, entries reduced to [0, modulus) when
-        it is set."""
-        return SparseMatrix(_nonzero_rows(map(enumerate, self.entries), modulus), self.rows, self.cols)
 
     def mod(self, n: int) -> "IntMatrix":
-        return IntMatrix.from_rows(
-            [[a % n for a in row] for row in self.entries], ncols=self.cols
-        )
-
-    def hstack(self, other: "IntMatrix") -> "IntMatrix":
-        if self.rows != other.rows:
-            raise ValueError("row mismatch")
-        return IntMatrix.from_rows(
-            [r1 + r2 for r1, r2 in zip(self.entries, other.entries)],
-            ncols=self.cols + other.cols,
-        )
+        return IntMatrix(tuple(_reduced(row, n) for row in self.nonzeros), self.rows, self.cols)
 
     def is_zero(self) -> bool:
-        return all(all(a == 0 for a in row) for row in self.entries)
-
-    def det(self) -> int:
-        """Exact determinant by fraction-free (Bareiss) elimination."""
-        if self.rows != self.cols:
-            raise ValueError("determinant of non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        m = [list(row) for row in self.entries]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k] != 0:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
+        return not any(self.nonzeros)
 
     def kron(self, other: "IntMatrix") -> "IntMatrix":
-        out = []
-        for i in range(self.rows):
-            for k in range(other.rows):
-                row = []
-                for j in range(self.cols):
-                    a = self.entries[i][j]
-                    row.extend(
-                        a * b if a else 0 for b in other.entries[k]
-                    )
-                out.append(row)
-        return IntMatrix.from_rows(out, ncols=self.cols * other.cols)
+        w = other.cols
+        return IntMatrix(
+            tuple(
+                {j * w + l: a * b for j, a in arow.items() for l, b in brow.items()}
+                for arow in self.nonzeros
+                for brow in other.nonzeros
+            ),
+            self.rows * other.rows,
+            self.cols * w,
+        )
+
+
+def _det(m: list[list[int]]) -> int:
+    """Exact determinant of the square matrix m (a list of lists, changed
+    in place) by fraction-free (Bareiss) elimination."""
+    n = len(m)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
 
 
 @dataclass(frozen=True)
@@ -206,17 +171,14 @@ class SmithDecomposition:
     v_inv: IntMatrix
 
     def diagonal(self):
-        return tuple(
-            self.D.entries[i][i] for i in range(min(self.D.rows, self.D.cols))
-        )
+        return tuple(self.D.nonzeros[i].get(i, 0) for i in range(min(self.D.rows, self.D.cols)))
 
 
-def _nonzero_rows(rows, mod):
-    """Rows {column: entry} from rows of (column, entry) pairs, reduced to
-    [0, mod) when mod is set, zeros dropped."""
+def _reduced(row: dict, mod):
+    """A copy of row, reduced to [0, mod) when mod is set, zeros dropped."""
     if mod:
-        return tuple({j: b for j, a in row if (b := a % mod)} for row in rows)
-    return tuple({j: a for j, a in row if a} for row in rows)
+        return {j: b for j, a in row.items() if (b := a % mod)}
+    return dict(row)
 
 
 def _axpy(src: dict, dst: dict, c, mod):
@@ -275,46 +237,6 @@ def _columns_to_rows(cols, nrows):
     return rows
 
 
-@dataclass(frozen=True)
-class SparseMatrix:
-    """Integer matrix held as rows {column: nonzero entry}.
-
-    The cochain differentials are built in this form (a bar matrix has
-    |G|^(p+1) * rank rows with about (p + 2) * rank nonzeros each) and enter
-    the eliminations as they are.
-    """
-
-    nonzeros: tuple[dict, ...]
-    rows: int
-    cols: int
-
-    def sparse(self, modulus: int | None = None) -> "SparseMatrix":
-        """A copy with fresh rows, entries reduced to [0, modulus) when it
-        is set."""
-        return SparseMatrix(
-            _nonzero_rows((row.items() for row in self.nonzeros), modulus), self.rows, self.cols
-        )
-
-    def apply(self, vec, modulus: int | None = None):
-        if len(vec) != self.cols:
-            raise ValueError("dimension mismatch")
-        return tuple(_dot(row, vec, modulus) for row in self.nonzeros)
-
-    def mul(self, other: "SparseMatrix", modulus: int | None = None) -> "SparseMatrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch")
-        out = []
-        for row in self.nonzeros:
-            acc: dict = {}
-            for i, a in row.items():
-                _axpy(other.nonzeros[i], acc, a, modulus)
-            out.append(acc)
-        return SparseMatrix(tuple(out), self.rows, other.cols)
-
-    def is_zero(self) -> bool:
-        return not any(self.nonzeros)
-
-
 class _Elimination:
     """A matrix under elementary operations, with the transforms that keep
     U*A*V equal to it (mod `mod` when set, every entry then kept in
@@ -330,9 +252,9 @@ class _Elimination:
     and nothing else.
     """
 
-    def __init__(self, A: SparseMatrix, mod: int | None, keep):
+    def __init__(self, A: IntMatrix, mod: int | None, keep):
         self.mod = mod
-        self.M = list(A.nonzeros)  # rows owned by the elimination, changed in place
+        self.M = [_reduced(row, mod) for row in A.nonzeros]  # owned, changed in place
         self.cols = A.cols
 
         def eye(n, name):
@@ -409,11 +331,10 @@ class _Elimination:
         self.scale_row(t, c, pow(c, -1, mod))
 
 
-def _smith_reduce(A: SparseMatrix, modulus: int | None, keep) -> _Elimination:
+def _smith_reduce(A: IntMatrix, modulus: int | None, keep) -> _Elimination:
     """A reduced to Smith normal form, over Z or over Z/modulus,
-    deterministic for fixed input.  The rows of A are changed in place and
-    must hold entries in [0, modulus) when it is set (`sparse` gives such
-    rows).
+    deterministic for fixed input.  The elimination reduces a copy of the
+    rows of A mod modulus and leaves A as it is.
 
     Pivot choice: over Z the smallest nonzero absolute value, over Z/n the
     least gcd(a, n); ties go to the earlier row, then the earlier column.
@@ -487,21 +408,17 @@ def _smith_reduce(A: SparseMatrix, modulus: int | None, keep) -> _Elimination:
     return e
 
 
-def _dense(lines, ncols: int) -> IntMatrix:
-    return IntMatrix.from_rows([[line.get(j, 0) for j in range(ncols)] for line in lines], ncols)
-
-
 def smith(A: IntMatrix, modulus: int | None = None) -> SmithDecomposition:
     """Smith normal form of A with all four transforms, over Z or over
     Z/modulus."""
-    e = _smith_reduce(A.sparse(modulus), modulus, {"U", "U_inv", "V", "V_inv"})
+    e = _smith_reduce(A, modulus, {"U", "U_inv", "V", "V_inv"})
     m, n = A.rows, A.cols
     return SmithDecomposition(
-        _dense(e.U, m),
-        _dense(e.M, n),
-        _dense(e.V_cols, n).transpose(),
-        _dense(e.U_inv_cols, m).transpose(),
-        _dense(e.V_inv, n),
+        IntMatrix(tuple(e.U), m, m),
+        IntMatrix(tuple(e.M), m, n),
+        IntMatrix(tuple(e.V_cols), n, n).transpose(),
+        IntMatrix(tuple(e.U_inv_cols), m, m).transpose(),
+        IntMatrix(tuple(e.V_inv), n, n),
     )
 
 
@@ -566,10 +483,10 @@ def kernel_basis(A: IntMatrix, modulus: int | None = None, snf: SmithDecompositi
     accumulates V alone.
     """
     if snf is None:
-        e = _smith_reduce(A.sparse(modulus), modulus, {"V"})
+        e = _smith_reduce(A, modulus, {"V"})
         d, cols = e.diagonal(), e.V_cols
     else:
-        d, cols = snf.diagonal(), [dict(enumerate(c)) for c in snf.V.columns()]
+        d, cols = snf.diagonal(), snf.V.transpose().nonzeros
     return [
         tuple(col.get(i, 0) for i in range(A.cols)) for col in _kernel_columns(d, cols, modulus)
     ]
@@ -653,19 +570,17 @@ def invariant_factors(cyclic_orders) -> tuple[int, ...]:
 class Subquotient:
     """ker(d_out)/im(d_in) with class-of-cycle and representative-of-class maps.
 
-    d_out and d_in are IntMatrix or SparseMatrix; both enter the eliminations
-    as sparse rows.  Ambient coordinates are Z^a (a = d_out.cols =
-    d_in.rows), reduced mod n when a modulus is given; then every
-    elimination runs over Z/n, with its entries kept in [0, n).  Each
-    elimination accumulates only the transforms read here: V for the kernel
-    K of d_out, U and V of [K | d_in] to solve for the class of a cycle, U
-    and U^-1 of the relations to read and lift coordinates.
+    Ambient coordinates are Z^a (a = d_out.cols = d_in.rows), reduced mod n
+    when a modulus is given; then every elimination runs over Z/n, with its
+    entries kept in [0, n).  Each elimination accumulates only the
+    transforms read here: V for the kernel K of d_out, U and V of [K | d_in]
+    to solve for the class of a cycle, U and U^-1 of the relations to read
+    and lift coordinates.
     """
 
-    def __init__(self, d_out, d_in, modulus: int | None = None):
+    def __init__(self, d_out: IntMatrix, d_in: IntMatrix, modulus: int | None = None):
         if d_out.cols != d_in.rows:
             raise ValueError("chain dimensions do not match")
-        d_out, d_in = d_out.sparse(modulus), d_in.sparse(modulus)
         if not d_out.mul(d_in, modulus).is_zero():
             raise CompositionNonzeroError("d_out * d_in != 0")
         if modulus is not None and modulus < 1:
@@ -683,11 +598,11 @@ class Subquotient:
             for j, x in extra.items():
                 row[k + j] = x
         self._solver = _smith_reduce(
-            SparseMatrix(tuple(blocks), a, k + d_in.cols), modulus, {"U", "V"}
+            IntMatrix(tuple(blocks), a, k + d_in.cols), modulus, {"U", "V"}
         )
         self._solver_diag = self._solver.diagonal()
         rel = _kernel_columns(self._solver_diag, self._solver.V_cols, modulus)
-        s = _smith_reduce(SparseMatrix(tuple(_columns_to_rows(rel, k)), k, len(rel)),
+        s = _smith_reduce(IntMatrix(tuple(_columns_to_rows(rel, k)), k, len(rel)),
                           modulus, {"U", "U_inv"})
         self._U, self._U_inv_cols = s.U, s.U_inv_cols
         d = s.diagonal()

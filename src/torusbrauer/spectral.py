@@ -38,7 +38,7 @@ from .groups import (
     involution_lattice,
     tate_twist,
 )
-from .intlat import FinAbGroup, IntMatrix, SparseMatrix, Subquotient, _add_entry
+from .intlat import FinAbGroup, IntMatrix, Subquotient, _add_entry, _det
 
 MAX_TOTAL_DEGREE = 4
 
@@ -58,24 +58,25 @@ def binomial(r: int, q: int) -> int:
 
 def exterior_power_matrix(A: IntMatrix, q: int) -> IntMatrix:
     """Matrix of Lambda^q(A) on the wedge basis e_S, S a sorted q-subset."""
-    r = A.rows
-    subs = _subsets(r, q)
-    rows = []
-    for S_row in subs:
-        row = []
-        for S_col in subs:
-            minor = IntMatrix.from_rows(
-                [[A.entries[i][j] for j in S_col] for i in S_row],
-                ncols=q,
-            )
-            row.append(minor.det() if q > 0 else 1)
-        rows.append(row)
-    return IntMatrix.from_rows(rows, ncols=len(subs))
+    a = A.entries
+    subs = _subsets(A.rows, q)
+    return IntMatrix.from_rows(
+        [[_det([[a[i][j] for j in S_col] for i in S_row]) for S_col in subs] for S_row in subs],
+        ncols=len(subs),
+    )
 
 
 # ---------------------------------------------------------------------------
 # coefficient modules attached to the lattice
 # ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def exterior_powers(N: GLattice, q: int) -> tuple[IntMatrix, ...]:
+    """Lambda^q of each action matrix of N, in element order.  Memoised: it
+    depends on the lattice and q alone, and every coefficient module of the
+    lattice reads it."""
+    return tuple(exterior_power_matrix(m, q) for m in N.rho)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -89,19 +90,14 @@ def lattice_cohomology(N: GLattice, M: CoeffModule, q: int) -> CoeffModule:
     if N.group != M.group:
         raise ValidationError("lattice and module live over different groups")
     pi = N.group
-    k = M.rank
-    action = []
-    for g in pi.elements():
-        lam = exterior_power_matrix(N.rho[pi.inv(g)], q)
-        action.append(lam.transpose().kron(M.action[g]))
-    return CoeffModule.make(pi, binomial(N.rank, q) * k, M.modulus, action)
+    lam = exterior_powers(N, q)
+    action = [lam[pi.inv(g)].transpose().kron(M.action[g]) for g in pi.elements()]
+    return CoeffModule.make(pi, binomial(N.rank, q) * M.rank, M.modulus, action)
 
 
 def h2_lattice(N: GLattice) -> CoeffModule:
     """Lambda^2 N with the induced (covariant) action on e_i ^ e_j, i < j."""
-    pi = N.group
-    action = [exterior_power_matrix(N.rho[g], 2) for g in pi.elements()]
-    return CoeffModule.make(pi, binomial(N.rank, 2), None, action)
+    return CoeffModule.make(N.group, binomial(N.rank, 2), None, exterior_powers(N, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -338,12 +334,12 @@ class CochainComplex:
                 out[j] += c * val[j]
         return self.M.reduce(out)
 
-    def delta_matrix(self, k: int, p: int, q: int) -> SparseMatrix:
-        """Matrix of f |-> f . d_k from bidegree (p,q) into (p+k, q-k+1), as
-        sparse rows with entries reduced mod the modulus of M."""
+    def delta_matrix(self, k: int, p: int, q: int) -> IntMatrix:
+        """Matrix of f |-> f . d_k from bidegree (p,q) into (p+k, q-k+1),
+        with entries reduced mod the modulus of M."""
         pt, qt = p + k, q - k + 1
         kM, mod = self.M.rank, self.M.modulus
-        action = [m.sparse().nonzeros for m in self.M.action]
+        action = [m.nonzeros for m in self.M.action]
         subs_src = _subsets(self.r, q)
         nsub_src = len(subs_src)
         rows = []
@@ -358,7 +354,7 @@ class CochainComplex:
                     for j, x in entries.items():
                         _add_entry(row, cbase + j, c * x, mod)
             rows.extend(block)
-        return SparseMatrix(tuple(rows), self.dim(pt, qt), self.dim(p, q))
+        return IntMatrix(tuple(rows), self.dim(pt, qt), self.dim(p, q))
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +383,7 @@ def row_class_coords(ext: SplitExtensionSpec, vec):
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def row_coboundaries(ext: SplitExtensionSpec) -> SparseMatrix:
+def row_coboundaries(ext: SplitExtensionSpec) -> IntMatrix:
     """The row differential C^{1,1} -> C^{2,1}, whose image is the coboundary
     subgroup at bidegree (2,1)."""
     return bar_delta_matrix(ext.pi, lattice_cohomology(ext.N, ext.M, 1), 1)
@@ -496,18 +492,12 @@ def v2(N: GLattice) -> V2Class:
 def pushforward_cocycle(ext: SplitExtensionSpec, atilde: IntMatrix, src):
     """Image of a Hom(N, Lambda^2 N)-valued row cocycle under post-composition
     with the map Lambda^2 N -> M given by atilde, as a cocycle for ext."""
-    pi, r, k = ext.pi, ext.N.rank, ext.M.rank
+    r, k = ext.N.rank, ext.M.rank
     nsub = binomial(r, 2)
-    out = [0] * (pi.order**2 * r * k)
-    for t in range(pi.order**2):
-        for i in range(r):
-            sbase = (t * r + i) * nsub
-            obase = (t * r + i) * k
-            for j in range(k):
-                acc = 0
-                for s in range(nsub):
-                    acc += atilde.entries[j][s] * src[sbase + s]
-                out[obase + j] = acc
+    out = []
+    # one value in Hom(N, Lambda^2 N) per tuple of pi^2 and basis vector of N
+    for t in range(ext.pi.order**2 * r):
+        out.extend(atilde.apply(src[t * nsub : (t + 1) * nsub]))
     return tuple(ext.M.reduce(out))
 
 
@@ -575,7 +565,7 @@ def v2_additivity_check(N1: GLattice, N2: GLattice) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def total_delta_matrix(ext: SplitExtensionSpec, n: int) -> SparseMatrix:
+def total_delta_matrix(ext: SplitExtensionSpec, n: int) -> IntMatrix:
     res = twisted_resolution(ext.N)
     coch = CochainComplex(ext, res)
     r = ext.N.rank
@@ -603,7 +593,7 @@ def total_delta_matrix(ext: SplitExtensionSpec, n: int) -> SparseMatrix:
             ro, co = tgt_offsets[(pt, qt)], src_offsets[(p, q)]
             for i, row in enumerate(block.nonzeros):
                 rows[ro + i].update((co + j, a) for j, a in row.items())
-    return SparseMatrix(tuple(rows), acc, total_src)
+    return IntMatrix(tuple(rows), acc, total_src)
 
 
 def total_cohomology(ext: SplitExtensionSpec, n: int) -> FinAbGroup:

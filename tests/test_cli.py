@@ -50,6 +50,9 @@ class TestGolden:
         ("v4_extension", "d2", []),
         ("v4_extension", "v2", []),
         ("ind_lattice", "real-torus", ["--modulus", "2,3,4,8"]),
+        ("ind_extension", "d2", []),
+        ("ind_extension", "v2", []),
+        ("s3_extension", "v2", []),
     ]
 
     @pytest.mark.parametrize("fmt", ["json", "txt"])

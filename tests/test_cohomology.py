@@ -19,7 +19,7 @@ from torusbrauer.groups import (
     subgroup_generated,
 )
 from torusbrauer.errors import CompositionNonzeroError
-from torusbrauer.intlat import IntMatrix, SparseMatrix, Subquotient
+from torusbrauer.intlat import IntMatrix, Subquotient
 
 
 def random_element(bar, p, rng, terms=3):
@@ -83,11 +83,11 @@ def s3_permutation_module(modulus):
     return s3, CoeffModule.make(s3, 3, modulus, mats)
 
 
-def add_one(mat: SparseMatrix, i: int, j: int) -> SparseMatrix:
-    """mat with 1 added to entry (i, j) of its rows."""
+def add_one(mat: IntMatrix, i: int, j: int) -> IntMatrix:
+    """mat with 1 added to entry (i, j)."""
     rows = [dict(row) for row in mat.nonzeros]
     rows[i][j] = rows[i].get(j, 0) + 1
-    return SparseMatrix(tuple(rows), mat.rows, mat.cols)
+    return IntMatrix(tuple(rows), mat.rows, mat.cols)
 
 
 class TestSparseBarRows:

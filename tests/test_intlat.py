@@ -6,11 +6,11 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tests.matrices import det, diagonal, entry, hstack
 from torusbrauer.errors import CompositionNonzeroError
 from torusbrauer.intlat import (
     FinAbGroup,
     IntMatrix,
-    SparseMatrix,
     Subquotient,
     cokernel,
     invariant_factors,
@@ -46,7 +46,7 @@ def random_unimodular(n, rng, steps=8):
 
 class TestSmith:
     def test_coprime_diagonal(self):
-        d = smith(IntMatrix.diagonal([3, 5])).diagonal()
+        d = smith(diagonal([3, 5])).diagonal()
         assert d == (1, 15)
 
     def test_hand_reduced(self):
@@ -70,8 +70,8 @@ class TestSmith:
                 assert y == 0
             else:
                 assert y % x == 0
-        assert abs(s.U.det()) == 1
-        assert abs(s.V.det()) == 1
+        assert abs(det(s.U)) == 1
+        assert abs(det(s.V)) == 1
         assert s.U.mul(s.u_inv).entries == IntMatrix.identity(a.rows).entries
         assert s.V.mul(s.v_inv).entries == IntMatrix.identity(a.cols).entries
 
@@ -114,7 +114,7 @@ def _reference_subquotient(d_out, d_in, n):
     """Invariant factors of ker(d_out)/im(d_in) over Z/n, computed over Z:
     integral Smith on [K | d_in | n I]."""
     K = IntMatrix.from_columns(_integral_kernel_mod(d_out, n), nrows=d_out.cols)
-    blocks = K.hstack(d_in).hstack(IntMatrix.identity(d_out.cols).scale(n))
+    blocks = hstack(hstack(K, d_in), IntMatrix.identity(d_out.cols).scale(n))
     rel = [v[: K.cols] for v in kernel_basis(blocks)]
     d = smith(IntMatrix.from_columns(rel, nrows=K.cols)).diagonal()
     return tuple(x for x in d if x != 1)
@@ -122,7 +122,7 @@ def _reference_subquotient(d_out, d_in, n):
 
 def _order_mod_image(vec, d_in, n):
     """Least t >= 1 with t * vec in im(d_in) + n Z^a, by integral solves."""
-    rel = d_in.hstack(IntMatrix.identity(len(vec)).scale(n))
+    rel = hstack(d_in, IntMatrix.identity(len(vec)).scale(n))
     return next(t for t in range(1, n + 1) if solve(rel, tuple(t * a for a in vec)) is not None)
 
 
@@ -158,7 +158,7 @@ class TestModN:
         assert s.V.mul(s.v_inv, n).entries == IntMatrix.identity(a.cols).entries
         for m in (s.D, s.U, s.V, s.u_inv, s.v_inv):
             assert all(0 <= x < n for x in _entries(m))
-        assert all(s.D[i, j] == 0 for i in range(a.rows) for j in range(a.cols) if i != j)
+        assert all(entry(s.D, i, j) == 0 for i in range(a.rows) for j in range(a.cols) if i != j)
         factors = [gcd(x, n) for x in s.diagonal()]
         assert all(y % x == 0 for x, y in zip(factors, factors[1:]))
         # the kernel skips the row transforms and reads the same V
@@ -239,7 +239,7 @@ class TestTallSparse:
         assert s.U.mul(a).mul(s.V).entries == s.D.entries
         assert s.U.mul(s.u_inv).entries == IntMatrix.identity(a.rows).entries
         assert s.V.mul(s.v_inv).entries == IntMatrix.identity(a.cols).entries
-        assert all(s.D[i, j] == 0 for i in range(a.rows) for j in range(a.cols) if i != j)
+        assert all(entry(s.D, i, j) == 0 for i in range(a.rows) for j in range(a.cols) if i != j)
         d = s.diagonal()
         assert all(x >= 0 for x in d)
         assert all(y == 0 if x == 0 else y % x == 0 for x, y in zip(d, d[1:]))
@@ -254,7 +254,7 @@ class TestTallSparse:
         assert s.V.mul(s.v_inv, n).entries == IntMatrix.identity(a.cols).entries
         for m in (s.D, s.U, s.V, s.u_inv, s.v_inv):
             assert all(0 <= x < n for x in _entries(m))
-        assert all(s.D[i, j] == 0 for i in range(a.rows) for j in range(a.cols) if i != j)
+        assert all(entry(s.D, i, j) == 0 for i in range(a.rows) for j in range(a.cols) if i != j)
         factors = [gcd(x, n) for x in s.diagonal()]
         assert all(y % x == 0 for x, y in zip(factors, factors[1:]))
         assert kernel_basis(a, n) == kernel_basis(a, n, snf=s)
@@ -296,7 +296,7 @@ class TestSolveKernel:
 
 class TestCokernel:
     def test_diag_2_3(self):
-        g = cokernel(IntMatrix.diagonal([2, 3]))
+        g = cokernel(diagonal([2, 3]))
         assert g.free_rank == 0 and g.torsion == (6,)
 
     def test_zero(self):
@@ -318,7 +318,7 @@ class TestCokernel:
             assert g.same_structure(base)
 
     def test_generator_orders(self):
-        a = IntMatrix.diagonal([2, 4])
+        a = diagonal([2, 4])
         sub = Subquotient(IntMatrix.zero(0, 2), a)
         g = sub.group
         assert g.torsion == (2, 4)
@@ -389,31 +389,80 @@ def integral_chains(draw):
     return d_out, d_in, None
 
 
-def as_rows(m: IntMatrix) -> SparseMatrix:
-    """The nonzero entries of m as sparse rows, not reduced by any modulus."""
-    return SparseMatrix(
-        tuple({j: a for j, a in enumerate(row) if a} for row in m.entries), m.rows, m.cols
-    )
-
-
-class TestSparseInput:
+class TestReducedInput:
     @settings(max_examples=150, deadline=None)
-    @given(st.one_of(mod_n_chains(), integral_chains()), st.data())
-    def test_rows_and_dense_give_one_subquotient(self, chain, data):
+    @given(mod_n_chains(), st.data())
+    def test_reduced_and_unreduced_give_one_subquotient(self, chain, data):
         d_out, d_in, n = chain
-        dense = Subquotient(d_out, d_in, modulus=n)
-        rows = Subquotient(as_rows(d_out), as_rows(d_in), modulus=n)
-        assert rows.group == dense.group  # structure and generators
+        reduced = Subquotient(d_out.mod(n), d_in.mod(n), modulus=n)
+        # entries moved out of [0, n) by multiples of n
+        shift = st.integers(-2, 2)
+        d_out, d_in = (
+            IntMatrix.from_rows([[a + n * data.draw(shift) for a in row] for row in m.entries], ncols=m.cols)
+            for m in (d_out, d_in)
+        )
+        raw = Subquotient(d_out, d_in, modulus=n)
+        assert raw.group == reduced.group  # structure and generators
         small = st.integers(-5, 5)
         for _ in range(3):
             # a random cycle: generators of the group plus a boundary
-            cs = data.draw(st.lists(small, min_size=len(dense.group.generators),
-                                    max_size=len(dense.group.generators)))
+            cs = data.draw(st.lists(small, min_size=len(reduced.group.generators),
+                                    max_size=len(reduced.group.generators)))
             x = data.draw(st.lists(small, min_size=d_in.cols, max_size=d_in.cols))
             vec = list(d_in.apply(x))
-            for c, gen in zip(cs, dense.group.generators):
+            for c, gen in zip(cs, reduced.group.generators):
                 vec = [v + c * g for v, g in zip(vec, gen)]
-            assert rows.project(vec) == dense.project(vec)
+            assert raw.project(vec) == reduced.project(vec)
+
+
+def _copy(m: IntMatrix) -> IntMatrix:
+    return IntMatrix(tuple(dict(row) for row in m.nonzeros), m.rows, m.cols)
+
+
+class TestInputsUnchanged:
+    """Each elimination changes its rows in place, on its own copy: every
+    input matrix still equals a copy taken before the call."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_matrices(max_dim=4, max_entry=12), st.sampled_from([None, 2, 4, 6, 12]), st.data())
+    def test_smith_solve_kernel_cokernel(self, a, n, data):
+        before = _copy(a)
+        s = smith(a, n)
+        transforms = [_copy(m) for m in (s.U, s.D, s.V, s.u_inv, s.v_inv)]
+        b = data.draw(st.lists(st.integers(-12, 12), min_size=a.rows, max_size=a.rows))
+        solve(a, b, n)
+        solve(a, b, n, snf=s)
+        kernel_basis(a, n)
+        kernel_basis(a, n, snf=s)
+        cokernel(a)
+        assert a == before
+        assert [s.U, s.D, s.V, s.u_inv, s.v_inv] == transforms
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(mod_n_chains(), integral_chains()))
+    def test_subquotient(self, chain):
+        d_out, d_in, n = chain
+        before = (_copy(d_out), _copy(d_in))
+        h = Subquotient(d_out, d_in, modulus=n)
+        for gen in h.group.generators:
+            h.project(gen)
+        assert (d_out, d_in) == before
+
+
+class TestValueSemantics:
+    @settings(max_examples=100, deadline=None)
+    @given(small_matrices())
+    def test_constructions_compare_and_hash_equal(self, a):
+        forms = [
+            IntMatrix.from_rows(a.entries),
+            IntMatrix.from_columns([a.column(j) for j in range(a.cols)], nrows=a.rows),
+            IntMatrix.identity(a.rows).mul(a),
+            # rows filled in another order, as the cochain builders fill them
+            IntMatrix(tuple(dict(reversed(row.items())) for row in a.nonzeros), a.rows, a.cols),
+        ]
+        for m in forms:
+            assert m == a and hash(m) == hash(a)
+            assert all(0 not in row.values() for row in m.nonzeros)
 
 
 class TestInvariantFactors:
@@ -426,7 +475,7 @@ class TestInvariantFactors:
 
     def test_matches_cokernel(self):
         for orders in ([2, 4, 6], [3, 9], [2, 2, 2], [10, 4]):
-            g = cokernel(IntMatrix.diagonal(orders))
+            g = cokernel(diagonal(orders))
             assert g.torsion == invariant_factors(orders)
 
 

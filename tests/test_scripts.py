@@ -28,3 +28,6 @@ def test_script_exits_zero(argv):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+    if argv == ["twisting_demo.py"]:
+        # the demo prints no timings: its whole output is pinned
+        assert proc.stdout == (ROOT / "tests" / "golden" / "twisting_demo.stdout.golden").read_text()

@@ -1,9 +1,11 @@
 import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 
+from tests.matrices import det, diagonal
 from torusbrauer.cohomology import bar_delta_matrix, cohomology, vector_to_table
 from torusbrauer.errors import (
     NotAnInvolutionError,
@@ -20,6 +22,7 @@ from torusbrauer.groups import (
     tate_twist,
     unimodular_inverse,
 )
+from torusbrauer import spectral
 from torusbrauer.intlat import IntMatrix
 from torusbrauer.spectral import (
     CochainComplex,
@@ -58,7 +61,7 @@ def swap_lattice():
 def sign_lattice(a, b):
     """Z^a + Z(1)^b as a C2-lattice."""
     g = c2()
-    d = IntMatrix.diagonal([1] * a + [-1] * b)
+    d = diagonal([1] * a + [-1] * b)
     return GLattice(g, a + b, (IntMatrix.identity(a + b), d))
 
 
@@ -76,7 +79,7 @@ def s3_perm_lattice():
 def v4_lattice():
     g = FiniteGroup.direct_product(c2(), c2())
     # element order (0,0), (0,1), (1,0), (1,1)
-    d = IntMatrix.diagonal([1, 1, -1])
+    d = diagonal([1, 1, -1])
     p = IntMatrix.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
     return GLattice(g, 3, (IntMatrix.identity(3), d, p, p.mul(d)))
 
@@ -94,7 +97,7 @@ class TestExteriorPower:
     def test_determinant_top(self):
         a = IntMatrix.from_rows([[2, 1], [1, 1]])
         top = exterior_power_matrix(a, 2)
-        assert top.entries == ((a.det(),),)
+        assert top.entries == ((det(a),),)
 
     def test_functorial(self):
         rng = random.Random(4)
@@ -108,6 +111,26 @@ class TestExteriorPower:
             lhs = exterior_power_matrix(a.mul(b), 2)
             rhs = exterior_power_matrix(a, 2).mul(exterior_power_matrix(b, 2))
             assert lhs.entries == rhs.entries
+
+    def test_built_once_per_lattice_and_degree(self, monkeypatch):
+        # d2 at three levels and v2 read Lambda^1 and Lambda^2 of each of
+        # the six action matrices, each built once
+        built = Counter()
+        build = spectral.exterior_power_matrix
+
+        def counted(A, q):
+            built[q] += 1
+            return build(A, q)
+
+        monkeypatch.setattr(spectral, "exterior_power_matrix", counted)
+        for memo in (spectral.exterior_powers, lattice_cohomology, v2):
+            memo.cache_clear()
+        N = s3_perm_lattice()
+        for n in (2, 3, 4):
+            ext = SplitExtensionSpec(N.group, N, CoeffModule.mu(N.group, n, (1,) * 6))
+            rep = d2_02(ext)
+            pushforward_formula_check(ext, rep.source.generators, random.Random(n), rep.cocycles)
+        assert built == {1: 6, 2: 6}
 
 
 class TestLatticeCohomology:
@@ -541,3 +564,22 @@ class TestOneEngine:
         # the two coordinate systems differ by an isomorphism
         for cls, t in zip(bar.generator_classes(), bar.group.torsion):
             assert class_order(per.group, per.coords_of(cls.table)) == t
+
+
+class TestValueSemantics:
+    def test_equal_lattices_share_one_twisted_resolution(self):
+        # the action matrix built from rows, from its columns and as a
+        # product: three equal lattices, one cache entry
+        swap = IntMatrix.from_rows([[0, 1], [1, 0]])
+        forms = (
+            swap,
+            IntMatrix.from_columns([swap.column(j) for j in range(2)], nrows=2),
+            IntMatrix.identity(2).mul(swap),
+        )
+        lattices = [GLattice(c2(), 2, (IntMatrix.identity(2), m)) for m in forms]
+        assert len({hash(N) for N in lattices}) == 1
+        twisted_resolution.cache_clear()
+        first = twisted_resolution(lattices[0])
+        assert all(twisted_resolution(N) is first for N in lattices[1:])
+        info = twisted_resolution.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
