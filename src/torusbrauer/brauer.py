@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .cohomology import cohomology
 from .errors import RankTooSmallError
-from .groups import GaloisDatum, pair_module, subgroup_from_ids
+from .groups import GaloisDatum, pair_module
 from .intlat import FinAbGroup, IntMatrix, invariant_factors, smith, solve
 
 
@@ -170,10 +170,9 @@ class BrauerAnalysis:
         self.orbits = [self.reports[pair] for pair in reps]
         self.module = pair_module(datum, datum.M)
         self.oracle = cohomology(datum.group, self.module, 0).group
-        self.sums = {
-            pair: self._orbit_sum(self.reports[pair], t)
-            for t, pair in enumerate(itertools.combinations(range(datum.r), 2))
-        }
+        # the pair module's basis: e_pair is basis vector t
+        self._index = {pair: t for t, pair in enumerate(itertools.combinations(range(datum.r), 2))}
+        self.sums = {pair: self._orbit_sum(self.reports[pair]) for pair in self._index}
         self.group = FinAbGroup(
             0, invariant_factors([o.m_o for o in self.orbits if o.m_o > 1])
         )
@@ -182,16 +181,24 @@ class BrauerAnalysis:
             self.group.torsion == self.oracle.torsion and self.oracle.free_rank == 0
         )
 
-    def _orbit_sum(self, report: OrbitReport, t: int):
-        """The coset sum over G/H of the translates of e_pair (basis vector
-        t), scaled into Z/M so that it has exact order m_o."""
-        m = self.datum.M
-        h_ids = report.stabilizer_unordered if report.quadratic else report.stabilizer_ordered
-        base = tuple(1 if s == t else 0 for s in range(self.module.rank))
+    def _orbit_sum(self, report: OrbitReport):
+        """The coset sum over G/H of the translates g.e_pair = ±chi(g)^-1
+        e_{g.pair}, scaled into Z/M so that it has exact order m_o.
+
+        H, the stabilizer of the unordered pair, is also the ordered one when
+        the orbit is not quadratic, and gH determines g.pair: walking G in id
+        order, the first g to reach each pair of the orbit is the
+        representative `left_coset_reps` picks for its coset."""
+        datum, m = self.datum, self.datum.M
+        i, j = report.pair
         total = [0] * self.module.rank
-        for g in subgroup_from_ids(self.datum.group, h_ids).left_coset_reps():
-            for s, x in enumerate(self.module.act(g, base)):
-                total[s] += x
+        reached = set()
+        for g in datum.group.elements():
+            image = _act_pair(datum, g, report.pair)
+            if image not in reached:
+                reached.add(image)
+                sign = 1 if datum.perm[g][i] < datum.perm[g][j] else -1
+                total[self._index[image]] += sign * pow(datum.chi[g], -1, m)
         scale = m // report.m_o
         return tuple((scale * x) % m for x in total)
 

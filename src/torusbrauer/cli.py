@@ -325,7 +325,7 @@ def cmd_real_torus(doc: dict, moduli) -> dict:
 def cmd_d2(doc: dict, rng) -> dict:
     ext = parse_split_extension(doc)
     rep = d2_02(ext)
-    verdicts = pushforward_formula_check(ext, rep.source.generators, rng=rng, cocycles=rep.cocycles)
+    verdicts = pushforward_formula_check(ext, rep.source.generators, rng=rng)
     return {
         "command": "d2",
         "version": __version__,

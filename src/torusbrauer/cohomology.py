@@ -6,10 +6,11 @@ Two engines compute H^n(G, M):
 * the bar cochain complex otherwise (functions on n-tuples of group
   elements, identity components included).
 
-Classes are always carried around as bar cochain tables, so restriction,
-transfer and pushforward work uniformly; the periodic engine converts back
-and forth through explicit chain maps between the two resolutions, built by
-lifting through contracting homotopies.
+Classes are always carried around as bar cochains, flat vectors indexed by
+`_tuple_index` and then coordinate, so restriction, transfer and
+pushforward work uniformly; the periodic engine converts back and forth
+through explicit chain maps between the two resolutions, built by lifting
+through contracting homotopies.
 """
 
 from __future__ import annotations
@@ -52,21 +53,20 @@ class BarResolution:
         return itertools.product(self.group.elements(), repeat=p)
 
     def boundary_of_basis(self, T, g0=0):
-        """d(g0*[T]) as an element dict of degree len(T)-1."""
-        G = self.group
-        p = len(T)
-        out: dict = {}
-
-        def add(key, c):
-            out[key] = out.get(key, 0) + c
-            if not out[key]:
+        """d(g0*[T]) as an element dict of degree len(T)-1: the bar faces."""
+        mul, p = self.group.table, len(T)
+        out = {(T[1:], mul[g0][T[0]]): 1}
+        sign = 1
+        for i in range(1, p + 1):
+            sign = -sign
+            # face i < p multiplies entries i-1 and i; face p drops the last
+            face = T[: i - 1] + (mul[T[i - 1]][T[i]],) + T[i + 1 :] if i < p else T[:-1]
+            key = (face, g0)
+            c = out.get(key, 0) + sign
+            if c:
+                out[key] = c
+            else:
                 del out[key]
-
-        add((T[1:], G.mul(g0, T[0])), 1)
-        for i in range(1, p):
-            merged = T[: i - 1] + (G.mul(T[i - 1], T[i]),) + T[i + 1 :]
-            add((merged, g0), (-1) ** i)
-        add((T[:-1], g0), (-1) ** p)
         return out
 
     def boundary(self, element: dict) -> dict:
@@ -106,49 +106,25 @@ def bar_delta_matrix(G: FiniteGroup, M: CoeffModule, p: int) -> IntMatrix:
     rows with entries reduced mod the modulus of M."""
     k, mod = M.rank, M.modulus
     action = [m.nonzeros for m in M.action]
+    bar = BarResolution(G)
     rows = []
     # tuples come in the order of _tuple_index, so row blocks are appended
-    for T in itertools.product(G.elements(), repeat=p + 1):
+    for T in bar.basis(p + 1):
         block = [{} for _ in range(k)]
-        base = _tuple_index(G, T[1:]) * k
-        for row, entries in zip(block, action[T[0]]):
-            for j, x in entries.items():
-                _add_entry(row, base + j, x, mod)
-        faces = [
-            (T[: i - 1] + (G.mul(T[i - 1], T[i]),) + T[i + 1 :], (-1) ** i)
-            for i in range(1, p + 1)
-        ]
-        faces.append((T[:-1], (-1) ** (p + 1)))
-        for face, sign in faces:
+        for (face, g0), c in bar.boundary_of_basis(T).items():
             base = _tuple_index(G, face) * k
-            for j, row in enumerate(block):
-                _add_entry(row, base + j, sign, mod)
+            for row, entries in zip(block, action[g0]):
+                for j, x in entries.items():
+                    _add_entry(row, base + j, c * x, mod)
         rows.extend(block)
     n = G.order
     return IntMatrix(tuple(rows), n ** (p + 1) * k, n**p * k)
 
 
-def table_to_vector(G: FiniteGroup, M: CoeffModule, degree: int, table: dict):
-    k = M.rank
-    vec = [0] * (G.order**degree * k)
-    for T, val in table.items():
-        if len(T) != degree:
-            raise ValueError("tuple of wrong length in cochain table")
-        base = _tuple_index(G, T) * k
-        for j in range(k):
-            vec[base + j] = val[j]
-    return tuple(M.reduce(vec))
-
-
-def vector_to_table(G: FiniteGroup, M: CoeffModule, degree: int, vec) -> dict:
-    k = M.rank
-    table = {}
-    for T in itertools.product(G.elements(), repeat=degree):
-        base = _tuple_index(G, T) * k
-        val = tuple(vec[base : base + k])
-        if any(val):
-            table[T] = val
-    return table
+def _value(G: FiniteGroup, k: int, cochain, T) -> tuple:
+    """The value in M (rank k) of a flat bar cochain on the tuple T."""
+    base = _tuple_index(G, T) * k
+    return tuple(cochain[base : base + k])
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +252,7 @@ class CyclicComparison:
 class CohomologyClass:
     degree: int
     module: CoeffModule
-    table: dict  # bar cochain: {tuple of element ids: coordinate tuple}
+    cochain: tuple  # flat bar cochain, in the layout of _tuple_index
     coords: tuple
     engine: "GroupCohomology"
 
@@ -328,45 +304,40 @@ class GroupCohomology:
         self.group = self.sub.group
 
     # -- conversions ------------------------------------------------------
-    def _bar_table_to_ambient(self, table: dict):
+    def _bar_to_ambient(self, cochain):
         if self.resolution == "bar":
-            return table_to_vector(self.G, self.M, self.degree, table)
+            return self.M.reduce(cochain)
         # evaluate the cochain on sigma_n(1)
         vec = [0] * self.M.rank
         for (T, g0), c in self.cmp.sigma(self.degree).items():
-            val = table.get(T)
-            if val is None:
-                continue
-            moved = self.M.act(g0, val)
+            moved = self.M.act(g0, _value(self.G, self.M.rank, cochain, T))
             for j in range(self.M.rank):
                 vec[j] += c * moved[j]
         return self.M.reduce(vec)
 
-    def _ambient_to_bar_table(self, vec) -> dict:
+    def _ambient_to_bar(self, vec) -> tuple:
         if self.resolution == "bar":
-            return vector_to_table(self.G, self.M, self.degree, vec)
-        table = {}
+            return tuple(vec)
+        out = []
         for T in itertools.product(self.G.elements(), repeat=self.degree):
-            out = [0] * self.M.rank
+            val = [0] * self.M.rank
             for g0, c in self.cmp.tau(self.degree, T).items():
                 moved = self.M.act(g0, vec)
                 for j in range(self.M.rank):
-                    out[j] += c * moved[j]
-            val = self.M.reduce(out)
-            if any(val):
-                table[T] = val
-        return table
+                    val[j] += c * moved[j]
+            out.extend(self.M.reduce(val))
+        return tuple(out)
 
     # -- public surface ---------------------------------------------------
-    def coords_of(self, table: dict):
-        return self.sub.project(self._bar_table_to_ambient(table))
+    def coords_of(self, cochain):
+        return self.sub.project(self._bar_to_ambient(cochain))
 
-    def rep_of(self, coords) -> dict:
-        return self._ambient_to_bar_table(self.sub.lift(coords))
+    def rep_of(self, coords) -> tuple:
+        return self._ambient_to_bar(self.sub.lift(coords))
 
-    def classify(self, table: dict) -> CohomologyClass:
+    def classify(self, cochain) -> CohomologyClass:
         return CohomologyClass(
-            self.degree, self.M, table, self.coords_of(table), self
+            self.degree, self.M, tuple(cochain), self.coords_of(cochain), self
         )
 
     def class_from_coords(self, coords) -> CohomologyClass:
@@ -399,14 +370,12 @@ def restriction(cls: CohomologyClass, sub: Subgroup) -> CohomologyClass:
     if sub.ambient != cls.engine.G:
         raise ValidationError("subgroup of a different group")
     MH = cls.module.restrict(sub)
-    table = {}
+    cochain = []
     for T in itertools.product(sub.group.elements(), repeat=cls.degree):
         big = tuple(sub.embed[h] for h in T)
-        val = cls.table.get(big)
-        if val is not None and any(val):
-            table[T] = val
+        cochain.extend(_value(cls.engine.G, MH.rank, cls.cochain, big))
     eng = cohomology(sub.group, MH, cls.degree)
-    return eng.classify(table)
+    return eng.classify(cochain)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -477,15 +446,12 @@ def corestriction(sub: Subgroup, module: CoeffModule, cls: CohomologyClass) -> C
     def f_eval(elem: dict):
         out = [0] * module.rank
         for (TH, h0), c in elem.items():
-            val = cls.table.get(TH)
-            if val is None:
-                continue
-            moved = cls.module.act(h0, val)
+            moved = cls.module.act(h0, _value(H, module.rank, cls.cochain, TH))
             for j in range(module.rank):
                 out[j] += c * moved[j]
         return out
 
-    table = {}
+    cochain = []
     for T in itertools.product(G.elements(), repeat=n):
         total = [0] * module.rank
         for r in td.reps:
@@ -494,8 +460,6 @@ def corestriction(sub: Subgroup, module: CoeffModule, cls: CohomologyClass) -> C
             moved = module.act(r, tuple(val))
             for j in range(module.rank):
                 total[j] += moved[j]
-        red = module.reduce(total)
-        if any(red):
-            table[T] = red
+        cochain.extend(module.reduce(total))
     eng = cohomology(G, module, n)
-    return eng.classify(table)
+    return eng.classify(cochain)

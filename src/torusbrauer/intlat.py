@@ -474,21 +474,17 @@ def _kernel_columns(d, V_cols, modulus: int | None):
     return out
 
 
-def kernel_basis(A: IntMatrix, modulus: int | None = None, snf: SmithDecomposition | None = None):
+def kernel_basis(A: IntMatrix, modulus: int | None = None):
     """Kernel of A: a lattice basis over Z, a generating set over Z/n.
 
     Over Z/n the generators are the columns of V scaled by n/gcd(d_i, n);
     together they generate {x : A x = 0 mod n} as a subgroup of (Z/n)^cols.
-    A given snf must be smith(A, modulus); without one, the elimination
-    accumulates V alone.
+    The elimination accumulates V alone.
     """
-    if snf is None:
-        e = _smith_reduce(A, modulus, {"V"})
-        d, cols = e.diagonal(), e.V_cols
-    else:
-        d, cols = snf.diagonal(), snf.V.transpose().nonzeros
+    e = _smith_reduce(A, modulus, {"V"})
     return [
-        tuple(col.get(i, 0) for i in range(A.cols)) for col in _kernel_columns(d, cols, modulus)
+        tuple(col.get(i, 0) for i in range(A.cols))
+        for col in _kernel_columns(e.diagonal(), e.V_cols, modulus)
     ]
 
 

@@ -19,11 +19,11 @@ from functools import lru_cache
 
 from .cohomology import (
     CACHE_SIZE,
+    BarResolution,
     GroupCohomology,
     _tuple_index,
     bar_delta_matrix,
     cohomology,
-    vector_to_table,
 )
 from .errors import (
     HomotopySolveFailureError,
@@ -140,11 +140,8 @@ class TwistedResolution:
     def basis(self, p: int, q: int):
         if p < 0 or q < 0 or q > self.r:
             return []
-        return [
-            (T, S)
-            for T in itertools.product(self.pi.elements(), repeat=p)
-            for S in _subsets(self.r, q)
-        ]
+        subs = _subsets(self.r, q)
+        return [(T, S) for T in itertools.product(self.pi.elements(), repeat=p) for S in subs]
 
     def rank(self, p: int, q: int) -> int:
         if p < 0 or q < 0 or q > self.r:
@@ -226,15 +223,11 @@ class TwistedResolution:
         cached = self._d_cache.get(key)
         if cached is not None:
             return cached
-        zero = (0,) * self.r
         if k == 1 and q == 0:
-            out: dict = {}
-            out[(zero, T[0], T[1:], ())] = 1
-            for i in range(1, p):
-                merged = T[: i - 1] + (self.pi.mul(T[i - 1], T[i]),) + T[i + 1 :]
-                self._add_into(out, {(zero, 0, merged, ()): (-1) ** i})
-            self._add_into(out, {(zero, 0, T[:-1], ()): (-1) ** p})
-            res = {kk: v for kk, v in out.items() if v}
+            # the bottom row is the bar resolution of pi
+            zero = (0,) * self.r
+            faces = BarResolution(self.pi).boundary_of_basis(T)
+            res = {(zero, g0, face, ()): c for (face, g0), c in faces.items()}
             self._d_cache[key] = res
             return res
         # solved inductively: d0 d_k(b) = -sum_{i+j=k, i,j>=1} d_i d_j(b) - d_k(d0 b)
@@ -316,40 +309,20 @@ class CochainComplex:
     def dim(self, p: int, q: int) -> int:
         return self.res.rank(p, q) * self.M.rank
 
-    def index(self, T, S, j: int, q: int) -> int:
-        subs = _subsets(self.r, q)
-        sidx = subs.index(S)
-        return (_tuple_index(self.pi, T) * len(subs) + sidx) * self.M.rank + j
-
-    def evaluate(self, q_of_f: int, f_vec, elem: dict):
-        """Value in M of the equivariant cochain f on a resolution element."""
-        k = self.M.rank
-        subs = _subsets(self.r, q_of_f)
-        nsub = len(subs)
-        out = [0] * k
-        for (a, u, T, S), c in elem.items():
-            base = (_tuple_index(self.pi, T) * nsub + subs.index(S)) * k
-            val = self.M.act(u, tuple(f_vec[base : base + k]))
-            for j in range(k):
-                out[j] += c * val[j]
-        return self.M.reduce(out)
-
     def delta_matrix(self, k: int, p: int, q: int) -> IntMatrix:
         """Matrix of f |-> f . d_k from bidegree (p,q) into (p+k, q-k+1),
         with entries reduced mod the modulus of M."""
         pt, qt = p + k, q - k + 1
         kM, mod = self.M.rank, self.M.modulus
         action = [m.nonzeros for m in self.M.action]
-        subs_src = _subsets(self.r, q)
-        nsub_src = len(subs_src)
+        s_index = {S: i for i, S in enumerate(_subsets(self.r, q))}
         rows = []
-        # the basis comes in the order of `index`, so row blocks are appended
+        # the basis comes in the order of the cochain layout, so row blocks
+        # are appended
         for T, S in self.res.basis(pt, qt):
             block = [{} for _ in range(kM)]
             for (a, u, T2, S2), c in self.res.d_basis(k, T, S).items():
-                cbase = (
-                    _tuple_index(self.pi, T2) * nsub_src + subs_src.index(S2)
-                ) * kM
+                cbase = (_tuple_index(self.pi, T2) * len(s_index) + s_index[S2]) * kM
                 for row, entries in zip(block, action[u]):
                     for j, x in entries.items():
                         _add_entry(row, cbase + j, c * x, mod)
@@ -378,8 +351,7 @@ def e2_21(ext: SplitExtensionSpec) -> GroupCohomology:
 
 def row_class_coords(ext: SplitExtensionSpec, vec):
     """Coordinates in E2^{2,1} of the class of a row cocycle at (2,1)."""
-    eng = e2_21(ext)
-    return eng.coords_of(vector_to_table(ext.pi, eng.M, 2, vec))
+    return e2_21(ext).coords_of(vec)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -408,20 +380,17 @@ def uct_identify(ext: SplitExtensionSpec, alpha) -> IntMatrix:
     return IntMatrix.from_rows(rows, ncols=nsub)
 
 
-def d2_cocycle(ext: SplitExtensionSpec, alpha):
-    """The (2,1)-cochain obtained by pushing the invariant (0,2)-cochain
-    alpha through the twisting differential d_2; always a row cocycle."""
+def d2_cocycles(ext: SplitExtensionSpec, alphas) -> tuple:
+    """The (2,1)-cochains f . d_2 obtained by pushing each invariant
+    (0,2)-cochain alpha through the twisting differential d_2; each is a row
+    cocycle.  The matrix of d_2 is built once for all of them, and not at
+    all when there are none."""
     lat2 = lattice_cohomology(ext.N, ext.M, 2)
-    alpha = _check_invariant(lat2, alpha)
-    res = twisted_resolution(ext.N)
-    coch = CochainComplex(ext, res)
-    vec = [0] * coch.dim(2, 1)
-    for T, S in res.basis(2, 1):
-        val = coch.evaluate(2, alpha, res.d_basis(2, T, S))
-        base = coch.index(T, S, 0, 1)
-        for j in range(ext.M.rank):
-            vec[base + j] = val[j]
-    return tuple(vec)
+    alphas = [_check_invariant(lat2, alpha) for alpha in alphas]
+    if not alphas:
+        return ()
+    d2 = CochainComplex(ext, twisted_resolution(ext.N)).delta_matrix(2, 0, 2)
+    return tuple(d2.apply(alpha, ext.M.modulus) for alpha in alphas)
 
 
 @dataclass
@@ -430,7 +399,6 @@ class D2Report:
     source: FinAbGroup  # invariants of Hom(Lambda^2 N, M)
     target: FinAbGroup  # H^2(pi, Hom(N, M))
     matrix: IntMatrix  # target coordinates of d2 on each source generator
-    cocycles: tuple  # the row cocycle d2 gives on each source generator
 
     def is_zero(self) -> bool:
         return self.matrix.is_zero()
@@ -442,10 +410,9 @@ def d2_02(ext: SplitExtensionSpec) -> D2Report:
     the generators of the source."""
     inv = cohomology(ext.pi, lattice_cohomology(ext.N, ext.M, 2), 0).group
     target = e2_21(ext).group
-    cocycles = tuple(d2_cocycle(ext, gen) for gen in inv.generators)
-    cols = [list(row_class_coords(ext, c)) for c in cocycles]
+    cols = [list(row_class_coords(ext, c)) for c in d2_cocycles(ext, inv.generators)]
     mat = IntMatrix.from_columns(cols, nrows=len(target.generators))
-    return D2Report(ext, inv, target, mat, cocycles)
+    return D2Report(ext, inv, target, mat)
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +453,7 @@ def v2(N: GLattice) -> V2Class:
     alpha = [0] * (nsub * nsub)
     for s in range(nsub):
         alpha[s * nsub + s] = 1
-    return V2Class(N, ext, d2_cocycle(ext, tuple(alpha)))
+    return V2Class(N, ext, d2_cocycles(ext, [alpha])[0])
 
 
 def pushforward_cocycle(ext: SplitExtensionSpec, atilde: IntMatrix, src):
@@ -501,7 +468,7 @@ def pushforward_cocycle(ext: SplitExtensionSpec, atilde: IntMatrix, src):
     return tuple(ext.M.reduce(out))
 
 
-def pushforward_formula_check(ext: SplitExtensionSpec, alphas, rng, cocycles=None) -> list[bool]:
+def pushforward_formula_check(ext: SplitExtensionSpec, alphas, rng) -> list[bool]:
     """For each invariant alpha, in order: d2 of alpha equals the pushforward
     of the universal class along the alternating-form avatar of alpha.
 
@@ -509,15 +476,12 @@ def pushforward_formula_check(ext: SplitExtensionSpec, alphas, rng, cocycles=Non
     universal cocycle is first shifted by a random coboundary, drawn afresh
     for each alpha, before being pushed forward.  The difference of the two
     sides is judged by its coordinates in E2^{2,1}, from the engine d2
-    builds.  `cocycles`, when given, are the d2 cocycles of the alphas
-    (`D2Report.cocycles`), which are then not computed again.
+    builds.
     """
     vcl = v2(ext.N)
     d_univ = row_coboundaries(vcl.ext_univ) if ext.N.rank >= 2 else None
     verdicts = []
-    if cocycles is None:
-        cocycles = [d2_cocycle(ext, alpha) for alpha in alphas]
-    for alpha, lhs_vec in zip(alphas, cocycles):
+    for alpha, lhs_vec in zip(alphas, d2_cocycles(ext, alphas)):
         cocycle = vcl.cocycle
         if d_univ is not None:
             pert = tuple(rng.randrange(-3, 4) for _ in range(d_univ.cols))
@@ -538,8 +502,7 @@ def v2_additivity_check(N1: GLattice, N2: GLattice) -> bool:
     r1, r2, R = N1.rank, N2.rank, big.rank
     if R < 2:
         return True
-    subs_big = _subsets(R, 2)
-    nsub_big = len(subs_big)
+    s_index = {S: i for i, S in enumerate(_subsets(R, 2))}
     expected = [0] * len(vbig.cocycle)
 
     def embed(v, rank, row_shift):
@@ -547,9 +510,9 @@ def v2_additivity_check(N1: GLattice, N2: GLattice) -> bool:
         nsub = len(subs)
         for t in range(pi.order**2):
             for i in range(rank):
-                for s, pair in enumerate(subs):
-                    bp = (pair[0] + row_shift, pair[1] + row_shift)
-                    idx = (t * R + (i + row_shift)) * nsub_big + subs_big.index(bp)
+                for s, (a, b) in enumerate(subs):
+                    sb = s_index[(a + row_shift, b + row_shift)]
+                    idx = (t * R + (i + row_shift)) * len(s_index) + sb
                     expected[idx] += v.cocycle[(t * rank + i) * nsub + s]
 
     if r1 >= 2:

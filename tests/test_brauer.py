@@ -1,3 +1,4 @@
+import itertools
 import math
 import pathlib
 import random
@@ -7,7 +8,7 @@ import pytest
 from torusbrauer import brauer, cli
 from torusbrauer.brauer import BrauerAnalysis, n_value, pair_orbits
 from torusbrauer.errors import RankTooSmallError
-from torusbrauer.groups import GaloisDatum
+from torusbrauer.groups import GaloisDatum, subgroup_from_ids
 
 EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "examples_cli"
 
@@ -120,6 +121,54 @@ class TestOrbitSums:
     def test_qi_unit_multiple(self):
         (v,) = BrauerAnalysis(qi_datum()).orbit_sums
         assert v[0] % 2 == 1  # a unit times e_12 mod 4
+
+
+def coset_orbit_sum(analysis, pair):
+    """The orbit sum by the coset formula: g . e_pair through the pair
+    module, summed over the left coset representatives of the stabilizer,
+    scaled into Z/M to exact order m_o."""
+    datum, report = analysis.datum, analysis.reports[pair]
+    m = datum.M
+    h_ids = report.stabilizer_unordered if report.quadratic else report.stabilizer_ordered
+    t = list(itertools.combinations(range(datum.r), 2)).index(pair)
+    base = tuple(int(s == t) for s in range(analysis.module.rank))
+    total = [0] * analysis.module.rank
+    for g in subgroup_from_ids(datum.group, h_ids).left_coset_reps():
+        for s, x in enumerate(analysis.module.act(g, base)):
+            total[s] += x
+    return tuple((m // report.m_o * x) % m for x in total)
+
+
+def cycle_datum(r, M, unit):
+    return GaloisDatum.from_generators(r, M, [(tuple((i + 1) % r for i in range(r)), unit)])
+
+
+class TestOrbitSumsAgainstCosets:
+    """Every pair's orbit sum equals the coset formula."""
+
+    def check(self, datum):
+        analysis = BrauerAnalysis(datum)
+        for pair, v in analysis.sums.items():
+            assert v == coset_orbit_sum(analysis, pair), pair
+
+    def test_criterion_2_draws(self):
+        rng = random.Random(2024)
+        for _ in range(60):
+            self.check(random_datum(rng))
+
+    # every unit mod 4, 8 and 12 is its own inverse; 3 mod 10 and 5 mod 18
+    # are not
+    @pytest.mark.parametrize("r", range(2, 9))
+    @pytest.mark.parametrize("M, unit", [(4, 3), (8, 5), (12, 7), (12, 5), (10, 3), (18, 5)])
+    def test_cycles(self, r, M, unit):
+        self.check(cycle_datum(r, M, unit))
+
+    @pytest.mark.parametrize("r", range(3, 9))
+    def test_dihedral(self, r):
+        rot = tuple((i + 1) % r for i in range(r))
+        refl = tuple((-i) % r for i in range(r))
+        self.check(GaloisDatum.from_generators(r, 8, [(rot, 3), (refl, 5)]))
+        self.check(GaloisDatum.from_generators(r, 10, [(rot, 3), (refl, 9)]))
 
 
 class TestSymbolBasis:

@@ -90,6 +90,66 @@ def add_one(mat: IntMatrix, i: int, j: int) -> IntMatrix:
     return IntMatrix(tuple(rows), mat.rows, mat.cols)
 
 
+def face_formula_matrix(G, M, p):
+    """The inhomogeneous coboundary C^p -> C^{p+1} written out face by face,
+    (df)(g_1..g_{p+1}) = g_1 f(g_2..g_{p+1})
+                         + sum_{i=1..p} (-1)^i f(.., g_i g_{i+1}, ..)
+                         + (-1)^{p+1} f(g_1..g_p),
+    as dense rows over the cochain layout (tuple index, then coordinate)."""
+    k, n = M.rank, M.modulus
+    col_of = {T: c for c, T in enumerate(itertools.product(G.elements(), repeat=p))}
+    ident = [[int(a == b) for b in range(k)] for a in range(k)]
+    rows = []
+    for T in itertools.product(G.elements(), repeat=p + 1):
+        terms = [(T[1:], M.action[T[0]].entries, 1)]
+        for i in range(1, p + 1):
+            terms.append((T[: i - 1] + (G.mul(T[i - 1], T[i]),) + T[i + 1 :], ident, (-1) ** i))
+        terms.append((T[:-1], ident, (-1) ** (p + 1)))
+        block = [[0] * (len(col_of) * k) for _ in range(k)]
+        for face, mat, sign in terms:
+            base = col_of[face] * k
+            for a in range(k):
+                for b in range(k):
+                    block[a][base + b] += sign * mat[a][b]
+        rows.extend([x % n if n else x for x in row] for row in block)
+    return IntMatrix.from_rows(rows, ncols=len(col_of) * k)
+
+
+def face_formula_cases():
+    """A module with a non-trivial action over each of C4, V4 and S3."""
+    c4 = FiniteGroup.cyclic(4)
+    c2 = FiniteGroup.cyclic(2)
+    v4 = FiniteGroup.direct_product(c2, c2)
+    # element order (0,0), (0,1), (1,0), (1,1): a swap, a sign and both
+    swap = IntMatrix.from_rows([[0, 1], [1, 0]])
+    v4_mats = [IntMatrix.identity(2), swap, IntMatrix.identity(2).scale(-1), swap.scale(-1)]
+    s3, perms = FiniteGroup.symmetric(3)
+
+    def signed_perm(p):
+        sign = (-1) ** sum(p[i] > p[j] for i in range(3) for j in range(i + 1, 3))
+        return IntMatrix.from_rows(
+            [[sign if p[j] == i else 0 for j in range(3)] for i in range(3)]
+        )
+
+    return {
+        "C4 mu_4": CoeffModule.mu(c4, 4, (1, 3, 1, 3)),
+        "V4 rank 2 mod 4": CoeffModule.make(v4, 2, 4, v4_mats),
+        "V4 rank 2 over Z": CoeffModule.make(v4, 2, None, v4_mats),
+        "S3 signed permutations mod 3": CoeffModule.make(s3, 3, 3, [signed_perm(p) for p in perms]),
+        "S3 permutations over Z": s3_permutation_module(None)[1],
+    }
+
+
+class TestFaceFormula:
+    """bar_delta_matrix against the face formula written out in the test."""
+
+    @pytest.mark.parametrize("p", [0, 1, 2])
+    @pytest.mark.parametrize("case", sorted(face_formula_cases()))
+    def test_bar_delta_matrix_is_the_face_formula(self, case, p):
+        M = face_formula_cases()[case]
+        assert bar_delta_matrix(M.group, M, p) == face_formula_matrix(M.group, M, p)
+
+
 class TestSparseBarRows:
     """The bar differentials are sparse rows, and the composition check of
     Subquotient runs on them."""
@@ -238,7 +298,7 @@ class TestClassicalValues:
         eng = cohomology(s3, mod, 2)
         for cls in eng.generator_classes():
             # projecting the representative back gives the same coordinates
-            assert eng.coords_of(cls.table) == cls.coords
+            assert eng.coords_of(cls.cochain) == cls.coords
 
 
 class TestCyclicVsBar:
@@ -252,7 +312,7 @@ class TestCyclicVsBar:
             assert per.group.same_structure(bar.group)
             # a periodic representative is recognized by the bar engine
             for cls in per.generator_classes():
-                coords = bar.coords_of(cls.table)
+                coords = bar.coords_of(cls.cochain)
                 back = per.coords_of(bar.rep_of(coords))
                 assert back == cls.coords
 
@@ -310,5 +370,5 @@ class TestResCores:
         engH = cohomology(sub3.group, mh, 1)
         for cls in engH.generator_classes():
             up = corestriction(sub3, mod, cls)
-            # classify() would have raised if the table were not a cocycle
+            # classify() would have raised if the cochain were not a cocycle
             assert up.degree == 1

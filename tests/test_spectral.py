@@ -1,12 +1,14 @@
 import itertools
+import json
 import math
+import pathlib
 import random
 from collections import Counter
 
 import pytest
 
 from tests.matrices import det, diagonal
-from torusbrauer.cohomology import bar_delta_matrix, cohomology, vector_to_table
+from torusbrauer.cohomology import bar_delta_matrix, cohomology
 from torusbrauer.errors import (
     NotAnInvolutionError,
     NotInvariantError,
@@ -30,7 +32,7 @@ from torusbrauer.spectral import (
     binomial,
     pushforward_formula_check,
     d2_02,
-    d2_cocycle,
+    d2_cocycles,
     e2_21,
     exterior_power_matrix,
     h2_lattice,
@@ -42,6 +44,10 @@ from torusbrauer.spectral import (
     v2,
     twisted_resolution,
 )
+
+
+def d2_cocycle(ext, alpha):
+    return d2_cocycles(ext, [alpha])[0]
 
 
 def c2():
@@ -129,7 +135,7 @@ class TestExteriorPower:
         for n in (2, 3, 4):
             ext = SplitExtensionSpec(N.group, N, CoeffModule.mu(N.group, n, (1,) * 6))
             rep = d2_02(ext)
-            pushforward_formula_check(ext, rep.source.generators, random.Random(n), rep.cocycles)
+            pushforward_formula_check(ext, rep.source.generators, random.Random(n))
         assert built == {1: 6, 2: 6}
 
 
@@ -558,12 +564,11 @@ class TestOneEngine:
         assert per.resolution == "periodic"
         assert per.group.same_structure(bar.group)
         inv = fixed(lattice_cohomology(ext.N, ext.M, 2))
-        for gen in inv.generators:
-            table = vector_to_table(ext.pi, per.M, 2, d2_cocycle(ext, gen))
-            assert per.classify(table).is_zero() == bar.classify(table).is_zero()
+        for cocycle in d2_cocycles(ext, inv.generators):
+            assert per.classify(cocycle).is_zero() == bar.classify(cocycle).is_zero()
         # the two coordinate systems differ by an isomorphism
         for cls, t in zip(bar.generator_classes(), bar.group.torsion):
-            assert class_order(per.group, per.coords_of(cls.table)) == t
+            assert class_order(per.group, per.coords_of(cls.cochain)) == t
 
 
 class TestValueSemantics:
@@ -583,3 +588,97 @@ class TestValueSemantics:
         assert all(twisted_resolution(N) is first for N in lattices[1:])
         info = twisted_resolution.cache_info()
         assert (info.misses, info.hits) == (1, 2)
+
+
+def reference_d2_cocycle(ext, alpha):
+    """f . d_2 evaluated term by term: at each basis element (T, {i}) of
+    bidegree (2,1), the sum over the terms c * x^a u [(); S] of d_2(T, {i})
+    of c * u . alpha(e_S), reduced mod the modulus of M."""
+    res = twisted_resolution(ext.N)
+    k, r = ext.M.rank, ext.N.rank
+    pairs = list(itertools.combinations(range(r), 2))
+    alpha = ext.M.reduce(alpha)
+    out = []
+    for T in itertools.product(ext.pi.elements(), repeat=2):
+        for i in range(r):
+            val = [0] * k
+            for (_, u, T2, S2), c in res.d_basis(2, T, (i,)).items():
+                assert T2 == ()
+                base = pairs.index(S2) * k
+                for j, x in enumerate(ext.M.act(u, alpha[base : base + k])):
+                    val[j] += c * x
+            out.extend(ext.M.reduce(val))
+    return tuple(out)
+
+
+def identity_alpha(N):
+    """The identity of Hom(Lambda^2 N, Lambda^2 N), flattened as v2 reads it."""
+    nsub = binomial(N.rank, 2)
+    return tuple(int(a == b) for a in range(nsub) for b in range(nsub))
+
+
+def example_extensions():
+    from torusbrauer.cli import parse_split_extension
+
+    root = pathlib.Path(__file__).resolve().parent.parent / "examples_cli"
+    return {
+        path.name: parse_split_extension(json.loads(path.read_text()))
+        for path in sorted(root.glob("*_extension.json"))
+    }
+
+
+def ladder_conjugates(N):
+    """N on the bases of the ladder matrices, where d_2 has terms."""
+    for k in (1, 2):
+        for transpose in (False, True):
+            P = ladder(k, N.rank, transpose)
+            Q = unimodular_inverse(P)
+            yield GLattice(N.group, N.rank, tuple(P.mul(m).mul(Q) for m in N.rho))
+
+
+class TestD2Reference:
+    """The d2 cocycles and v2 against the term-by-term reference.  On the
+    canonical bases below d_2 has no terms at (2,1), so the ladder
+    conjugates carry the nonzero cocycles."""
+
+    def check(self, ext):
+        """The number of nonzero cocycles compared."""
+        inv = fixed(lattice_cohomology(ext.N, ext.M, 2))
+        cocycles = d2_cocycles(ext, inv.generators)
+        assert cocycles == tuple(reference_d2_cocycle(ext, gen) for gen in inv.generators)
+        if ext.N.rank >= 2:
+            vcl = v2(ext.N)
+            assert vcl.cocycle == reference_d2_cocycle(vcl.ext_univ, identity_alpha(ext.N))
+            cocycles += (vcl.cocycle,)
+        return sum(map(any, cocycles))
+
+    def test_criterion_6_lattices_and_levels(self):
+        from tests.test_acceptance import _cv_lattices
+
+        for _, lat, mods in _cv_lattices():
+            for m in mods:
+                self.check(SplitExtensionSpec(lat.group, lat, m))
+
+    @pytest.mark.parametrize("name", sorted(criterion6_lattices()))
+    def test_ladder_conjugates(self, name):
+        nonzero = 0
+        for N in ladder_conjugates(criterion6_lattices()[name]):
+            for n in (2, 3, 4):
+                nonzero += self.check(SplitExtensionSpec(N.group, N, CoeffModule.trivial(N.group, 1, n)))
+        assert nonzero > 0
+
+    @pytest.mark.parametrize("ty", [(1, 1, 0), (0, 1, 1), (1, 1, 1)], ids=str)
+    def test_real_torus_ladder_conjugates(self, ty):
+        # mu_n with the involution acting by -1
+        S0 = C2Decomposition(*ty, IntMatrix.identity(ty[0] + ty[1] + 2 * ty[2])).canonical_matrix()
+        nonzero = 0
+        for n in (2, 4):
+            for k in (1, 2):
+                P = ladder(k, S0.rows)
+                N = tate_twist(involution_lattice(P.mul(S0).mul(unimodular_inverse(P))), (1, -1))
+                nonzero += self.check(SplitExtensionSpec(N.group, N, CoeffModule.mu(N.group, n, (1, -1))))
+        assert nonzero > 0
+
+    @pytest.mark.parametrize("name", sorted(example_extensions()))
+    def test_examples_cli_extensions(self, name):
+        self.check(example_extensions()[name])
