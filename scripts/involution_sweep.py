@@ -13,21 +13,12 @@ import argparse
 import random
 import sys
 import time
-from dataclasses import dataclass
 
 sys.path.insert(0, "src")
 
 from torusbrauer.groups import C2Decomposition, involution_lattice, unimodular_inverse
 from torusbrauer.intlat import IntMatrix
 from torusbrauer.spectral import real_torus_check, v2
-
-
-@dataclass
-class SweepConfig:
-    max_rank: int = 3
-    conjugates: int = 2
-    seed: int = 0
-    levels: tuple = (2, 3, 4, 8)
 
 
 def involution_types(max_rank):
@@ -59,25 +50,20 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--levels", default="2,3,4,8")
     args = ap.parse_args()
-    cfg = SweepConfig(
-        max_rank=args.max_rank,
-        conjugates=args.conjugates,
-        seed=args.seed,
-        levels=tuple(int(x) for x in args.levels.split(",")),
-    )
+    levels = tuple(int(x) for x in args.levels.split(","))
 
-    rng = random.Random(cfg.seed)
+    rng = random.Random(args.seed)
     failures = 0
     t0 = time.monotonic()
-    for a, b, c in involution_types(cfg.max_rank):
+    for a, b, c in involution_types(args.max_rank):
         s0 = C2Decomposition(a, b, c, IntMatrix.identity(a + b + 2 * c)).canonical_matrix()
         mats = [("canonical", s0)]
-        for i in range(cfg.conjugates):
+        for i in range(args.conjugates):
             p = random_unimodular(s0.rows, rng)
             mats.append((f"conjugate {i}", p.mul(s0).mul(unimodular_inverse(p))))
         for name, s in mats:
             v2_zero = v2(involution_lattice(s)).is_zero()
-            rep = real_torus_check(s, cfg.levels)
+            rep = real_torus_check(s, levels)
             verdicts = []
             for lv in rep.levels:
                 ok = lv.d2_is_zero and rep.decomposition == (a, b, c)

@@ -12,7 +12,6 @@ import math
 import random
 import sys
 import time
-from dataclasses import dataclass
 
 sys.path.insert(0, "src")
 
@@ -20,21 +19,15 @@ from torusbrauer.brauer import BrauerAnalysis
 from torusbrauer.groups import GaloisDatum
 
 
-@dataclass
-class SweepConfig:
-    count: int = 100
-    seed: int = 0
-    max_rank: int = 4
-    moduli: tuple = (2, 4, 6, 8, 12)
-    max_generators: int = 2
+MAX_GENERATORS = 2
 
 
-def random_datum(rng, cfg: SweepConfig) -> GaloisDatum:
-    r = rng.randrange(2, cfg.max_rank + 1)
-    M = rng.choice(cfg.moduli)
+def random_datum(rng, max_rank: int, moduli) -> GaloisDatum:
+    r = rng.randrange(2, max_rank + 1)
+    M = rng.choice(moduli)
     units = [u for u in range(1, M) if math.gcd(u, M) == 1]
     pairs = []
-    for _ in range(rng.randrange(0, cfg.max_generators + 1)):
+    for _ in range(rng.randrange(0, MAX_GENERATORS + 1)):
         p = list(range(r))
         rng.shuffle(p)
         pairs.append((tuple(p), rng.choice(units)))
@@ -49,19 +42,14 @@ def main() -> int:
     ap.add_argument("--moduli", default="2,4,6,8,12")
     ap.add_argument("--quiet", action="store_true")
     args = ap.parse_args()
-    cfg = SweepConfig(
-        count=args.count,
-        seed=args.seed,
-        max_rank=args.max_rank,
-        moduli=tuple(int(x) for x in args.moduli.split(",")),
-    )
+    moduli = tuple(int(x) for x in args.moduli.split(","))
 
-    rng = random.Random(cfg.seed)
+    rng = random.Random(args.seed)
     t0 = time.monotonic()
     failures = 0
     seen_groups: dict = {}
-    for i in range(cfg.count):
-        d = random_datum(rng, cfg)
+    for i in range(args.count):
+        d = random_datum(rng, args.max_rank, moduli)
         analysis = BrauerAnalysis(d)
         failed = analysis.failures()
         failures += bool(failed)
@@ -74,7 +62,7 @@ def main() -> int:
                 f"{'MISMATCH: ' + str(failed) if failed else 'ok'}"
             )
     dt = time.monotonic() - t0
-    print(f"\n{cfg.count} data in {dt:.1f}s, {failures} failure(s)")
+    print(f"\n{args.count} data in {dt:.1f}s, {failures} failure(s)")
     for name, cnt in sorted(seen_groups.items()):
         print(f"  {name:14s} x{cnt}")
     return 1 if failures else 0

@@ -213,10 +213,6 @@ def parse_split_extension(doc: dict) -> SplitExtensionSpec:
 # ---------------------------------------------------------------------------
 
 
-def group_str(g) -> str:
-    return g.describe()
-
-
 def render_symbol(sym) -> str:
     i, j = sym.pair
     second = f"y{j + 1} - y{i + 1}" if sym.second_argument == "y_j - y_i" else f"y{j + 1}"
@@ -275,7 +271,7 @@ def cmd_qt_brauer(doc: dict) -> dict:
         "command": "qt-brauer",
         "version": __version__,
         "input": {"kind": "galois-datum", "r": datum.r, "M": datum.M},
-        "group": group_str(analysis.group),
+        "group": analysis.group.describe(),
         "invariant_factors": list(analysis.group.torsion),
         "symbols": [render_symbol(s) for s in analysis.symbols],
         "orbits": [
@@ -290,7 +286,7 @@ def cmd_qt_brauer(doc: dict) -> dict:
             }
             for o in analysis.orbits
         ],
-        "oracle": group_str(analysis.oracle),
+        "oracle": analysis.oracle.describe(),
         "oracle_generators": [list(g) for g in analysis.oracle.generators],
         "agreement": analysis.agreement,
         "basis_checks": {
@@ -308,7 +304,7 @@ def cmd_real_torus(doc: dict, moduli) -> dict:
     S = parse_involution(doc)
     report = real_torus_check(S, moduli)
     levels = [
-        {"n": lv.n, "d2_zero": lv.d2_is_zero, "invariants": group_str(lv.invariants)}
+        {"n": lv.n, "d2_zero": lv.d2_is_zero, "invariants": lv.invariants.describe()}
         for lv in report.levels
     ]
     dec = report.decomposition
@@ -330,8 +326,8 @@ def cmd_d2(doc: dict, rng) -> dict:
         "command": "d2",
         "version": __version__,
         "input": {"kind": "split-extension", "pi_order": ext.pi.order, "rank": ext.N.rank},
-        "source": group_str(rep.source),
-        "target": group_str(rep.target),
+        "source": rep.source.describe(),
+        "target": rep.target.describe(),
         "d2_matrix": [list(row) for row in rep.matrix.entries],
         "d2_zero": rep.is_zero(),
         "pushforward_formula": verdicts,

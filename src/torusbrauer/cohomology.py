@@ -11,13 +11,19 @@ Classes are always carried around as bar cochains, flat vectors indexed by
 pushforward work uniformly; the periodic engine converts back and forth
 through explicit chain maps between the two resolutions, built by lifting
 through contracting homotopies.
+
+Every map of cochains is built by `cochain_map` from chains, the images of
+the basis elements of the target resolution: bar faces for the bar
+coboundaries, d_{p+1}(1) for the periodic ones, sigma_n(1) and tau_n([T])
+for the comparison maps, embedded tuples for restriction and the terms
+r * theta(r^-1 [T]) for the transfer.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache, partial
 
 from .errors import DegreeTooLargeError, ValidationError
 from .groups import CoeffModule, FiniteGroup, Subgroup
@@ -45,9 +51,6 @@ class BarResolution:
 
     def __init__(self, group: FiniteGroup):
         self.group = group
-
-    def rank(self, p: int) -> int:
-        return self.group.order**p
 
     def basis(self, p: int):
         return itertools.product(self.group.elements(), repeat=p)
@@ -101,30 +104,37 @@ def _tuple_index(G: FiniteGroup, T) -> int:
     return idx
 
 
-def bar_delta_matrix(G: FiniteGroup, M: CoeffModule, p: int) -> IntMatrix:
-    """Matrix of the inhomogeneous cochain differential C^p -> C^{p+1}, as
-    rows with entries reduced mod the modulus of M."""
+def cochain_map(M: CoeffModule, chains, nbasis: int) -> IntMatrix:
+    """Matrix of f |-> (f(chain) for chain in chains), one row block of
+    rank(M) rows per chain, with entries reduced mod the modulus of M.
+
+    f is a cochain on a free Z[G]-module with basis 0..nbasis-1, in the flat
+    layout (basis index, then coordinate in M).  A chain is a list of terms
+    (b, g, c) standing for c * g.[b], and f(c * g.[b]) = c * g.f([b]).
+    """
     k, mod = M.rank, M.modulus
     action = [m.nonzeros for m in M.action]
-    bar = BarResolution(G)
     rows = []
-    # tuples come in the order of _tuple_index, so row blocks are appended
-    for T in bar.basis(p + 1):
+    for chain in chains:
         block = [{} for _ in range(k)]
-        for (face, g0), c in bar.boundary_of_basis(T).items():
-            base = _tuple_index(G, face) * k
-            for row, entries in zip(block, action[g0]):
+        for b, g, c in chain:
+            base = b * k
+            for row, entries in zip(block, action[g]):
                 for j, x in entries.items():
                     _add_entry(row, base + j, c * x, mod)
         rows.extend(block)
-    n = G.order
-    return IntMatrix(tuple(rows), n ** (p + 1) * k, n**p * k)
+    return IntMatrix(tuple(rows), len(rows), nbasis * k)
 
 
-def _value(G: FiniteGroup, k: int, cochain, T) -> tuple:
-    """The value in M (rank k) of a flat bar cochain on the tuple T."""
-    base = _tuple_index(G, T) * k
-    return tuple(cochain[base : base + k])
+def bar_delta_matrix(G: FiniteGroup, M: CoeffModule, p: int) -> IntMatrix:
+    """Matrix of the inhomogeneous cochain differential C^p -> C^{p+1}: f
+    evaluated on the bar faces of each (p+1)-tuple."""
+    bar = BarResolution(G)
+    faces = (
+        [(_tuple_index(G, face), g0, c) for (face, g0), c in bar.boundary_of_basis(T).items()]
+        for T in bar.basis(p + 1)
+    )
+    return cochain_map(M, faces, G.order**p)
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +171,8 @@ class PeriodicData:
     def d_of_one(self, p: int) -> dict:
         """d_p(1) as a group ring element."""
         if p % 2 == 1:
-            return {self.t: 1, 0: -1}
+            # t - 1, which is zero for the trivial group (t = 0)
+            return {self.t: 1, 0: -1} if self.t else {}
         return {g: 1 for g in self.group.elements()}
 
     def homotopy(self, target_degree: int, elem: dict) -> dict:
@@ -279,61 +290,48 @@ class GroupCohomology:
         n = degree
         if resolution == "periodic":
             self.cmp = CyclicComparison(G)
-            per = self.cmp.per
-            t = per.t
-            diff = M.action[t].add(IntMatrix.identity(M.rank).scale(-1))
-            norm = IntMatrix.zero(M.rank, M.rank)
-            for g in G.elements():
-                norm = norm.add(M.action[g])
+            d_of_one = self.cmp.per.d_of_one
 
-            def delta(p):  # C^p -> C^{p+1}
-                return diff if p % 2 == 0 else norm
+            def delta(p):  # C^p -> C^{p+1}: f |-> f(d_{p+1}(1)), one basis element
+                return cochain_map(M, [[(0, g, c) for g, c in d_of_one(p + 1).items()]], 1)
 
-            d_out = delta(n)
-            d_in = delta(n - 1) if n >= 1 else IntMatrix.zero(M.rank, 0)
-            self.sub = Subquotient(d_out, d_in, modulus=M.modulus)
         elif resolution == "bar":
-            d_out = bar_delta_matrix(G, M, n)
-            if n >= 1:
-                d_in = bar_delta_matrix(G, M, n - 1)
-            else:
-                d_in = IntMatrix.zero(G.order**n * M.rank, 0)
-            self.sub = Subquotient(d_out, d_in, modulus=M.modulus)
+            delta = partial(bar_delta_matrix, G, M)
         else:
             raise ValueError("unknown resolution kind")
+        d_out = delta(n)
+        d_in = delta(n - 1) if n >= 1 else IntMatrix.zero(d_out.cols, 0)
+        self.sub = Subquotient(d_out, d_in, modulus=M.modulus)
         self.group = self.sub.group
 
-    # -- conversions ------------------------------------------------------
-    def _bar_to_ambient(self, cochain):
-        if self.resolution == "bar":
-            return self.M.reduce(cochain)
-        # evaluate the cochain on sigma_n(1)
-        vec = [0] * self.M.rank
-        for (T, g0), c in self.cmp.sigma(self.degree).items():
-            moved = self.M.act(g0, _value(self.G, self.M.rank, cochain, T))
-            for j in range(self.M.rank):
-                vec[j] += c * moved[j]
-        return self.M.reduce(vec)
+    # -- comparison maps of the periodic engine, each built on first use --
+    @cached_property
+    def _to_ambient(self) -> IntMatrix:
+        """A bar cochain evaluated on sigma_n(1)."""
+        terms = self.cmp.sigma(self.degree).items()
+        chain = [(_tuple_index(self.G, T), g0, c) for (T, g0), c in terms]
+        return cochain_map(self.M, [chain], self.G.order**self.degree)
 
-    def _ambient_to_bar(self, vec) -> tuple:
-        if self.resolution == "bar":
-            return tuple(vec)
-        out = []
-        for T in itertools.product(self.G.elements(), repeat=self.degree):
-            val = [0] * self.M.rank
-            for g0, c in self.cmp.tau(self.degree, T).items():
-                moved = self.M.act(g0, vec)
-                for j in range(self.M.rank):
-                    val[j] += c * moved[j]
-            out.extend(self.M.reduce(val))
-        return tuple(out)
+    @cached_property
+    def _from_ambient(self) -> IntMatrix:
+        """The bar cochain [T] |-> f(tau_n([T])) of a periodic cochain f: one
+        lift per tuple, |G|^n of them."""
+        tau, n = self.cmp.tau, self.degree
+        chains = ([(0, g0, c) for g0, c in tau(n, T).items()]
+                  for T in itertools.product(self.G.elements(), repeat=n))
+        return cochain_map(self.M, chains, 1)
 
     # -- public surface ---------------------------------------------------
     def coords_of(self, cochain):
-        return self.sub.project(self._bar_to_ambient(cochain))
+        if self.resolution == "periodic":
+            cochain = self._to_ambient.apply(cochain, self.M.modulus)
+        return self.sub.project(self.M.reduce(cochain))
 
     def rep_of(self, coords) -> tuple:
-        return self._ambient_to_bar(self.sub.lift(coords))
+        vec = self.sub.lift(coords)
+        if self.resolution == "periodic":
+            return self._from_ambient.apply(vec, self.M.modulus)
+        return tuple(vec)
 
     def classify(self, cochain) -> CohomologyClass:
         return CohomologyClass(
@@ -369,13 +367,12 @@ def restriction(cls: CohomologyClass, sub: Subgroup) -> CohomologyClass:
     """Restriction of a class to a subgroup, as a class over that subgroup."""
     if sub.ambient != cls.engine.G:
         raise ValidationError("subgroup of a different group")
-    MH = cls.module.restrict(sub)
-    cochain = []
-    for T in itertools.product(sub.group.elements(), repeat=cls.degree):
-        big = tuple(sub.embed[h] for h in T)
-        cochain.extend(_value(cls.engine.G, MH.rank, cls.cochain, big))
-    eng = cohomology(sub.group, MH, cls.degree)
-    return eng.classify(cochain)
+    MH, n = cls.module.restrict(sub), cls.degree
+    # the value on [T] is the value on the embedded tuple
+    chains = ([(_tuple_index(sub.ambient, [sub.embed[h] for h in T]), 0, 1)]
+              for T in itertools.product(sub.group.elements(), repeat=n))
+    cochain = cochain_map(MH, chains, sub.ambient.order**n).apply(cls.cochain)
+    return cohomology(sub.group, MH, n).classify(cochain)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -440,26 +437,13 @@ def corestriction(sub: Subgroup, module: CoeffModule, cls: CohomologyClass) -> C
     if cls.module != module.restrict(sub):
         raise ValidationError("class coefficients do not match the ambient module")
     td = _TransferData(sub)
-    G, H = sub.ambient, sub.group
-    n = cls.degree
+    G, H, n = sub.ambient, sub.group, cls.degree
 
-    def f_eval(elem: dict):
-        out = [0] * module.rank
-        for (TH, h0), c in elem.items():
-            moved = cls.module.act(h0, _value(H, module.rank, cls.cochain, TH))
-            for j in range(module.rank):
-                out[j] += c * moved[j]
-        return out
+    def chain(T):  # sum over the coset reps r of r * theta(r^-1 [T])
+        return [(_tuple_index(H, TH), G.mul(r, sub.embed[h0]), c)
+                for r in td.reps
+                for (TH, h0), c in td.theta_element(n, G.inv(r), T).items()]
 
-    cochain = []
-    for T in itertools.product(G.elements(), repeat=n):
-        total = [0] * module.rank
-        for r in td.reps:
-            # phi(r^{-1} * [T]) moved back by r
-            val = f_eval(td.theta_element(n, G.inv(r), T))
-            moved = module.act(r, tuple(val))
-            for j in range(module.rank):
-                total[j] += moved[j]
-        cochain.extend(module.reduce(total))
-    eng = cohomology(G, module, n)
-    return eng.classify(cochain)
+    chains = (chain(T) for T in itertools.product(G.elements(), repeat=n))
+    cochain = cochain_map(module, chains, H.order**n).apply(cls.cochain, module.modulus)
+    return cohomology(G, module, n).classify(cochain)

@@ -23,6 +23,7 @@ from .cohomology import (
     GroupCohomology,
     _tuple_index,
     bar_delta_matrix,
+    cochain_map,
     cohomology,
 )
 from .errors import (
@@ -38,7 +39,7 @@ from .groups import (
     involution_lattice,
     tate_twist,
 )
-from .intlat import FinAbGroup, IntMatrix, Subquotient, _add_entry, _det
+from .intlat import FinAbGroup, IntMatrix, Subquotient, _det
 
 MAX_TOTAL_DEGREE = 4
 
@@ -306,28 +307,28 @@ class CochainComplex:
         self.M = ext.M
         self.r = ext.N.rank
 
-    def dim(self, p: int, q: int) -> int:
-        return self.res.rank(p, q) * self.M.rank
-
     def delta_matrix(self, k: int, p: int, q: int) -> IntMatrix:
         """Matrix of f |-> f . d_k from bidegree (p,q) into (p+k, q-k+1),
         with entries reduced mod the modulus of M."""
-        pt, qt = p + k, q - k + 1
-        kM, mod = self.M.rank, self.M.modulus
-        action = [m.nonzeros for m in self.M.action]
-        s_index = {S: i for i, S in enumerate(_subsets(self.r, q))}
-        rows = []
-        # the basis comes in the order of the cochain layout, so row blocks
-        # are appended
-        for T, S in self.res.basis(pt, qt):
-            block = [{} for _ in range(kM)]
-            for (a, u, T2, S2), c in self.res.d_basis(k, T, S).items():
-                cbase = (_tuple_index(self.pi, T2) * len(s_index) + s_index[S2]) * kM
-                for row, entries in zip(block, action[u]):
-                    for j, x in entries.items():
-                        _add_entry(row, cbase + j, c * x, mod)
-            rows.extend(block)
-        return IntMatrix(tuple(rows), self.dim(pt, qt), self.dim(p, q))
+        return self._matrix((k,), [(p + k, q - k + 1)], {(p, q): 0})
+
+    def _matrix(self, ks, targets, offsets) -> IntMatrix:
+        """Matrix of f |-> f . (sum of the d_k, k in ks) into the bidegrees
+        `targets`, from the bidegrees in `offsets` (one per q), each at its
+        basis index offset in the source layout."""
+        res, pi = self.res, self.pi
+        # (T, S) sits at place[S][0] + T_index * place[S][1]
+        place = {S: (off + i, binomial(self.r, q)) for (_, q), off in offsets.items()
+                 for i, S in enumerate(_subsets(self.r, q))}
+        chains = (
+            [(o + _tuple_index(pi, T2) * w, u, c)
+             for k in ks
+             for (_, u, T2, S2), c in res.d_basis(k, T, S).items()
+             for o, w in (place[S2],)]
+            for pt, qt in targets
+            for T, S in res.basis(pt, qt)
+        )
+        return cochain_map(self.M, chains, sum(res.rank(*b) for b in offsets))
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +364,7 @@ def row_coboundaries(ext: SplitExtensionSpec) -> IntMatrix:
 
 def _check_invariant(mod: CoeffModule, vec):
     vec = tuple(mod.reduce(vec))
-    for g in mod.group.elements():
+    for g in mod.group.generators:  # enough: see FiniteGroup
         if tuple(mod.act(g, vec)) != vec:
             raise NotInvariantError("class is not fixed by the group action")
     return vec
@@ -529,34 +530,20 @@ def v2_additivity_check(N1: GLattice, N2: GLattice) -> bool:
 
 
 def total_delta_matrix(ext: SplitExtensionSpec, n: int) -> IntMatrix:
+    """The total differential out of degree n: the sum of the d_k, k >= 1
+    (the vertical cochain differentials vanish), with the bidegrees of each
+    total degree placed one after another."""
     res = twisted_resolution(ext.N)
-    coch = CochainComplex(ext, res)
     r = ext.N.rank
 
     def spots(m):
         return [(p, m - p) for p in range(m + 1) if 0 <= m - p <= r]
 
-    src, tgt = spots(n), spots(n + 1)
-    src_offsets, acc = {}, 0
-    for s in src:
-        src_offsets[s] = acc
-        acc += coch.dim(*s)
-    total_src = acc
-    tgt_offsets, acc = {}, 0
-    for t in tgt:
-        tgt_offsets[t] = acc
-        acc += coch.dim(*t)
-    rows = [{} for _ in range(acc)]
-    for pt, qt in tgt:
-        for k in range(1, pt + 1):
-            p, q = pt - k, qt + k - 1
-            if (p, q) not in src_offsets:
-                continue
-            block = coch.delta_matrix(k, p, q)
-            ro, co = tgt_offsets[(pt, qt)], src_offsets[(p, q)]
-            for i, row in enumerate(block.nonzeros):
-                rows[ro + i].update((co + j, a) for j, a in row.items())
-    return IntMatrix(tuple(rows), acc, total_src)
+    offsets, acc = {}, 0
+    for s in spots(n):
+        offsets[s] = acc
+        acc += res.rank(*s)
+    return CochainComplex(ext, res)._matrix(range(1, n + 2), spots(n + 1), offsets)
 
 
 def total_cohomology(ext: SplitExtensionSpec, n: int) -> FinAbGroup:

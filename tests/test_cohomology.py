@@ -8,6 +8,7 @@ from torusbrauer.cohomology import (
     BarResolution,
     CyclicComparison,
     PeriodicData,
+    _TransferData,
     bar_delta_matrix,
     cohomology,
     corestriction,
@@ -35,7 +36,7 @@ class TestBarResolution:
     def test_ranks(self):
         c2 = FiniteGroup.cyclic(2)
         bar = BarResolution(c2)
-        assert [bar.rank(p) for p in range(3)] == [1, 2, 4]
+        assert [len(list(bar.basis(p))) for p in range(3)] == [1, 2, 4]
 
     @pytest.mark.parametrize("order", [2, 3, 4])
     def test_boundary_squares_to_zero(self, order):
@@ -212,6 +213,12 @@ class TestPeriodic:
                     lhs[k] = lhs.get(k, 0) + v
                 assert {k: v for k, v in lhs.items() if v} == x
 
+    def test_d_of_one_trivial_group(self):
+        # t = 0, so t - 1 is zero and the norm is 1
+        per = PeriodicData(FiniteGroup.trivial())
+        assert per.d_of_one(1) == {} and per.d_of_one(3) == {}
+        assert per.d_of_one(2) == {0: 1}
+
     @pytest.mark.parametrize("m", [2, 3, 4, 6])
     def test_comparison_chain_maps(self, m):
         g = FiniteGroup.cyclic(m)
@@ -316,6 +323,18 @@ class TestCyclicVsBar:
                 back = per.coords_of(bar.rep_of(coords))
                 assert back == cls.coords
 
+    @pytest.mark.parametrize("modulus", [6, None])
+    def test_trivial_group_agreement(self, modulus):
+        triv = FiniteGroup.trivial()
+        mod = CoeffModule.trivial(triv, 2, modulus)
+        for q in range(4):
+            per = cohomology(triv, mod, q, resolution="periodic")
+            bar = cohomology(triv, mod, q, resolution="bar")
+            assert per.group.same_structure(bar.group)
+            for cls in per.generator_classes():
+                coords = bar.coords_of(cls.cochain)
+                assert per.coords_of(bar.rep_of(coords)) == cls.coords
+
     def test_nontrivial_action_agreement(self):
         g = FiniteGroup.cyclic(4)
         mod = CoeffModule.mu(g, 4, (1, 3, 1, 3))
@@ -372,3 +391,193 @@ class TestResCores:
             up = corestriction(sub3, mod, cls)
             # classify() would have raised if the cochain were not a cocycle
             assert up.degree == 1
+
+
+# ---------------------------------------------------------------------------
+# cochain maps against their term-by-term definitions
+# ---------------------------------------------------------------------------
+
+
+def tuple_columns(G, n):
+    """Position of each n-tuple in the flat cochain layout."""
+    return {T: i for i, T in enumerate(itertools.product(G.elements(), repeat=n))}
+
+
+def add_moved(acc, M, g, c, value):
+    """acc += c * (g . value) in place."""
+    for j, x in enumerate(M.act(g, value)):
+        acc[j] += c * x
+
+
+def sigma_ambient(eng, cochain):
+    """A bar cochain evaluated on sigma_n(1), term by term."""
+    M, k = eng.M, eng.M.rank
+    col = tuple_columns(eng.G, eng.degree)
+    vec = [0] * k
+    for (T, g0), c in eng.cmp.sigma(eng.degree).items():
+        add_moved(vec, M, g0, c, cochain[col[T] * k : (col[T] + 1) * k])
+    return M.reduce(vec)
+
+
+def tau_cochain(eng, vec):
+    """The bar cochain [T] |-> f(tau_n([T])) of a periodic cochain f."""
+    M = eng.M
+    out = []
+    for T in itertools.product(eng.G.elements(), repeat=eng.degree):
+        val = [0] * M.rank
+        for g0, c in eng.cmp.tau(eng.degree, T).items():
+            add_moved(val, M, g0, c, vec)
+        out.extend(M.reduce(val))
+    return tuple(out)
+
+
+def periodic_reference(eng):
+    """ker/im of t - 1 and the norm, written out from the action matrices."""
+    M, k = eng.M, eng.M.rank
+    diff = M.action[eng.cmp.per.t].add(IntMatrix.identity(k).scale(-1))
+    norm = IntMatrix.zero(k, k)
+    for g in eng.G.elements():
+        norm = norm.add(M.action[g])
+
+    def delta(p):
+        return diff if p % 2 == 0 else norm
+
+    d_in = delta(eng.degree - 1) if eng.degree else IntMatrix.zero(k, 0)
+    return Subquotient(delta(eng.degree), d_in, modulus=M.modulus)
+
+
+def cyclic_modules(m):
+    """Modules over C_m: trivial mod 2m and over Z, and the sign module mod
+    2m and over Z for even m."""
+    g = FiniteGroup.cyclic(m)
+    out = [CoeffModule.trivial(g, 1, 2 * m), CoeffModule.trivial(g, 2, None)]
+    if m % 2 == 0:
+        sign = [IntMatrix.from_rows([[(-1) ** a]]) for a in g.elements()]
+        out += [CoeffModule.make(g, 1, 2 * m, sign), CoeffModule.make(g, 1, None, sign)]
+    return out
+
+
+def bar_cocycles(G, M, n, rng, count=4):
+    """Random bar n-cocycles: class representatives plus coboundaries."""
+    bar = cohomology(G, M, n, resolution="bar")
+    reps = [cls.cochain for cls in bar.generator_classes()]
+    d_in = bar_delta_matrix(G, M, n - 1) if n else None
+    out = []
+    for _ in range(count):
+        z = [0] * (G.order**n * M.rank)
+        for rep in reps:
+            c = rng.randrange(-2, 3)
+            z = [a + c * b for a, b in zip(z, rep)]
+        if d_in is not None:
+            pert = [rng.randrange(-2, 3) for _ in range(d_in.cols)]
+            z = [a + b for a, b in zip(z, d_in.apply(pert))]
+        out.append(tuple(M.reduce(z)))
+    return out
+
+
+class TestPeriodicMaps:
+    """The periodic engine's coboundaries and comparison maps against their
+    definitions: t - 1 and the norm, evaluation on sigma_n(1), and the
+    values on tau_n([T])."""
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_coboundaries(self, m):
+        for M in cyclic_modules(m):
+            for n in range(4):
+                eng = cohomology(M.group, M, n, resolution="periodic")
+                assert eng.group == periodic_reference(eng).group
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_coords_of_is_evaluation_on_sigma(self, m):
+        rng = random.Random(m)
+        for M in cyclic_modules(m):
+            for n in range(4 if m <= 4 else 3):
+                eng = cohomology(M.group, M, n, resolution="periodic")
+                for z in bar_cocycles(M.group, M, n, rng):
+                    assert eng.coords_of(z) == eng.sub.project(sigma_ambient(eng, z))
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_rep_of_is_tau(self, m):
+        rng = random.Random(m)
+        for M in cyclic_modules(m):
+            for n in range(4 if m <= 4 else 3):
+                eng = cohomology(M.group, M, n, resolution="periodic")
+                ngen = len(eng.group.generators)
+                for _ in range(3):
+                    coords = tuple(rng.randrange(-3, 4) for _ in range(ngen))
+                    want = tau_cochain(eng, eng.sub.lift(coords))
+                    assert eng.rep_of(coords) == want
+
+
+def restricted_cochain(cls, sub):
+    """[T] |-> f([embed T]) for T over the subgroup."""
+    k = cls.module.rank
+    col = tuple_columns(sub.ambient, cls.degree)
+    out = []
+    for T in itertools.product(sub.group.elements(), repeat=cls.degree):
+        c = col[tuple(sub.embed[h] for h in T)]
+        out.extend(cls.cochain[c * k : (c + 1) * k])
+    return tuple(out)
+
+
+def transferred_cochain(sub, module, cls):
+    """[T] |-> sum_r r . f(theta(r^-1 [T])) over left coset reps r."""
+    td = _TransferData(sub)
+    G, k, n = sub.ambient, module.rank, cls.degree
+    col = tuple_columns(sub.group, n)
+    out = []
+    for T in itertools.product(G.elements(), repeat=n):
+        total = [0] * k
+        for r in td.reps:
+            val = [0] * k
+            for (TH, h0), c in td.theta_element(n, G.inv(r), T).items():
+                add_moved(val, cls.module, h0, c, cls.cochain[col[TH] * k : (col[TH] + 1) * k])
+            add_moved(total, module, r, 1, val)
+        out.extend(module.reduce(total))
+    return tuple(out)
+
+
+def res_cores_cases():
+    G, sub = c4_c2_pair()
+    s3, sub3, sub2 = s3_subgroups()
+    _, sign_z = s3_sign_module(None)
+    _, sign_6 = s3_sign_module(6)
+    return {
+        "C4 > C2 mod 4": (sub, CoeffModule.trivial(G, 1, 4)),
+        "C4 > C2 mu_4": (sub, CoeffModule.mu(G, 4, (1, 3, 1, 3))),
+        "S3 > C3 mod 6": (sub3, CoeffModule.trivial(s3, 1, 6)),
+        "S3 > C2 mod 6": (sub2, CoeffModule.trivial(s3, 1, 6)),
+        "S3 > C3 sign over Z": (sub3, sign_z),
+        "S3 > C2 sign over Z": (sub2, sign_z),
+        "S3 > C2 sign mod 6": (sub2, sign_6),
+        "S3 > C3 permutations over Z": (sub3, s3_permutation_module(None)[1]),
+    }
+
+
+def s3_sign_module(modulus):
+    s3, perms = FiniteGroup.symmetric(3)
+    signs = [(-1) ** sum(p[i] > p[j] for i in range(3) for j in range(i + 1, 3)) for p in perms]
+    return s3, CoeffModule.make(s3, 1, modulus, [IntMatrix.from_rows([[s]]) for s in signs])
+
+
+class TestInducedMaps:
+    """restriction and corestriction against their term loops."""
+
+    @pytest.mark.parametrize("degree", [0, 1, 2])
+    @pytest.mark.parametrize("case", sorted(res_cores_cases()))
+    def test_restriction(self, case, degree):
+        sub, mod = res_cores_cases()[case]
+        rng = random.Random(degree)
+        for z in bar_cocycles(sub.ambient, mod, degree, rng):
+            cls = cohomology(sub.ambient, mod, degree).classify(z)
+            assert restriction(cls, sub).cochain == restricted_cochain(cls, sub)
+
+    @pytest.mark.parametrize("degree", [0, 1, 2])
+    @pytest.mark.parametrize("case", sorted(res_cores_cases()))
+    def test_corestriction(self, case, degree):
+        sub, mod = res_cores_cases()[case]
+        mh = mod.restrict(sub)
+        rng = random.Random(degree)
+        for z in bar_cocycles(sub.group, mh, degree, rng):
+            cls = cohomology(sub.group, mh, degree).classify(z)
+            assert corestriction(sub, mod, cls).cochain == transferred_cochain(sub, mod, cls)

@@ -40,6 +40,7 @@ from torusbrauer.spectral import (
     real_torus_check,
     row_class_coords,
     total_cohomology,
+    total_delta_matrix,
     uct_identify,
     v2,
     twisted_resolution,
@@ -259,6 +260,54 @@ class TestTwistedResolution:
         assert total_cohomology(ext, 0).free_rank == 1
         assert total_cohomology(ext, 1).is_trivial()
         assert total_cohomology(ext, 2).torsion == (2, 2)
+
+
+def block_total_matrix(ext, n):
+    """The total differential out of degree n, assembled block by block from
+    the delta_matrix of each d_k, k >= 1, between the bidegrees."""
+    res = twisted_resolution(ext.N)
+    coch = CochainComplex(ext, res)
+    r, k = ext.N.rank, ext.M.rank
+
+    def offsets(m):
+        out, acc = {}, 0
+        for p in range(m + 1):
+            if 0 <= m - p <= r:
+                out[p, m - p] = acc
+                acc += res.rank(p, m - p) * k
+        return out, acc
+
+    (src, ncols), (tgt, nrows) = offsets(n), offsets(n + 1)
+    rows = [{} for _ in range(nrows)]
+    for (pt, qt), ro in tgt.items():
+        for j in range(1, pt + 1):
+            co = src.get((pt - j, qt + j - 1))
+            if co is None:
+                continue
+            for i, row in enumerate(coch.delta_matrix(j, pt - j, qt + j - 1).nonzeros):
+                rows[ro + i].update((co + c, a) for c, a in row.items())
+    return IntMatrix(tuple(rows), nrows, ncols)
+
+
+class TestTotalMatrix:
+    """total_delta_matrix against its blocks."""
+
+    def test_criterion_7_data(self):
+        triv = FiniteGroup.trivial()
+        for r in range(1, 5):
+            for n in (2, 3, 4):
+                ext = SplitExtensionSpec(
+                    triv, GLattice.trivial(triv, r), CoeffModule.trivial(triv, 1, n)
+                )
+                for q in range(4):
+                    assert total_delta_matrix(ext, q) == block_total_matrix(ext, q)
+
+    @pytest.mark.parametrize("modulus", [4, None])
+    def test_swap_lattice(self, modulus):
+        N = swap_lattice()
+        ext = SplitExtensionSpec(N.group, N, CoeffModule.trivial(N.group, 1, modulus))
+        for q in range(4):
+            assert total_delta_matrix(ext, q) == block_total_matrix(ext, q)
 
 
 class TestD2:
