@@ -59,7 +59,6 @@ class OrbitReport:
 @dataclass(frozen=True)
 class SymbolExpr:
     kind: str  # "I" or "II"
-    field_label: tuple  # generators of the stabilizer subgroup (element ids)
     pair: tuple
     second_argument: str  # "y_j" or "y_j - y_i"
     modulus: int
@@ -135,10 +134,8 @@ def _orbit_report(datum: GaloisDatum, pair, orbit) -> OrbitReport:
 
 def _symbol(report: OrbitReport) -> SymbolExpr:
     if report.quadratic:
-        return SymbolExpr(
-            "II", report.stabilizer_ordered, report.pair, "y_j - y_i", report.m_o
-        )
-    return SymbolExpr("I", report.stabilizer_ordered, report.pair, "y_j", report.m_o)
+        return SymbolExpr("II", report.pair, "y_j - y_i", report.m_o)
+    return SymbolExpr("I", report.pair, "y_j", report.m_o)
 
 
 def _vector_order(v, m: int) -> int:

@@ -9,14 +9,16 @@ Two engines compute H^n(G, M):
 Classes are always carried around as bar cochains, flat vectors indexed by
 `_tuple_index` and then coordinate, so restriction, transfer and
 pushforward work uniformly; the periodic engine converts back and forth
-through explicit chain maps between the two resolutions, built by lifting
-through contracting homotopies.
+through explicit chain maps between the two resolutions.
 
-Every map of cochains is built by `cochain_map` from chains, the images of
-the basis elements of the target resolution: bar faces for the bar
-coboundaries, d_{p+1}(1) for the periodic ones, sigma_n(1) and tau_n([T])
-for the comparison maps, embedded tuples for restriction and the terms
-r * theta(r^-1 [T]) for the transfer.
+Every comparison chain map is one `chain_lift` through the contracting
+homotopy of its target: sigma (periodic -> bar), tau (bar -> periodic) and
+the transfer's theta (bar of G over Z[H] -> bar of H).  Every map of
+cochains is built by `cochain_map` from chains, the images of the basis
+elements of the target resolution: bar faces for the bar coboundaries,
+d_{p+1}(1) for the periodic ones, sigma_n(1) and tau_n([T]) for the
+comparison maps, embedded tuples for restriction and the terms
+r^-1 * theta(r [T]) for the transfer.
 """
 
 from __future__ import annotations
@@ -87,6 +89,11 @@ class BarResolution:
             out[key] = out.get(key, 0) + c
         return {k: v for k, v in out.items() if v}
 
+    def act(self, g: int, element: dict) -> dict:
+        """g . element: g multiplies the coefficient g0 of each g0*[T]."""
+        mul = self.group.table[g]
+        return {(T, mul[g0]): c for (T, g0), c in element.items()}
+
     def augmentation(self, element: dict) -> int:
         return sum(c for (T, _), c in element.items() if not T)
 
@@ -138,6 +145,34 @@ def bar_delta_matrix(G: FiniteGroup, M: CoeffModule, p: int) -> IntMatrix:
 
 
 # ---------------------------------------------------------------------------
+# comparison chain maps, lifted through a contracting homotopy
+# ---------------------------------------------------------------------------
+
+
+def chain_lift(boundary, homotopy, act, unit):
+    """The chain map f from a free resolution to one with a contracting
+    homotopy that lifts the identity of Z (Brown, Cohomology of Groups, I.7):
+    f_0(b) = unit and f_p(b) = homotopy(p, f_{p-1}(d b)), memoised per (p, b).
+
+    `boundary(p, b)` is d b for a basis element b of degree p, a chain of
+    terms (b2, g, c) standing for c * g.b2, and `act(g, x)` is g . x on the
+    target, so f_{p-1}(d b) = sum c * act(g, f_{p-1}(b2)).
+    """
+
+    @lru_cache(maxsize=None)
+    def f(p, b):
+        if p == 0:
+            return unit
+        out: dict = {}
+        for b2, g, c in boundary(p, b):
+            for key, x in act(g, f(p - 1, b2)).items():
+                out[key] = out.get(key, 0) + c * x
+        return homotopy(p, out)
+
+    return f
+
+
+# ---------------------------------------------------------------------------
 # periodic resolution for cyclic groups, with comparison chain maps
 # ---------------------------------------------------------------------------
 
@@ -156,16 +191,12 @@ class PeriodicData:
         self.group = G
         self.t = t
         self.m = G.order
-        # powers of t: power_index[g] = a with g = t^a
+        # powers of t: t_power[a] = t^a and power_of[t^a] = a
         self.power_of = [0] * self.m
-        x = 0
-        for a in range(self.m):
-            self.power_of[x] = a
-            x = G.mul(x, t)
         self.t_power = [0] * self.m
         x = 0
         for a in range(self.m):
-            self.t_power[a] = x
+            self.power_of[x], self.t_power[a] = a, x
             x = G.mul(x, t)
 
     def d_of_one(self, p: int) -> dict:
@@ -194,64 +225,20 @@ class PeriodicData:
         return {k: v for k, v in out.items() if v}
 
 
-def _ring_mul(G: FiniteGroup, a: dict, b: dict) -> dict:
-    out: dict = {}
-    for g, c in a.items():
-        for h, d in b.items():
-            k = G.mul(g, h)
-            out[k] = out.get(k, 0) + c * d
-    return {k: v for k, v in out.items() if v}
+def sigma_lift(G: FiniteGroup):
+    """sigma(p, 0) = sigma_p(1) in Bar_p, for the chain map Per -> Bar: the
+    source has one basis element 1 in each degree, with d(1) = d_of_one(p)."""
+    per, bar = PeriodicData(G), BarResolution(G)
+    return chain_lift(lambda p, _: [(0, g, c) for g, c in per.d_of_one(p).items()],
+                      lambda p, x: bar.homotopy(x), bar.act, {((), 0): 1})
 
 
-class CyclicComparison:
-    """Chain maps between the bar and periodic resolutions of a cyclic group."""
-
-    def __init__(self, G: FiniteGroup):
-        self.G = G
-        self.per = PeriodicData(G)
-        self.bar = BarResolution(G)
-        self._tau: dict = {}  # (p, T) -> group ring element of Per_p
-        self._sigma: dict = {}  # p -> bar element for sigma_p(1)
-
-    def tau(self, p: int, T) -> dict:
-        """Image of the bar basis element [T] in Per_p."""
-        if p == 0:
-            return {0: 1}
-        key = (p, T)
-        if key in self._tau:
-            return self._tau[key]
-        out: dict = {}
-        for (T2, g0), c in self.bar.boundary_of_basis(T).items():
-            img = self.tau(p - 1, T2)
-            for g, d in _ring_mul(self.G, {g0: 1}, img).items():
-                out[g] = out.get(g, 0) + c * d
-        res = self.per.homotopy(p, {g: v for g, v in out.items() if v})
-        self._tau[key] = res
-        return res
-
-    def tau_element(self, p: int, elem: dict) -> dict:
-        out: dict = {}
-        for (T, g0), c in elem.items():
-            for g, d in _ring_mul(self.G, {g0: 1}, self.tau(p, T)).items():
-                out[g] = out.get(g, 0) + c * d
-        return {g: v for g, v in out.items() if v}
-
-    def sigma(self, p: int) -> dict:
-        """sigma_p(1) in Bar_p, for the chain map Per -> Bar."""
-        if p == 0:
-            return {((), 0): 1}
-        if p in self._sigma:
-            return self._sigma[p]
-        prev = self.sigma(p - 1)
-        d1 = self.per.d_of_one(p)
-        moved: dict = {}
-        for g, c in d1.items():
-            for (T, g0), c2 in prev.items():
-                key = (T, self.G.mul(g, g0))
-                moved[key] = moved.get(key, 0) + c * c2
-        res = self.bar.homotopy({k: v for k, v in moved.items() if v})
-        self._sigma[p] = res
-        return res
+def tau_lift(G: FiniteGroup):
+    """tau(p, T) = the image of the bar basis element [T] in Per_p, for the
+    chain map Bar -> Per; g acts on Z[G] by left multiplication."""
+    per, bar = PeriodicData(G), BarResolution(G)
+    return chain_lift(lambda p, T: [(T2, g0, c) for (T2, g0), c in bar.boundary_of_basis(T).items()],
+                      per.homotopy, lambda g, x: {G.mul(g, k): c for k, c in x.items()}, {0: 1})
 
 
 # ---------------------------------------------------------------------------
@@ -289,8 +276,7 @@ class GroupCohomology:
         self.resolution = resolution
         n = degree
         if resolution == "periodic":
-            self.cmp = CyclicComparison(G)
-            d_of_one = self.cmp.per.d_of_one
+            d_of_one = PeriodicData(G).d_of_one
 
             def delta(p):  # C^p -> C^{p+1}: f |-> f(d_{p+1}(1)), one basis element
                 return cochain_map(M, [[(0, g, c) for g, c in d_of_one(p + 1).items()]], 1)
@@ -308,7 +294,7 @@ class GroupCohomology:
     @cached_property
     def _to_ambient(self) -> IntMatrix:
         """A bar cochain evaluated on sigma_n(1)."""
-        terms = self.cmp.sigma(self.degree).items()
+        terms = sigma_lift(self.G)(self.degree, 0).items()
         chain = [(_tuple_index(self.G, T), g0, c) for (T, g0), c in terms]
         return cochain_map(self.M, [chain], self.G.order**self.degree)
 
@@ -316,7 +302,7 @@ class GroupCohomology:
     def _from_ambient(self) -> IntMatrix:
         """The bar cochain [T] |-> f(tau_n([T])) of a periodic cochain f: one
         lift per tuple, |G|^n of them."""
-        tau, n = self.cmp.tau, self.degree
+        tau, n = tau_lift(self.G), self.degree
         chains = ([(0, g0, c) for g0, c in tau(n, T).items()]
                   for T in itertools.product(self.G.elements(), repeat=n))
         return cochain_map(self.M, chains, 1)
@@ -377,58 +363,29 @@ def restriction(cls: CohomologyClass, sub: Subgroup) -> CohomologyClass:
 
 @lru_cache(maxsize=CACHE_SIZE)
 class _TransferData:
-    """Z[H]-chain map from the bar resolution of G (restricted to H) to the
-    bar resolution of H, built by lifting through the homotopy of the target."""
+    """The bar resolution of G is free over Z[H] on the r*[T], r running over
+    `reps`, the right coset reps of H; `theta(p, (r, T))` is the image of
+    r*[T] under the Z[H]-chain map to the bar resolution of H."""
 
     def __init__(self, sub: Subgroup):
-        self.sub = sub
-        self.G = sub.ambient
-        self.H = sub.group
-        self.reps = sub.left_coset_reps()
-        # reps for the right cosets H\G; the bar terms of G are free over
-        # Z[H] on the basis elements r*[T] with r running over these
-        self.right_reps = []
-        seen = set()
-        for g in self.G.elements():
-            if g in seen:
-                continue
-            self.right_reps.append(g)
-            for h in sub.embed:
-                seen.add(self.G.mul(h, g))
-        self.barG = BarResolution(self.G)
-        self.barH = BarResolution(self.H)
-        self._theta: dict = {}
+        G, barG, barH = sub.ambient, BarResolution(sub.ambient), BarResolution(sub.group)
+        # split[g] = (h, r) with g = embed(h) * r, r the first element of H*g
+        self.reps, split = [], {}
+        for r in G.elements():
+            if r not in split:
+                self.reps.append(r)
+                for h, e in enumerate(sub.embed):
+                    split[G.mul(e, r)] = (h, r)
 
-    def _decompose(self, g: int) -> tuple[int, int]:
-        """g = embed(h) * r with r a right-coset rep; returns (h, r)."""
-        for r in self.right_reps:
-            x = self.G.mul(g, self.G.inv(r))
-            if x in self.sub.embed:
-                return self.sub.embed.index(x), r
-        raise ValidationError("coset decomposition failed")
+        def boundary(p, rT):  # g0*[T2] = h . (r2*[T2]) for g0 = embed(h) * r2
+            r, T = rT
+            out = []
+            for (T2, g0), c in barG.boundary_of_basis(T, r).items():
+                h, r2 = split[g0]
+                out.append(((r2, T2), h, c))
+            return out
 
-    def theta_basis(self, p: int, r: int, T) -> dict:
-        """theta_p(r*[T]) in Bar_p(H), for r a right coset rep of H."""
-        if p == 0:
-            return {((), 0): 1}
-        key = (p, r, T)
-        if key in self._theta:
-            return self._theta[key]
-        out: dict = {}
-        for (T2, g0), c in self.barG.boundary_of_basis(T, r).items():
-            for key2, c2 in self.theta_element(p - 1, g0, T2).items():
-                out[key2] = out.get(key2, 0) + c * c2
-        res = self.barH.homotopy({k: v for k, v in out.items() if v})
-        self._theta[key] = res
-        return res
-
-    def theta_element(self, p: int, g0: int, T) -> dict:
-        h, r = self._decompose(g0)
-        out: dict = {}
-        for (TH, h0), c in self.theta_basis(p, r, T).items():
-            key = (TH, self.H.mul(h, h0))
-            out[key] = out.get(key, 0) + c
-        return out
+        self.theta = chain_lift(boundary, lambda p, x: barH.homotopy(x), barH.act, {((), 0): 1})
 
 
 def corestriction(sub: Subgroup, module: CoeffModule, cls: CohomologyClass) -> CohomologyClass:
@@ -439,10 +396,12 @@ def corestriction(sub: Subgroup, module: CoeffModule, cls: CohomologyClass) -> C
     td = _TransferData(sub)
     G, H, n = sub.ambient, sub.group, cls.degree
 
-    def chain(T):  # sum over the coset reps r of r * theta(r^-1 [T])
-        return [(_tuple_index(H, TH), G.mul(r, sub.embed[h0]), c)
+    # sum over the right coset reps r of r^-1 * theta(r [T]): the r^-1 are
+    # left coset reps of H, and the sum does not depend on their choice
+    def chain(T):
+        return [(_tuple_index(H, TH), G.mul(G.inv(r), sub.embed[h0]), c)
                 for r in td.reps
-                for (TH, h0), c in td.theta_element(n, G.inv(r), T).items()]
+                for (TH, h0), c in td.theta(n, (r, T)).items()]
 
     chains = (chain(T) for T in itertools.product(G.elements(), repeat=n))
     cochain = cochain_map(module, chains, H.order**n).apply(cls.cochain, module.modulus)

@@ -350,11 +350,6 @@ def e2_21(ext: SplitExtensionSpec) -> GroupCohomology:
     return cohomology(ext.pi, lattice_cohomology(ext.N, ext.M, 1), 2)
 
 
-def row_class_coords(ext: SplitExtensionSpec, vec):
-    """Coordinates in E2^{2,1} of the class of a row cocycle at (2,1)."""
-    return e2_21(ext).coords_of(vec)
-
-
 @lru_cache(maxsize=CACHE_SIZE)
 def row_coboundaries(ext: SplitExtensionSpec) -> IntMatrix:
     """The row differential C^{1,1} -> C^{2,1}, whose image is the coboundary
@@ -410,10 +405,10 @@ def d2_02(ext: SplitExtensionSpec) -> D2Report:
     to degree-2 classes of pi with coefficients in Hom(N, M), as a matrix on
     the generators of the source."""
     inv = cohomology(ext.pi, lattice_cohomology(ext.N, ext.M, 2), 0).group
-    target = e2_21(ext).group
-    cols = [list(row_class_coords(ext, c)) for c in d2_cocycles(ext, inv.generators)]
-    mat = IntMatrix.from_columns(cols, nrows=len(target.generators))
-    return D2Report(ext, inv, target, mat)
+    e21 = e2_21(ext)
+    cols = [list(e21.coords_of(c)) for c in d2_cocycles(ext, inv.generators)]
+    mat = IntMatrix.from_columns(cols, nrows=len(e21.group.generators))
+    return D2Report(ext, inv, e21.group, mat)
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +429,7 @@ class V2Class:
 
     def coords(self):
         if self._coords is None:
-            self._coords = row_class_coords(self.ext_univ, self.cocycle)
+            self._coords = e2_21(self.ext_univ).coords_of(self.cocycle)
         return self._coords
 
     def is_zero(self) -> bool:
@@ -489,7 +484,7 @@ def pushforward_formula_check(ext: SplitExtensionSpec, alphas, rng) -> list[bool
             cocycle = tuple(a + b for a, b in zip(cocycle, d_univ.apply(pert)))
         rhs_vec = pushforward_cocycle(ext, uct_identify(ext, alpha), cocycle)
         diff = tuple(a - b for a, b in zip(lhs_vec, rhs_vec))
-        verdicts.append(not any(row_class_coords(ext, diff)))
+        verdicts.append(not any(e2_21(ext).coords_of(diff)))
     return verdicts
 
 
@@ -521,7 +516,7 @@ def v2_additivity_check(N1: GLattice, N2: GLattice) -> bool:
     if r2 >= 2:
         embed(v2(N2), r2, r1)
     diff = tuple(a - b for a, b in zip(vbig.cocycle, expected))
-    return not any(row_class_coords(vbig.ext_univ, diff))
+    return not any(e2_21(vbig.ext_univ).coords_of(diff))
 
 
 # ---------------------------------------------------------------------------

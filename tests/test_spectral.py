@@ -38,7 +38,6 @@ from torusbrauer.spectral import (
     h2_lattice,
     lattice_cohomology,
     real_torus_check,
-    row_class_coords,
     total_cohomology,
     total_delta_matrix,
     uct_identify,
@@ -334,12 +333,12 @@ class TestD2:
         for g1 in inv.generators:
             for g2 in inv.generators:
                 s = tuple((a + b) % 2 for a, b in zip(g1, g2))
-                lhs = row_class_coords(ext, d2_cocycle(ext, s))
+                lhs = e2_21(ext).coords_of(d2_cocycle(ext, s))
                 rhs = eng.sub.coords_mod(
                     tuple(
                         a + b
-                        for a, b in zip(row_class_coords(ext, d2_cocycle(ext, g1)),
-                                        row_class_coords(ext, d2_cocycle(ext, g2)))
+                        for a, b in zip(e2_21(ext).coords_of(d2_cocycle(ext, g1)),
+                                        e2_21(ext).coords_of(d2_cocycle(ext, g2)))
                     )
                 )
                 assert lhs == rhs
@@ -355,11 +354,11 @@ class TestD2:
         rng = random.Random(12)
         for gen in inv.generators:
             base = d2_cocycle(ext, gen)
-            coords = row_class_coords(ext, base)
+            coords = e2_21(ext).coords_of(base)
             for _ in range(5):
                 pert = tuple(rng.randrange(3) for _ in range(d_in.cols))
                 shifted = tuple(a + b for a, b in zip(base, d_in.apply(pert)))
-                assert row_class_coords(ext, shifted) == coords
+                assert e2_21(ext).coords_of(shifted) == coords
 
     def test_naturality_in_m(self):
         # reduction mu_4 -> mu_2 commutes with d2
@@ -372,9 +371,9 @@ class TestD2:
         inv = fixed(lattice_cohomology(n, m6, 2))
         for gen in inv.generators:
             pushed_alpha = tuple(x % 3 for x in gen)
-            lhs = row_class_coords(ext3, d2_cocycle(ext3, pushed_alpha))
+            lhs = e2_21(ext3).coords_of(d2_cocycle(ext3, pushed_alpha))
             pushed_cocycle = tuple(x % 3 for x in d2_cocycle(ext6, gen))
-            rhs = row_class_coords(ext3, pushed_cocycle)
+            rhs = e2_21(ext3).coords_of(pushed_cocycle)
             assert lhs == rhs
 
 
@@ -426,7 +425,7 @@ class TestV2:
                     base = (t * R + i) * nb
                     for s in subs_small:
                         sel.append(vbig.cocycle[base + subs_big.index(s)])
-            assert row_class_coords(vsmall.ext_univ, tuple(sel)) == vsmall.coords()
+            assert e2_21(vsmall.ext_univ).coords_of(tuple(sel)) == vsmall.coords()
 
 
 class TestPushforwardFormula:
