@@ -16,7 +16,7 @@ import time
 
 sys.path.insert(0, "src")
 
-from torusbrauer.groups import C2Decomposition, involution_lattice, unimodular_inverse
+from torusbrauer.groups import canonical_involution, involution_lattice, unimodular_inverse
 from torusbrauer.intlat import IntMatrix
 from torusbrauer.spectral import real_torus_check, v2
 
@@ -56,7 +56,7 @@ def main() -> int:
     failures = 0
     t0 = time.monotonic()
     for a, b, c in involution_types(args.max_rank):
-        s0 = C2Decomposition(a, b, c, IntMatrix.identity(a + b + 2 * c)).canonical_matrix()
+        s0 = canonical_involution(a, b, c)
         mats = [("canonical", s0)]
         for i in range(args.conjugates):
             p = random_unimodular(s0.rows, rng)

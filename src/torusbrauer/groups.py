@@ -443,17 +443,23 @@ class C2Decomposition:
     B: IntMatrix  # B * S * B^-1 is the canonical block matrix
 
     def canonical_matrix(self) -> IntMatrix:
-        n = self.a + self.b + 2 * self.c
-        rows = [[0] * n for _ in range(n)]
-        for i in range(self.a):
-            rows[i][i] = 1
-        for i in range(self.a, self.a + self.b):
-            rows[i][i] = -1
-        for t in range(self.c):
-            i = self.a + self.b + 2 * t
-            rows[i][i + 1] = 1
-            rows[i + 1][i] = 1
-        return IntMatrix.from_rows(rows, ncols=n)
+        return canonical_involution(self.a, self.b, self.c)
+
+
+def canonical_involution(a: int, b: int, c: int) -> IntMatrix:
+    """The canonical block matrix of type (a, b, c): a entries 1, then b
+    entries -1, then c swap blocks [[0, 1], [1, 0]] on the diagonal."""
+    n = a + b + 2 * c
+    rows = [[0] * n for _ in range(n)]
+    for i in range(a):
+        rows[i][i] = 1
+    for i in range(a, a + b):
+        rows[i][i] = -1
+    for t in range(c):
+        i = a + b + 2 * t
+        rows[i][i + 1] = 1
+        rows[i + 1][i] = 1
+    return IntMatrix.from_rows(rows, ncols=n)
 
 
 def _basis_completion(W: IntMatrix) -> IntMatrix:
@@ -496,7 +502,8 @@ def c2_decompose(S: IntMatrix) -> C2Decomposition:
     both = IntMatrix.from_columns(plus + minus, nrows=n)
     quot = Subquotient(IntMatrix.zero(0, n), both)
     c = len(quot.group.torsion)
-    assert all(t == 2 for t in quot.group.torsion) and quot.group.free_rank == 0
+    if quot.group.free_rank or any(t != 2 for t in quot.group.torsion):
+        raise ValidationError("N / (N+ + N-) is not an elementary 2-group")
     a = len(plus) - c
     b = len(minus) - c
 
@@ -552,7 +559,8 @@ def c2_decompose(S: IntMatrix) -> C2Decomposition:
     cols += [sub_basis.column(j) for j in range(aa, aa + bb)]
     cols += [g, tuple(Sg)]
     cols += [sub_basis.column(j) for j in range(aa + bb, aa + bb + 2 * cc)]
-    assert (aa, bb, cc + 1) == (a, b, c)
+    if (aa, bb, cc + 1) != (a, b, c):
+        raise ValidationError("complement does not have the remaining type")
     return _verified(S, a, b, c, IntMatrix.from_columns(cols, nrows=n))
 
 

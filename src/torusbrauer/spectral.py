@@ -36,6 +36,7 @@ from .groups import (
     FiniteGroup,
     GLattice,
     c2_decompose,
+    canonical_involution,
     involution_lattice,
     tate_twist,
 )
@@ -589,12 +590,24 @@ def real_torus_check(S: IntMatrix, moduli) -> RealTorusReport:
     isomorphism class of the lattice, so d2 is computed on the canonical
     block form of S, which `c2_decompose` checks is conjugate to S.  On the
     input basis the Koszul homotopy emits one term per unit of exponent, so
-    its cost grows with the size of the entries.
+    its cost grows with the size of the entries.  S is decomposed and checked
+    on every call; the levels are read from `real_torus_levels`, which
+    computes them once per type and list of levels.
     """
     dec = c2_decompose(S)
-    N = tate_twist(involution_lattice(dec.canonical_matrix()), (1, -1))
+    kind = (dec.a, dec.b, dec.c)
+    return RealTorusReport(kind, real_torus_levels(kind, tuple(moduli)))
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def real_torus_levels(kind: tuple, moduli: tuple) -> tuple[RealTorusLevel, ...]:
+    """The levels of the real-torus check on the canonical involution of type
+    kind = (a, b, c), one per entry of `moduli`, in order.  Memoised: they
+    depend on the type and the levels alone, and one type recurs under every
+    basis that disguises it."""
+    N = tate_twist(involution_lattice(canonical_involution(*kind)), (1, -1))
     levels = []
     for n in moduli:
         report = d2_02(SplitExtensionSpec(N.group, N, CoeffModule.mu(N.group, n, (1, -1))))
         levels.append(RealTorusLevel(n, report.source, report.is_zero()))
-    return RealTorusReport((dec.a, dec.b, dec.c), tuple(levels))
+    return tuple(levels)

@@ -28,12 +28,12 @@ from torusbrauer.cohomology import (
     restriction,
 )
 from torusbrauer.groups import (
-    C2Decomposition,
     CoeffModule,
     FiniteGroup,
     GaloisDatum,
     GLattice,
     c2_decompose,
+    canonical_involution,
     involution_lattice,
     permutation_lattice,
     subgroup_generated,
@@ -114,10 +114,6 @@ def random_unimodular(n, rng, steps=10):
         for k in range(n):
             m[i][k] += c * m[j][k]
     return IntMatrix.from_rows(m)
-
-
-def canonical_involution(a, b, c):
-    return C2Decomposition(a, b, c, IntMatrix.identity(a + b + 2 * c)).canonical_matrix()
 
 
 def involution_types(max_rank):

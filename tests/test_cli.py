@@ -1,10 +1,14 @@
+import ast
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
 
-from torusbrauer import brauer
+from torusbrauer import brauer, spectral
 from torusbrauer.cli import (
     EXIT_DISAGREEMENT,
     EXIT_OK,
@@ -13,7 +17,12 @@ from torusbrauer.cli import (
     build_parser,
     run,
 )
-from torusbrauer.spectral import twisted_resolution, v2
+from torusbrauer.errors import NotAnInvolutionError
+from torusbrauer.groups import canonical_involution, unimodular_inverse
+from torusbrauer.intlat import IntMatrix
+from torusbrauer.spectral import real_torus_check, real_torus_levels, twisted_resolution, v2
+from tests.test_acceptance import involution_types
+from tests.test_spectral import ladder, real_d2
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -434,6 +443,103 @@ class TestCachePolicy:
         # one universal class per lattice, across levels and commands
         info = v2.cache_info()
         assert info.misses == 1 and info.hits > 0
+
+
+class TestRealTorusMemo:
+    """The real-torus levels are computed once per type and list of levels;
+    the decomposition of the input runs on every call."""
+
+    LEVELS = (2, 3, 4, 8)
+
+    def test_one_computation_per_type(self, tmp_path, monkeypatch):
+        d2_02 = spectral.d2_02
+        levels = []
+        monkeypatch.setattr(spectral, "d2_02", lambda ext: levels.append(ext.M.modulus) or d2_02(ext))
+        real_torus_levels.cache_clear()
+        # type (1, 1, 0): canonical, under a signed permutation, and under the
+        # ladder [[1,1],[1,2]]
+        for name, matrix in [("canonical", [[1, 0], [0, -1]]), ("signed", [[-1, 0], [0, 1]]),
+                             ("ladder", [[3, -2], [4, -3]])]:
+            path = write(tmp_path, f"{name}.json", {"kind": "involution-lattice", "matrix": matrix})
+            code, text = run(["--json", "real-torus", path, "--modulus", "2,3,4,8"])
+            assert code == EXIT_OK
+            assert json.loads(text)["decomposition"] == {"trivial": 1, "sign": 1, "induced": 0}
+        info = real_torus_levels.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        assert levels == list(self.LEVELS)
+
+    def test_memoised_levels_match_a_fresh_d2(self):
+        real_torus_levels.cache_clear()
+        types = involution_types(3)
+        assert len(types) == 12
+        for ty in types:
+            S0 = canonical_involution(*ty)
+            real_torus_check(S0, self.LEVELS)
+            # a rank-1 involution is its only conjugate
+            P = ladder(2, S0.rows) if S0.rows > 1 else S0
+            conj = P.mul(S0).mul(unimodular_inverse(P))
+            rep = real_torus_check(conj, self.LEVELS)
+            assert rep.decomposition == ty
+            for n, lv in zip(self.LEVELS, rep.levels, strict=True):
+                ref = real_d2(S0, n)
+                assert lv.n == n
+                assert lv.invariants == ref.source  # structure and generators
+                assert lv.d2_is_zero == ref.is_zero()
+        info = real_torus_levels.cache_info()
+        assert (info.misses, info.hits) == (12, 12)
+
+    def test_warm_memo_hides_no_error(self):
+        real_torus_check(IntMatrix.identity(1), (2,))
+        with pytest.raises(NotAnInvolutionError):
+            real_torus_check(IntMatrix.from_rows([[2]]), (2,))
+
+    def test_new_level_list_is_computed(self):
+        path = str(INPUTS / "ind_lattice.json")
+        code, text = run(["--json", "real-torus", path, "--modulus", "4"])
+        assert code == EXIT_OK
+        assert [lv["n"] for lv in json.loads(text)["levels"]] == [4]
+        code, text = run(["--json", "real-torus", path, "--modulus", "2,4"])
+        assert code == EXIT_OK
+        assert [lv["n"] for lv in json.loads(text)["levels"]] == [2, 4]
+
+
+class TestChecksUnderOptimize:
+    """`python -O` strips assert statements, so no check of the package may
+    be one."""
+
+    def test_no_assert_in_package(self):
+        found = [
+            f"{path.name}:{node.lineno}"
+            for path in sorted((ROOT / "src" / "torusbrauer").glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Assert)
+        ]
+        assert found == []
+
+    def test_selftest_fails_under_optimize(self):
+        # smith returns 2 D: the intlat suite must see U A V != D
+        code = (
+            "import dataclasses, sys\n"
+            "import torusbrauer.intlat as intlat\n"
+            "from torusbrauer.cli import main\n"
+            "good = intlat.smith\n"
+            "def bad(a, modulus=None):\n"
+            "    s = good(a, modulus)\n"
+            "    return dataclasses.replace(s, D=s.D.scale(2))\n"
+            "intlat.smith = bad\n"
+            "sys.exit(main(['selftest', '--suite', 'intlat']))\n"
+        )
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]),
+            PYTHONDONTWRITEBYTECODE="1",
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == EXIT_DISAGREEMENT, proc.stdout + proc.stderr
+        assert proc.stderr.startswith("disagreement: selftest suite failure: intlat: smith: ")
 
 
 class TestDisagreementMessage:

@@ -12,12 +12,12 @@ from torusbrauer.errors import (
     ValidationError,
 )
 from torusbrauer.groups import (
-    C2Decomposition,
     CoeffModule,
     FiniteGroup,
     GaloisDatum,
     GLattice,
     c2_decompose,
+    canonical_involution,
     involution_lattice,
     pair_module,
     permutation_lattice,
@@ -219,10 +219,6 @@ def random_unimodular(n, rng, steps=10):
         for k in range(n):
             m[i][k] += c * m[j][k]
     return IntMatrix.from_rows(m)
-
-
-def canonical_involution(a, b, c):
-    return C2Decomposition(a, b, c, IntMatrix.identity(a + b + 2 * c)).canonical_matrix()
 
 
 def ladder(k, n, transpose=False):

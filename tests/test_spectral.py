@@ -14,11 +14,11 @@ from torusbrauer.errors import (
     NotInvariantError,
 )
 from torusbrauer.groups import (
-    C2Decomposition,
     CoeffModule,
     FiniteGroup,
     GaloisDatum,
     GLattice,
+    canonical_involution,
     involution_lattice,
     permutation_lattice,
     tate_twist,
@@ -520,7 +520,7 @@ class TestBasisChangeInvariance:
     )
     def test_ladder_conjugates(self, ty, n):
         a, b, c = ty
-        S0 = C2Decomposition(a, b, c, IntMatrix.identity(a + b + 2 * c)).canonical_matrix()
+        S0 = canonical_involution(a, b, c)
         ref = real_d2(S0, n)
         for k in (1, 2):
             for transpose in (False, True):
@@ -718,7 +718,7 @@ class TestD2Reference:
     @pytest.mark.parametrize("ty", [(1, 1, 0), (0, 1, 1), (1, 1, 1)], ids=str)
     def test_real_torus_ladder_conjugates(self, ty):
         # mu_n with the involution acting by -1
-        S0 = C2Decomposition(*ty, IntMatrix.identity(ty[0] + ty[1] + 2 * ty[2])).canonical_matrix()
+        S0 = canonical_involution(*ty)
         nonzero = 0
         for n in (2, 4):
             for k in (1, 2):
