@@ -15,7 +15,7 @@ from .errors import (
     NotASubgroupError,
     ValidationError,
 )
-from .intlat import IntMatrix, Subquotient, kernel_basis, smith, solve
+from .intlat import IntMatrix, kernel_basis, smith
 
 MAX_GROUP_ORDER = 10000
 
@@ -312,11 +312,11 @@ class GLattice:
         G = self.group
         if len(self.rho) != G.order:
             raise ValidationError("one matrix per group element required")
-        if self.rho[0] != IntMatrix.identity(self.rank):
-            raise ValidationError("identity must act as the identity matrix")
         for m in self.rho:
             if m.rows != self.rank or m.cols != self.rank:
                 raise ValidationError("action matrix has wrong shape")
+        if self.rho[0] != IntMatrix.identity(self.rank):
+            raise ValidationError("identity must act as the identity matrix")
         for g in G.generators:  # enough: see FiniteGroup
             for h in G.elements():
                 if self.rho[g].mul(self.rho[h]) != self.rho[G.mul(g, h)]:
@@ -462,106 +462,41 @@ def canonical_involution(a: int, b: int, c: int) -> IntMatrix:
     return IntMatrix.from_rows(rows, ncols=n)
 
 
-def _basis_completion(W: IntMatrix) -> IntMatrix:
-    """Extend the columns of W (spanning a primitive sublattice) to a basis."""
-    s = smith(W)
-    if any(d != 1 for d in s.diagonal()):
-        raise ValidationError("columns do not span a primitive sublattice")
-    cols = [W.column(j) for j in range(W.cols)]
-    cols += [s.u_inv.column(j) for j in range(W.cols, W.rows)]
-    return IntMatrix.from_columns(cols, nrows=W.rows)
-
-
-def _saturation(W: IntMatrix) -> IntMatrix:
-    """Basis of the saturation {x : k*x in span(W) for some k > 0}."""
-    s = smith(W)
-    rank = sum(1 for d in s.diagonal() if d)
-    return IntMatrix.from_columns(
-        [s.u_inv.column(j) for j in range(rank)], nrows=W.rows
-    )
-
-
 def c2_decompose(S: IntMatrix) -> C2Decomposition:
-    """Split an integral involution into trivial/sign/induced blocks.
+    """Split an integral involution into trivial/sign/induced blocks (I.
+    Reiner, Proc. AMS 8 (1957)): one kernel and two Smith forms.
 
-    Induced summands are split off recursively: a generator g of the 2-torsion
-    quotient N/(N+ + N-) spans, together with Sg, a free rank-2 invariant
-    summand, and an equivariant projector onto it (built from any integral
-    functional dual to g) yields an invariant complement.
+    N- = ker(S + 1) is saturated, so the Smith form U L V = [I; 0] of a
+    basis L of N- has unit diagonal, and the columns of U^-1 are a basis
+    (L V, A) of N.  As (S - 1)(S + 1) = 0, (S - 1) A lies in N-: S A = A +
+    L V X, with X the top p rows of U (S - 1) A.  The Smith form P X Q = D
+    turns the bases into L' = L V P^-1 and A' = A Q, on which S A'_j = A'_j
+    + d_j L'_j, and A'_j + (d_j // 2) L'_j leaves d_j mod 2 in its place.
+    The odd d_j come first, since d_1 | d_2 | ...; each gives an induced
+    pair (A'_j, S A'_j).  The other A'_j are fixed and the other L'_i are
+    negated.
     """
     n = S.rows
     ident = IntMatrix.identity(n)
     if S.cols != n or S.mul(S) != ident:
         raise NotAnInvolutionError("matrix is not an involution")
 
-    s_minus_1 = S.add(ident.scale(-1))
-    s_plus_1 = S.add(ident)
-    plus = kernel_basis(s_minus_1)
-    minus = kernel_basis(s_plus_1)
-
-    both = IntMatrix.from_columns(plus + minus, nrows=n)
-    quot = Subquotient(IntMatrix.zero(0, n), both)
-    c = len(quot.group.torsion)
-    if quot.group.free_rank or any(t != 2 for t in quot.group.torsion):
-        raise ValidationError("N / (N+ + N-) is not an elementary 2-group")
-    a = len(plus) - c
-    b = len(minus) - c
-
-    if c == 0:
-        return _verified(S, a, b, 0, IntMatrix.from_columns(plus + minus, nrows=n))
-
-    g0 = quot.group.generators[0]
-    # saturate span(g0, S g0): an induced rank-2 sublattice, then rebuild an
-    # honest Ind basis (w, Sw) from generators of its (anti-)fixed lines
-    L0 = IntMatrix.from_columns([g0, S.apply(g0)], nrows=n)
-    Lsat = _saturation(L0)
-    lam_plus = kernel_basis(s_minus_1.mul(Lsat))
-    lam_minus = kernel_basis(s_plus_1.mul(Lsat))
-    if len(lam_plus) != 1 or len(lam_minus) != 1:
-        raise ValidationError("saturated sublattice is not of induced type")
-    p = Lsat.apply(lam_plus[0])
-    mvec = Lsat.apply(lam_minus[0])
-    if any((x + y) % 2 for x, y in zip(p, mvec)):
-        raise ValidationError("induced basis reconstruction failed")
-    g = tuple((x + y) // 2 for x, y in zip(p, mvec))
-    Sg = S.apply(g)
-    L = IntMatrix.from_columns([g, Sg], nrows=n)
-    full = _basis_completion(L)
-    full_inv = unimodular_inverse(full)
-    psi = full_inv.entries[0]  # functional with psi(g)=1, psi(Sg)=0
-    psi_s = S.transpose().apply(psi)
-    # equivariant projector onto span(g, Sg)
-    proj = IntMatrix.from_rows(
-        [
-            [g[i] * psi[j] + Sg[i] * psi_s[j] for j in range(n)]
-            for i in range(n)
-        ]
-    )
-    comp = kernel_basis(proj)
-    K = IntMatrix.from_columns(comp, nrows=n)
-    # restriction of S to the complement, in the K-coordinates
-    SK = S.mul(K)
-    s_small_cols = []
-    ksnf = smith(K)
-    for j in range(SK.cols):
-        x = solve(K, SK.column(j), snf=ksnf)
-        if x is None:
-            raise ValidationError("complement is not S-invariant")
-        s_small_cols.append(x)
-    S_small = IntMatrix.from_columns(s_small_cols, nrows=K.cols)
-    sub = c2_decompose(S_small)
-
-    # reassemble: canonical order is (trivial, sign, induced pairs)
-    sub_basis = K.mul(unimodular_inverse(sub.B))  # ambient vectors
-    aa, bb, cc = sub.a, sub.b, sub.c
-    cols = []
-    cols += [sub_basis.column(j) for j in range(aa)]
-    cols += [sub_basis.column(j) for j in range(aa, aa + bb)]
-    cols += [g, tuple(Sg)]
-    cols += [sub_basis.column(j) for j in range(aa + bb, aa + bb + 2 * cc)]
-    if (aa, bb, cc + 1) != (a, b, c):
-        raise ValidationError("complement does not have the remaining type")
-    return _verified(S, a, b, c, IntMatrix.from_columns(cols, nrows=n))
+    minus = smith(IntMatrix.from_columns(kernel_basis(S.add(ident)), nrows=n))
+    p = minus.D.cols
+    W = [minus.u_inv.column(j) for j in range(n)]
+    LV, A = IntMatrix.from_columns(W[:p], nrows=n), IntMatrix.from_columns(W[p:], nrows=n)
+    X = IntMatrix(minus.U.mul(S.mul(A).add(A.scale(-1))).nonzeros[:p], p, n - p)
+    coupling = smith(X)
+    L1, A1 = LV.mul(coupling.u_inv), A.mul(coupling.V)
+    d = coupling.diagonal()
+    c = sum(dj % 2 for dj in d)
+    fixed = [A1.column(j) for j in range(n - p)]
+    for j, dj in enumerate(d):
+        fixed[j] = tuple(x + dj // 2 * y for x, y in zip(fixed[j], L1.column(j)))
+    basis = fixed[c:] + [L1.column(i) for i in range(c, p)]
+    for g in fixed[:c]:
+        basis += [g, S.apply(g)]
+    return _verified(S, n - p - c, p - c, c, IntMatrix.from_columns(basis, nrows=n))
 
 
 def _verified(S: IntMatrix, a: int, b: int, c: int, b_inv: IntMatrix) -> C2Decomposition:

@@ -1,12 +1,13 @@
 """Group orders counted by enumeration, sharing no code with torusbrauer.
 
 Plain Python over small finite sets: the fixed vectors of (Z/n)^k under a
-list of integer matrices, |H^2| of a cyclic group on a finite module by
-Tate periodicity, |H^2(C, A)| = |A^C| / |N_C A|, and the fixed symbols of
-each pair orbit of a Galois datum.  Lattices and characters are
-given as lists: rho lists one integer matrix per group element and chi one
-sign per element, in the same order.  The tests keep every enumeration below
-about 10^5 vectors.
+list of integer matrices, |H^1| and |H^2| of a cyclic group on a finite
+module by Tate periodicity, |H^1(C, A)| = |ker N_C| / |(g - 1) A| and
+|H^2(C, A)| = |A^C| / |N_C A|, the fixed symbols of each pair orbit of a
+Galois datum, and the type of an integral involution.  Lattices and
+characters are given as lists: rho lists one integer matrix per group
+element and chi one sign per element, in the same order.  The tests keep
+every enumeration below about 10^5 vectors.
 """
 
 from __future__ import annotations
@@ -66,6 +67,40 @@ def tate_h2_order(actions, n: int) -> int:
     norm = [[sum(col) for col in zip(*rows)] for rows in zip(*actions)]
     image = {_apply(norm, v, n) for v in itertools.product(range(n), repeat=k)}
     return fixed_count(actions, n) // len(image)
+
+
+def tate_h1_order(actions, n: int) -> int:
+    """|H^1(C, (Z/n)^k)| for a cyclic group C listed in full by its matrices,
+    the identity first and a generator g second: the kernel of the norm over
+    the image of g - 1."""
+    k = len(actions[0])
+    norm = [[sum(col) for col in zip(*rows)] for rows in zip(*actions)]
+    g_minus_1 = [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(actions[1])]
+    vectors = list(itertools.product(range(n), repeat=k))
+    zero = (0,) * k
+    kernel = sum(_apply(norm, v, n) == zero for v in vectors)
+    image = {_apply(g_minus_1, v, n) for v in vectors}
+    return kernel // len(image)
+
+
+def involution_type(s):
+    """The type (a, b, c) of an integral involution s, from invariants of its
+    conjugacy class: c is the rank of s + 1 over F_2 (each swap block
+    contributes 1, each +-1 entry 0), and a - b is the trace."""
+    n = len(s)
+    rows = [[(x + (i == j)) % 2 for j, x in enumerate(row)] for i, row in enumerate(s)]
+    c = 0
+    for col in range(n):
+        pivot = next((r for r in range(c, n) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        for r in range(n):
+            if r != c and rows[r][col]:
+                rows[r] = [x ^ y for x, y in zip(rows[r], rows[c])]
+        c += 1
+    trace = sum(s[i][i] for i in range(n))
+    return (n - 2 * c + trace) // 2, (n - 2 * c - trace) // 2, c
 
 
 def shapiro_h2_order(rho, chi, n: int) -> int:

@@ -12,6 +12,7 @@ import time
 
 import pytest
 
+from tests.matrices import involution_types, random_unimodular
 from torusbrauer.brauer import BrauerAnalysis
 from torusbrauer.cli import (
     EXIT_DISAGREEMENT,
@@ -102,28 +103,6 @@ def random_datum(rng, max_r=4, moduli=(2, 4, 6, 8, 12), max_gens=2):
         rng.shuffle(p)
         pairs.append((tuple(p), rng.choice(units)))
     return GaloisDatum.from_generators(r, M, pairs)
-
-
-def random_unimodular(n, rng, steps=10):
-    m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for _ in range(steps):
-        i, j = rng.randrange(n), rng.randrange(n)
-        if i == j:
-            continue
-        c = rng.choice([-1, 1])
-        for k in range(n):
-            m[i][k] += c * m[j][k]
-    return IntMatrix.from_rows(m)
-
-
-def involution_types(max_rank):
-    out = []
-    for c in range(max_rank // 2 + 1):
-        for a in range(max_rank - 2 * c + 1):
-            for b in range(max_rank - 2 * c - a + 1):
-                if 1 <= a + b + 2 * c <= max_rank:
-                    out.append((a, b, c))
-    return sorted(out)
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,8 @@ from torusbrauer.errors import NotAnInvolutionError
 from torusbrauer.groups import canonical_involution, unimodular_inverse
 from torusbrauer.intlat import IntMatrix
 from torusbrauer.spectral import real_torus_check, real_torus_levels, twisted_resolution, v2
-from tests.test_acceptance import involution_types
-from tests.test_spectral import ladder, real_d2
+from tests.matrices import involution_types, ladder
+from tests.test_spectral import real_d2
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -211,6 +211,15 @@ class TestExitCodes:
         code, text = run(["real-torus", write(tmp_path, "wide.json", doc)])
         assert code == EXIT_SCHEMA
         assert "square" in text and text.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["d2", "v2"])
+    def test_non_square_action_validation(self, tmp_path, command):
+        # the shape is checked before the identity is compared with rho(0)
+        doc = {"kind": "split-extension", "pi": {"cyclic": 2},
+               "action": [[[1, 0]], [[1, 0]]], "coefficients": {"mu": 2, "chi": [1, 1]}}
+        code, text = run([command, write(tmp_path, "wide.json", doc)])
+        assert code == EXIT_VALIDATION
+        assert text == "validation error: action matrix has wrong shape\n"
 
     @pytest.mark.parametrize(
         "command,doc",
@@ -475,8 +484,7 @@ class TestRealTorusMemo:
         for ty in types:
             S0 = canonical_involution(*ty)
             real_torus_check(S0, self.LEVELS)
-            # a rank-1 involution is its only conjugate
-            P = ladder(2, S0.rows) if S0.rows > 1 else S0
+            P = ladder(2, S0.rows)  # the identity on rank 1
             conj = P.mul(S0).mul(unimodular_inverse(P))
             rep = real_torus_check(conj, self.LEVELS)
             assert rep.decomposition == ty

@@ -4,7 +4,8 @@ import time
 
 import pytest
 
-from tests.matrices import det
+from tests import oracles
+from tests.matrices import det, involution_types, ladder, random_unimodular
 from torusbrauer.cohomology import cohomology
 from torusbrauer.errors import (
     NonSignCharacterOnLatticeError,
@@ -209,38 +210,6 @@ class TestInvariants:
         assert g.generators[0] == (1, 1)
 
 
-def random_unimodular(n, rng, steps=10):
-    m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for _ in range(steps):
-        i, j = rng.randrange(n), rng.randrange(n)
-        if i == j:
-            continue
-        c = rng.choice([-1, 1])
-        for k in range(n):
-            m[i][k] += c * m[j][k]
-    return IntMatrix.from_rows(m)
-
-
-def ladder(k, n, transpose=False):
-    """P = [[1,k],[1,k+1]] (or its transpose) on coordinates 0 and n-1 of the
-    n x n identity; the identity when n = 1, where conjugation is trivial."""
-    p = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    if n > 1:
-        p[0][0], p[0][n - 1], p[n - 1][0], p[n - 1][n - 1] = (
-            (1, 1, k, k + 1) if transpose else (1, k, 1, k + 1)
-        )
-    return IntMatrix.from_rows(p)
-
-
-INVOLUTION_TYPES_RANK_3 = sorted(
-    (a, b, c)
-    for c in range(2)
-    for a in range(4)
-    for b in range(4)
-    if 1 <= a + b + 2 * c <= 3
-)
-
-
 def exhaustive_c2_oracle(S):
     """Search small unimodular base changes for the canonical form (rank <= 2)."""
     n = S.rows
@@ -301,8 +270,8 @@ class TestC2Decompose:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_ladder_conjugates(self, k):
-        assert len(INVOLUTION_TYPES_RANK_3) == 12
-        for a, b, c in INVOLUTION_TYPES_RANK_3:
+        assert len(involution_types(3)) == 12
+        for a, b, c in involution_types(3):
             S0 = canonical_involution(a, b, c)
             for transpose in (False, True):
                 P = ladder(k, S0.rows, transpose)
@@ -311,6 +280,52 @@ class TestC2Decompose:
                 assert (d.a, d.b, d.c) == (a, b, c)
                 conj = d.B.mul(S).mul(unimodular_inverse(d.B))
                 assert conj.entries == d.canonical_matrix().entries
+
+
+# type (2, 2, 2) on the basis of random_unimodular(8, random.Random(18),
+# steps=50): entries up to 157, far past those of the conjugates above
+RANK_8_CONJUGATE = [
+    [72, -22, 6, 5, -10, 21, -19, -8],
+    [74, -29, 2, 4, 2, 28, -18, -6],
+    [46, -16, 9, 8, 2, 12, -14, -6],
+    [-54, 19, 2, -1, 4, -21, 12, 4],
+    [47, -16, 0, 1, -5, 17, -11, -4],
+    [-20, 2, 2, 2, 14, -5, 4, 2],
+    [157, -43, 26, 17, -28, 36, -46, -22],
+    [-39, 9, 0, 3, 18, -12, 9, 5],
+]
+
+
+def _split_agrees_with_oracle(S):
+    d = c2_decompose(S)
+    assert (d.a, d.b, d.c) == oracles.involution_type([list(row) for row in S.entries])
+    assert d.B.mul(S).mul(unimodular_inverse(d.B)) == d.canonical_matrix()
+    return d.a, d.b, d.c
+
+
+class TestC2DecomposeAgainstOracle:
+    """c2_decompose against the F_2-rank and trace of tests/oracles.py, for
+    every type of rank 1-8."""
+
+    @pytest.mark.parametrize("rank", range(1, 9))
+    def test_every_type(self, rank):
+        rng = random.Random(rank)
+        types = [ty for ty in involution_types(rank) if ty[0] + ty[1] + 2 * ty[2] == rank]
+        for ty in types:
+            S0 = canonical_involution(*ty)
+            bases = [random_unimodular(rank, rng) for _ in range(3)]
+            bases += [ladder(k, rank) for k in (1, 4)]
+            assert _split_agrees_with_oracle(S0) == ty
+            for P in bases:
+                assert _split_agrees_with_oracle(P.mul(S0).mul(unimodular_inverse(P))) == ty
+
+    def test_type_count(self):
+        assert len(involution_types(8)) == 94
+
+    def test_large_entry_rank_8_conjugate(self):
+        S = IntMatrix.from_rows(RANK_8_CONJUGATE)
+        assert S.mul(S) == IntMatrix.identity(8)
+        assert _split_agrees_with_oracle(S) == (2, 2, 2)
 
 
 class TestPairModule:

@@ -6,8 +6,18 @@ lists in the CLI's element order.  Levels follow the benchmark's `twisting`
 workload (C2 and C3 at 2..7, V4 at 2..5, the sign character from level 3
 on), and S3 runs at every level 2..4 with both characters.  For the Brauer
 oracle the data are acceptance criterion 2's stream.
+
+The count identity checks d2 on the real-torus lattices (the sign twist of
+each involution type of rank <= 3, with mu_n acted on by -1).  Inflation
+from C2 is injective for a split extension, so no differential reaches the
+row q = 0 and
+
+    |H^2(total)| * |im d2| = |H^2(C2, mu_n)| * |H^1(C2, Hom(N, mu_n))| * |source|,
+
+with the first two factors on the right counted by the oracles.
 """
 
+import dataclasses
 import itertools
 import math
 import random
@@ -16,9 +26,17 @@ import pytest
 
 from tests import oracles
 from torusbrauer.brauer import BrauerAnalysis
+from tests.matrices import involution_types
 from torusbrauer.cli import parse_split_extension
-from torusbrauer.groups import GaloisDatum
-from torusbrauer.spectral import d2_02
+from torusbrauer.groups import (
+    CoeffModule,
+    GaloisDatum,
+    canonical_involution,
+    involution_lattice,
+    tate_twist,
+)
+from torusbrauer.intlat import IntMatrix
+from torusbrauer.spectral import SplitExtensionSpec, d2_02, total_cohomology
 
 
 def _perm_matrix(p):
@@ -107,6 +125,54 @@ def test_brauer_oracle_matches_orbit_counts():
         assert (oracle.free_rank, oracle.torsion) == (0, expected), (r, M, gens)
 
 
+def _image_order(matrix, target) -> int:
+    """The order of the subgroup of the target spanned by the columns of
+    matrix, by closing the span under addition."""
+    assert target.free_rank == 0
+    orders = target.torsion
+    cols = [tuple(x % t for x, t in zip(matrix.column(j), orders)) for j in range(matrix.cols)]
+    span, frontier = {(0,) * len(orders)}, [(0,) * len(orders)]
+    while frontier:
+        v = frontier.pop()
+        for col in cols:
+            w = tuple((x + y) % t for x, y, t in zip(v, col, orders))
+            if w not in span:
+                span.add(w)
+                frontier.append(w)
+    return len(span)
+
+
+def _real_torus_extension(kind, n):
+    N = tate_twist(involution_lattice(canonical_involution(*kind)), (1, -1))
+    return SplitExtensionSpec(N.group, N, CoeffModule.mu(N.group, n, (1, -1)))
+
+
+def _count_identity_holds(ext, report, n) -> bool:
+    rho = [[list(row) for row in m.entries] for m in ext.N.rho]
+    chi = [1, -1]
+    e20 = oracles.tate_h2_order([[[1]], [[-1 % n]]], n)
+    e11 = oracles.tate_h1_order(oracles.hom_action(rho, chi, n, 1), n)
+    lhs = _order(total_cohomology(ext, 2)) * _image_order(report.matrix, report.target)
+    return lhs == e20 * e11 * _order(report.source)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8])
+@pytest.mark.parametrize("kind", involution_types(3), ids=str)
+def test_real_torus_count_identity(kind, n):
+    ext = _real_torus_extension(kind, n)
+    assert _count_identity_holds(ext, d2_02(ext), n)
+
+
+def test_count_identity_rejects_a_nonzero_d2():
+    # type (1, 1, 0) at level 2: source Z/2, target (Z/2)^2
+    ext = _real_torus_extension((1, 1, 0), 2)
+    report = d2_02(ext)
+    assert _order(report.target) > 1 and report.matrix.cols > 0 and report.is_zero()
+    column = [1] + [0] * (report.matrix.rows - 1)
+    patched = IntMatrix.from_columns([column] * report.matrix.cols, nrows=report.matrix.rows)
+    assert not _count_identity_holds(ext, dataclasses.replace(report, matrix=patched), 2)
+
+
 def test_oracles_on_hand_computed_cases():
     # C2 swapping two coordinates: H^2(C2, Z/n[C2]) = 0, and the fixed
     # vectors of the swap on (Z/n)^2 are the n diagonal ones.
@@ -122,3 +188,14 @@ def test_oracles_on_hand_computed_cases():
     assert oracles.invariant_factors([4, 6, 1]) == (2, 12)
     # the quasi-trivial example: the swap with unit 3 mod 4 fixes all of Z/4
     assert oracles.brauer_orbit_orders(2, 4, [((1, 0), 3)]) == [4]
+    # H^1(C2, Z/n): the sign action gives the 2-torsion over 0, the trivial
+    # action Hom(C2, Z/n), both of order gcd(2, n); the swap's H^1 is 0
+    for n in (2, 3, 4, 7):
+        assert oracles.tate_h1_order([[[1]], [[-1 % n]]], n) == math.gcd(2, n)
+        assert oracles.tate_h1_order([[[1]], [[1]]], n) == math.gcd(2, n)
+    assert oracles.tate_h1_order(swap, 6) == 1
+    # involution types: F_2-rank of s + 1 and the trace
+    assert oracles.involution_type([[1, 0], [0, -1]]) == (1, 1, 0)
+    assert oracles.involution_type([[0, 1], [1, 0]]) == (0, 0, 1)
+    assert oracles.involution_type([[1, 2], [0, -1]]) == (1, 1, 0)
+    assert oracles.involution_type([[-1, 0, 0], [0, 0, 1], [0, 1, 0]]) == (0, 1, 1)

@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from tests.matrices import det, diagonal
+from tests.matrices import det, diagonal, ladder
 from torusbrauer.cohomology import bar_delta_matrix, cohomology
 from torusbrauer.errors import (
     NotAnInvolutionError,
@@ -491,16 +491,6 @@ class TestRealTorus:
     def test_not_involution(self):
         with pytest.raises(NotAnInvolutionError):
             real_torus_check(IntMatrix.from_rows([[2]]), (2,))
-
-
-def ladder(k, n, transpose=False):
-    """P = [[1,k],[1,k+1]] (or its transpose) on coordinates 0 and n-1 of the
-    n x n identity."""
-    p = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    p[0][0], p[0][n - 1], p[n - 1][0], p[n - 1][n - 1] = (
-        (1, 1, k, k + 1) if transpose else (1, k, 1, k + 1)
-    )
-    return IntMatrix.from_rows(p)
 
 
 def real_d2(S, n):
