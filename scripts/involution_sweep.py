@@ -14,33 +14,11 @@ import random
 import sys
 import time
 
-sys.path.insert(0, "src")
+sys.path[:0] = ["src", "."]
 
+from tests.matrices import involution_types, random_unimodular
 from torusbrauer.groups import canonical_involution, involution_lattice, unimodular_inverse
-from torusbrauer.intlat import IntMatrix
 from torusbrauer.spectral import real_torus_check, v2
-
-
-def involution_types(max_rank):
-    out = []
-    for c in range(max_rank // 2 + 1):
-        for a in range(max_rank - 2 * c + 1):
-            for b in range(max_rank - 2 * c - a + 1):
-                if 1 <= a + b + 2 * c <= max_rank:
-                    out.append((a, b, c))
-    return sorted(out)
-
-
-def random_unimodular(n, rng, steps=10):
-    m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for _ in range(steps):
-        i, j = rng.randrange(n), rng.randrange(n)
-        if i == j:
-            continue
-        c = rng.choice([-1, 1])
-        for k in range(n):
-            m[i][k] += c * m[j][k]
-    return IntMatrix.from_rows(m)
 
 
 def main() -> int:

@@ -17,7 +17,6 @@ from torusbrauer.groups import (
     CoeffModule,
     FiniteGroup,
     GaloisDatum,
-    GLattice,
     permutation_lattice,
     tate_twist,
 )
@@ -32,20 +31,20 @@ from torusbrauer.spectral import (
 
 def examples():
     c2 = FiniteGroup.cyclic(2)
-    swap = GLattice(c2, 2, (IntMatrix.identity(2), IntMatrix.from_rows([[0, 1], [1, 0]])))
+    swap = CoeffModule(c2, 2, None, (IntMatrix.identity(2), IntMatrix.from_rows([[0, 1], [1, 0]])))
     yield "induced C2-lattice, level 2", SplitExtensionSpec(
-        c2, swap, CoeffModule.mu(c2, 2, (1, 1))
+        swap, CoeffModule.mu(c2, 2, (1, 1))
     )
     yield "induced C2-lattice, level 4 with inversion", SplitExtensionSpec(
-        c2, swap, CoeffModule.mu(c2, 4, (1, -1))
+        swap, CoeffModule.mu(c2, 4, (1, -1))
     )
     yield "sign-twisted induced C2-lattice, level 4", SplitExtensionSpec(
-        c2, tate_twist(swap, (1, -1)), CoeffModule.mu(c2, 4, (1, 1))
+        tate_twist(swap, (1, -1)), CoeffModule.mu(c2, 4, (1, 1))
     )
     d = GaloisDatum.from_generators(3, 2, [((1, 0, 2), 1), ((0, 2, 1), 1)])
     perm = permutation_lattice(d)
     yield "natural S3 permutation lattice, level 2", SplitExtensionSpec(
-        d.group, perm, CoeffModule.mu(d.group, 2, (1,) * d.group.order)
+        perm, CoeffModule.mu(d.group, 2, (1,) * d.group.order)
     )
 
 

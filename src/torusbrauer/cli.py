@@ -37,7 +37,7 @@ from .errors import (
     TorusBrauerError,
     ValidationError,
 )
-from .groups import MAX_GROUP_ORDER, CoeffModule, FiniteGroup, GaloisDatum, GLattice
+from .groups import MAX_GROUP_ORDER, CoeffModule, FiniteGroup, GaloisDatum
 from .intlat import IntMatrix
 from .spectral import (
     SplitExtensionSpec,
@@ -200,12 +200,12 @@ def parse_split_extension(doc: dict) -> SplitExtensionSpec:
             raise SchemaError("one coefficient matrix per group element required")
         cmats = [_matrix(m, "coefficient matrix") for m in mlist]
     pi = build()
-    N = GLattice(pi, mats[0].rows, mats)
+    N = CoeffModule(pi, mats[0].rows, None, mats)
     if "mu" in coeff:
         M = CoeffModule.mu(pi, n, tuple(chi))
     else:
         M = CoeffModule.make(pi, rank, modulus, cmats)
-    return SplitExtensionSpec(pi, N, M)
+    return SplitExtensionSpec(N, M)
 
 
 # ---------------------------------------------------------------------------
@@ -380,8 +380,8 @@ def _suite_twisted(rng):
     from .spectral import twisted_resolution
 
     c2 = FiniteGroup.cyclic(2)
-    swap = GLattice(
-        c2, 2, (IntMatrix.identity(2), IntMatrix.from_rows([[0, 1], [1, 0]]))
+    swap = CoeffModule(
+        c2, 2, None, (IntMatrix.identity(2), IntMatrix.from_rows([[0, 1], [1, 0]]))
     )
     twisted_resolution(swap).verify_d_squared()  # raises unless d^2 = 0
     if not v2(swap).is_zero():

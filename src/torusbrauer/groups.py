@@ -31,9 +31,9 @@ class FiniteGroup:
 
     A map rho with rho(0) = 1 is a homomorphism as soon as rho(sh) =
     rho(s) rho(h) for every generator s and every h: the g for which this
-    holds for all h contain 0 and are closed under products.  GaloisDatum,
-    GLattice and CoeffModule check that, |S|·|G| products in place of
-    |G|²."""
+    holds for all h contain 0 and are closed under products.  GaloisDatum
+    and CoeffModule (a G-lattice when it has no modulus) check that, |S|·|G|
+    products in place of |G|²."""
 
     table: tuple[tuple[int, ...], ...]
     generators: tuple[int, ...] = field(init=False, compare=False, repr=False)
@@ -301,46 +301,9 @@ class GaloisDatum:
 
 
 @dataclass(frozen=True)
-class GLattice:
-    """Free Z-module of finite rank with a group acting by GL_n(Z) matrices."""
-
-    group: FiniteGroup
-    rank: int
-    rho: tuple[IntMatrix, ...]
-
-    def __post_init__(self):
-        G = self.group
-        if len(self.rho) != G.order:
-            raise ValidationError("one matrix per group element required")
-        for m in self.rho:
-            if m.rows != self.rank or m.cols != self.rank:
-                raise ValidationError("action matrix has wrong shape")
-        if self.rho[0] != IntMatrix.identity(self.rank):
-            raise ValidationError("identity must act as the identity matrix")
-        for g in G.generators:  # enough: see FiniteGroup
-            for h in G.elements():
-                if self.rho[g].mul(self.rho[h]) != self.rho[G.mul(g, h)]:
-                    raise ValidationError("lattice action is not a homomorphism")
-
-    @staticmethod
-    def trivial(group: FiniteGroup, rank: int) -> "GLattice":
-        ident = IntMatrix.identity(rank)
-        return GLattice(group, rank, tuple(ident for _ in group.elements()))
-
-    def direct_sum(self, other: "GLattice") -> "GLattice":
-        if self.group != other.group:
-            raise ValidationError("direct sum needs a common group")
-        r1, r = self.rank, self.rank + other.rank
-        mats = []
-        for a, b in zip(self.rho, other.rho):
-            shifted = tuple({r1 + j: x for j, x in row.items()} for row in b.nonzeros)
-            mats.append(IntMatrix(a.nonzeros + shifted, r, r))
-        return GLattice(self.group, r, tuple(mats))
-
-
-@dataclass(frozen=True)
 class CoeffModule:
-    """(Z/n)^k (or Z^k when modulus is None) with a finite-group action."""
+    """(Z/n)^k with a finite-group action, or, when modulus is None, the
+    G-lattice Z^k with the group acting by GL_k(Z) matrices."""
 
     group: FiniteGroup
     rank: int
@@ -366,7 +329,8 @@ class CoeffModule:
         for g in G.generators:  # enough: see FiniteGroup
             for h in G.elements():
                 if self.action[g].mul(self.action[h], modulus=n) != self.action[G.mul(g, h)]:
-                    raise ValidationError("module action is not a homomorphism")
+                    what = "lattice" if n is None else "module"
+                    raise ValidationError(f"{what} action is not a homomorphism")
 
     @staticmethod
     def make(group, rank, modulus, matrices) -> "CoeffModule":
@@ -385,6 +349,18 @@ class CoeffModule:
         """Rank-1 module Z/n with g acting by the unit chi_values[g]."""
         mats = [IntMatrix.from_rows([[chi_values[g] % n]]) for g in group.elements()]
         return CoeffModule.make(group, 1, n, mats)
+
+    def direct_sum(self, other: "CoeffModule") -> "CoeffModule":
+        if self.group != other.group:
+            raise ValidationError("direct sum needs a common group")
+        if self.modulus != other.modulus:
+            raise ValidationError("direct sum needs a common modulus")
+        r1, r = self.rank, self.rank + other.rank
+        mats = []
+        for a, b in zip(self.action, other.action):
+            shifted = tuple({r1 + j: x for j, x in row.items()} for row in b.nonzeros)
+            mats.append(IntMatrix(a.nonzeros + shifted, r, r))
+        return CoeffModule(self.group, r, self.modulus, tuple(mats))
 
     def restrict(self, sub: Subgroup) -> "CoeffModule":
         return CoeffModule(
@@ -413,7 +389,7 @@ def unimodular_inverse(B: IntMatrix) -> IntMatrix:
     return s.V.mul(s.U)
 
 
-def permutation_lattice(datum: GaloisDatum) -> GLattice:
+def permutation_lattice(datum: GaloisDatum) -> CoeffModule:
     """Character lattice of the quasi-trivial torus: permutation matrices."""
     mats = []
     for p in datum.perm:
@@ -421,18 +397,18 @@ def permutation_lattice(datum: GaloisDatum) -> GLattice:
         for j, i in enumerate(p):  # e_j goes to e_p(j)
             rows[i] = {j: 1}
         mats.append(IntMatrix(tuple(rows), datum.r, datum.r))
-    return GLattice(datum.group, datum.r, tuple(mats))
+    return CoeffModule(datum.group, datum.r, None, tuple(mats))
 
 
-def tate_twist(lattice: GLattice, chi_values) -> GLattice:
+def tate_twist(lattice: CoeffModule, chi_values) -> CoeffModule:
     """Multiply every action matrix by the sign chi_values[g]."""
     for u in chi_values:
         if u not in (1, -1):
             raise NonSignCharacterOnLatticeError(
                 "lattice twists need a sign-valued character"
             )
-    mats = tuple(m.scale(chi_values[g]) for g, m in zip(lattice.group.elements(), lattice.rho))
-    return GLattice(lattice.group, lattice.rank, mats)
+    mats = tuple(m.scale(chi_values[g]) for g, m in zip(lattice.group.elements(), lattice.action))
+    return CoeffModule.make(lattice.group, lattice.rank, lattice.modulus, mats)
 
 
 @dataclass(frozen=True)
@@ -509,11 +485,11 @@ def _verified(S: IntMatrix, a: int, b: int, c: int, b_inv: IntMatrix) -> C2Decom
     return out
 
 
-def involution_lattice(S: IntMatrix) -> GLattice:
+def involution_lattice(S: IntMatrix) -> CoeffModule:
     """C2-lattice defined by a single involution matrix."""
     if S.mul(S) != IntMatrix.identity(S.rows):
         raise NotAnInvolutionError("matrix is not an involution")
-    return GLattice(FiniteGroup.cyclic(2), S.rows, (IntMatrix.identity(S.rows), S))
+    return CoeffModule(FiniteGroup.cyclic(2), S.rows, None, (IntMatrix.identity(S.rows), S))
 
 
 def pair_module(datum: GaloisDatum, m: int) -> CoeffModule:

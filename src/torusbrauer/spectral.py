@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
+from math import comb
 
 from .cohomology import (
     CACHE_SIZE,
@@ -34,7 +35,6 @@ from .errors import (
 from .groups import (
     CoeffModule,
     FiniteGroup,
-    GLattice,
     c2_decompose,
     canonical_involution,
     involution_lattice,
@@ -47,15 +47,6 @@ MAX_TOTAL_DEGREE = 4
 
 def _subsets(r: int, q: int):
     return list(itertools.combinations(range(r), q))
-
-
-def binomial(r: int, q: int) -> int:
-    if q < 0 or q > r:
-        return 0
-    out = 1
-    for i in range(q):
-        out = out * (r - i) // (i + 1)
-    return out
 
 
 def exterior_power_matrix(A: IntMatrix, q: int) -> IntMatrix:
@@ -74,15 +65,16 @@ def exterior_power_matrix(A: IntMatrix, q: int) -> IntMatrix:
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def exterior_powers(N: GLattice, q: int) -> tuple[IntMatrix, ...]:
-    """Lambda^q of each action matrix of N, in element order.  Memoised: it
-    depends on the lattice and q alone, and every coefficient module of the
-    lattice reads it."""
-    return tuple(exterior_power_matrix(m, q) for m in N.rho)
+def exterior_power(N: CoeffModule, q: int) -> CoeffModule:
+    """Lambda^q N with the induced (covariant) action on the wedge basis
+    e_S, S a sorted q-subset.  Memoised: it depends on the lattice and q
+    alone, and every coefficient module of the lattice reads it."""
+    mats = tuple(exterior_power_matrix(m, q) for m in N.action)
+    return CoeffModule(N.group, comb(N.rank, q), None, mats)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def lattice_cohomology(N: GLattice, M: CoeffModule, q: int) -> CoeffModule:
+def lattice_cohomology(N: CoeffModule, M: CoeffModule, q: int) -> CoeffModule:
     """Hom(Lambda^q N, M) with pi acting by (g.f)(x) = g_M f(rho(g)^{-1} x).
 
     This is the degree-q cohomology of the lattice with coefficients in a
@@ -92,14 +84,9 @@ def lattice_cohomology(N: GLattice, M: CoeffModule, q: int) -> CoeffModule:
     if N.group != M.group:
         raise ValidationError("lattice and module live over different groups")
     pi = N.group
-    lam = exterior_powers(N, q)
-    action = [lam[pi.inv(g)].transpose().kron(M.action[g]) for g in pi.elements()]
-    return CoeffModule.make(pi, binomial(N.rank, q) * M.rank, M.modulus, action)
-
-
-def h2_lattice(N: GLattice) -> CoeffModule:
-    """Lambda^2 N with the induced (covariant) action on e_i ^ e_j, i < j."""
-    return CoeffModule.make(N.group, binomial(N.rank, 2), None, exterior_powers(N, 2))
+    lam = exterior_power(N, q)
+    action = [lam.action[pi.inv(g)].transpose().kron(M.action[g]) for g in pi.elements()]
+    return CoeffModule.make(pi, lam.rank * M.rank, M.modulus, action)
 
 
 # ---------------------------------------------------------------------------
@@ -109,15 +96,21 @@ def h2_lattice(N: GLattice) -> CoeffModule:
 
 @dataclass(frozen=True)
 class SplitExtensionSpec:
-    """Z^r x| pi acting on a coefficient module with trivial Z^r-action."""
+    """Z^r x| pi acting on a coefficient module with trivial Z^r-action:
+    pi is the group of the lattice N, which has no modulus."""
 
-    pi: FiniteGroup
-    N: GLattice
+    N: CoeffModule
     M: CoeffModule
 
     def __post_init__(self):
-        if self.N.group != self.pi or self.M.group != self.pi:
-            raise ValidationError("lattice/module group does not match pi")
+        if self.N.modulus is not None:
+            raise ValidationError("the lattice of a split extension has no modulus")
+        if self.N.group != self.M.group:
+            raise ValidationError("lattice and module live over different groups")
+
+    @property
+    def pi(self) -> FiniteGroup:
+        return self.N.group
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +125,7 @@ class TwistedResolution:
     """The resolution up to total degree MAX_TOTAL_DEGREE.  It is built from
     the lattice alone: the coefficient module enters only through cochains."""
 
-    def __init__(self, N: GLattice):
+    def __init__(self, N: CoeffModule):
         self.pi = N.group
         self.N = N
         self.r = N.rank
@@ -148,11 +141,11 @@ class TwistedResolution:
     def rank(self, p: int, q: int) -> int:
         if p < 0 or q < 0 or q > self.r:
             return 0
-        return self.pi.order**p * binomial(self.r, q)
+        return self.pi.order**p * comb(self.r, q)
 
     # -- group ring helpers ------------------------------------------------
     def _left_mul(self, a, u, elem: dict) -> dict:
-        pi, ru = self.pi, self.N.rho[u]
+        pi, ru = self.pi, self.N.action[u]
         out: dict = {}
         for (b, v, T, S), c in elem.items():
             key = (
@@ -193,8 +186,8 @@ class TwistedResolution:
         for (a, u, T, S), coeff in elem.items():
             p = len(T)
             sign_p = -1 if p % 2 else 1
-            c = self.N.rho[pi.inv(u)].apply(a)
-            ru = self.N.rho[u]
+            c = self.N.action[pi.inv(u)].apply(a)
+            ru = self.N.action[u]
             stop = S[0] if S else self.r
             for i in range(stop):
                 ci = c[i]
@@ -290,7 +283,7 @@ class TwistedResolution:
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def twisted_resolution(N: GLattice) -> TwistedResolution:
+def twisted_resolution(N: CoeffModule) -> TwistedResolution:
     return TwistedResolution(N)
 
 
@@ -319,7 +312,7 @@ class CochainComplex:
         basis index offset in the source layout."""
         res, pi = self.res, self.pi
         # (T, S) sits at place[S][0] + T_index * place[S][1]
-        place = {S: (off + i, binomial(self.r, q)) for (_, q), off in offsets.items()
+        place = {S: (off + i, comb(self.r, q)) for (_, q), off in offsets.items()
                  for i, S in enumerate(_subsets(self.r, q))}
         chains = (
             [(o + _tuple_index(pi, T2) * w, u, c)
@@ -372,7 +365,7 @@ def uct_identify(ext: SplitExtensionSpec, alpha) -> IntMatrix:
     lat2 = lattice_cohomology(ext.N, ext.M, 2)
     alpha = _check_invariant(lat2, alpha)
     k = ext.M.rank
-    nsub = binomial(ext.N.rank, 2)
+    nsub = comb(ext.N.rank, 2)
     rows = [[alpha[s * k + j] for s in range(nsub)] for j in range(k)]
     return IntMatrix.from_rows(rows, ncols=nsub)
 
@@ -422,7 +415,7 @@ class V2Class:
     """Degree-2 class of pi with coefficients Hom(N, Lambda^2 N), given by an
     explicit row cocycle; coordinates are computed on demand."""
 
-    N: GLattice
+    N: CoeffModule
     ext_univ: SplitExtensionSpec
     cocycle: tuple
 
@@ -438,14 +431,13 @@ class V2Class:
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def v2(N: GLattice) -> V2Class:
+def v2(N: CoeffModule) -> V2Class:
     """d2 of the identity, with the universal coefficient module Lambda^2 N.
     Memoised: every level and command on one lattice reads one class."""
-    univ = h2_lattice(N)
-    ext = SplitExtensionSpec(N.group, N, univ)
+    ext = SplitExtensionSpec(N, exterior_power(N, 2))
     if N.rank < 2:
         return V2Class(N, ext, (0,) * 0, _coords=())
-    nsub = binomial(N.rank, 2)
+    nsub = ext.M.rank
     # the identity element of Hom(Lambda^2 N, Lambda^2 N), flattened
     alpha = [0] * (nsub * nsub)
     for s in range(nsub):
@@ -457,7 +449,7 @@ def pushforward_cocycle(ext: SplitExtensionSpec, atilde: IntMatrix, src):
     """Image of a Hom(N, Lambda^2 N)-valued row cocycle under post-composition
     with the map Lambda^2 N -> M given by atilde, as a cocycle for ext."""
     r, k = ext.N.rank, ext.M.rank
-    nsub = binomial(r, 2)
+    nsub = comb(r, 2)
     out = []
     # one value in Hom(N, Lambda^2 N) per tuple of pi^2 and basis vector of N
     for t in range(ext.pi.order**2 * r):
@@ -489,7 +481,7 @@ def pushforward_formula_check(ext: SplitExtensionSpec, alphas, rng) -> list[bool
     return verdicts
 
 
-def v2_additivity_check(N1: GLattice, N2: GLattice) -> bool:
+def v2_additivity_check(N1: CoeffModule, N2: CoeffModule) -> bool:
     """The universal class of a direct sum agrees, as a class, with the sum of
     the universal classes of the summands placed in the diagonal blocks of
     Hom(N1 + N2, Lambda^2 (N1 + N2))."""
@@ -608,6 +600,6 @@ def real_torus_levels(kind: tuple, moduli: tuple) -> tuple[RealTorusLevel, ...]:
     N = tate_twist(involution_lattice(canonical_involution(*kind)), (1, -1))
     levels = []
     for n in moduli:
-        report = d2_02(SplitExtensionSpec(N.group, N, CoeffModule.mu(N.group, n, (1, -1))))
+        report = d2_02(SplitExtensionSpec(N, CoeffModule.mu(N.group, n, (1, -1))))
         levels.append(RealTorusLevel(n, report.source, report.is_zero()))
     return tuple(levels)

@@ -1,4 +1,5 @@
-"""Matrix builders and readers that only the tests use."""
+"""Matrix builders and readers for the tests; `scripts/involution_sweep.py`
+imports `involution_types` and `random_unimodular` from here too."""
 
 from torusbrauer.intlat import IntMatrix, _det
 

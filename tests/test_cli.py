@@ -221,6 +221,15 @@ class TestExitCodes:
         assert code == EXIT_VALIDATION
         assert text == "validation error: action matrix has wrong shape\n"
 
+    def test_lattice_coefficients_not_a_homomorphism(self, tmp_path):
+        # coefficients with no modulus are a lattice, and are named so
+        doc = {"kind": "split-extension", "pi": {"cyclic": 2},
+               "action": [[[1]], [[-1]]],
+               "coefficients": {"rank": 1, "modulus": None, "matrices": [[[1]], [[2]]]}}
+        code, text = run(["d2", write(tmp_path, "lattice.json", doc)])
+        assert code == EXIT_VALIDATION
+        assert text == "validation error: lattice action is not a homomorphism\n"
+
     @pytest.mark.parametrize(
         "command,doc",
         [

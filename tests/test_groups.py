@@ -16,7 +16,6 @@ from torusbrauer.groups import (
     CoeffModule,
     FiniteGroup,
     GaloisDatum,
-    GLattice,
     c2_decompose,
     canonical_involution,
     involution_lattice,
@@ -149,16 +148,16 @@ class TestPermutationLattice:
         d = GaloisDatum.from_generators(3, 2, [])
         lat = permutation_lattice(d)
         assert lat.rank == 3
-        assert lat.rho[0].entries == IntMatrix.identity(3).entries
+        assert lat.action[0].entries == IntMatrix.identity(3).entries
 
     def test_swap(self):
         lat = permutation_lattice(swap_datum_qi())
-        assert lat.rho[1].entries == ((0, 1), (1, 0))
+        assert lat.action[1].entries == ((0, 1), (1, 0))
 
     def test_s3(self):
         lat = permutation_lattice(s3_datum())
         for g in lat.group.elements():
-            m = lat.rho[g]
+            m = lat.action[g]
             assert sorted(m.column(j) for j in range(3)) == [
                 (0, 0, 1),
                 (0, 1, 0),
@@ -169,20 +168,47 @@ class TestPermutationLattice:
 class TestTateTwist:
     def test_sign_twist_trivial_lattice(self):
         c2 = FiniteGroup.cyclic(2)
-        lat = GLattice.trivial(c2, 1)
+        lat = CoeffModule.trivial(c2, 1, None)
         tw = tate_twist(lat, (1, -1))
-        assert tw.rho[1].entries == ((-1,),)
+        assert tw.action[1].entries == ((-1,),)
 
     def test_ind_twist(self):
         lat = involution_lattice(IntMatrix.from_rows([[0, 1], [1, 0]]))
         tw = tate_twist(lat, (1, -1))
-        assert tw.rho[1].entries == ((0, -1), (-1, 0))
+        assert tw.action[1].entries == ((0, -1), (-1, 0))
+
+    def test_module_keeps_its_modulus(self):
+        c2 = FiniteGroup.cyclic(2)
+        assert tate_twist(CoeffModule.mu(c2, 4, (1, 1)), (1, -1)) == CoeffModule.mu(c2, 4, (1, -1))
 
     def test_non_sign_rejected(self):
         c2 = FiniteGroup.cyclic(2)
-        lat = GLattice.trivial(c2, 1)
+        lat = CoeffModule.trivial(c2, 1, None)
         with pytest.raises(NonSignCharacterOnLatticeError):
             tate_twist(lat, (1, 3))
+
+
+class TestDirectSum:
+    def test_block_diagonal_over_z_mod_n(self):
+        c2 = FiniteGroup.cyclic(2)
+        swap = CoeffModule.make(c2, 2, 4, [IntMatrix.identity(2), IntMatrix.from_rows([[0, 1], [1, 0]])])
+        total = CoeffModule.mu(c2, 4, (1, -1)).direct_sum(swap)
+        assert (total.group, total.rank, total.modulus) == (c2, 3, 4)
+        assert total.action[0] == IntMatrix.identity(3)
+        assert total.action[1].entries == ((3, 0, 0), (0, 0, 1), (0, 1, 0))
+
+    def test_common_group_required(self):
+        one = CoeffModule.trivial(FiniteGroup.cyclic(2), 1, 4)
+        other = CoeffModule.trivial(FiniteGroup.cyclic(3), 1, 4)
+        with pytest.raises(ValidationError, match="^direct sum needs a common group$"):
+            one.direct_sum(other)
+
+    @pytest.mark.parametrize("modulus", [2, None])
+    def test_common_modulus_required(self, modulus):
+        c2 = FiniteGroup.cyclic(2)
+        one = CoeffModule.trivial(c2, 1, 4)
+        with pytest.raises(ValidationError, match="^direct sum needs a common modulus$"):
+            one.direct_sum(CoeffModule.trivial(c2, 1, modulus))
 
 
 class TestInvariants:

@@ -144,11 +144,11 @@ def _image_order(matrix, target) -> int:
 
 def _real_torus_extension(kind, n):
     N = tate_twist(involution_lattice(canonical_involution(*kind)), (1, -1))
-    return SplitExtensionSpec(N.group, N, CoeffModule.mu(N.group, n, (1, -1)))
+    return SplitExtensionSpec(N, CoeffModule.mu(N.group, n, (1, -1)))
 
 
 def _count_identity_holds(ext, report, n) -> bool:
-    rho = [[list(row) for row in m.entries] for m in ext.N.rho]
+    rho = [[list(row) for row in m.entries] for m in ext.N.action]
     chi = [1, -1]
     e20 = oracles.tate_h2_order([[[1]], [[-1 % n]]], n)
     e11 = oracles.tate_h1_order(oracles.hom_action(rho, chi, n, 1), n)

@@ -1,12 +1,25 @@
 """Each experiment script runs to completion at a small size."""
 
 import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def _run(argv):
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc
 
 
 @pytest.mark.parametrize(
@@ -19,15 +32,24 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
     ids=lambda argv: argv[0],
 )
 def test_script_exits_zero(argv):
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
-        cwd=ROOT,
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
+    proc = _run(argv)
     assert proc.stdout
     if argv == ["twisting_demo.py"]:
         # the demo prints no timings: its whole output is pinned
         assert proc.stdout == (ROOT / "tests" / "golden" / "twisting_demo.stdout.golden").read_text()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["involution_sweep.py", "--max-rank", "3"],
+        ["random_brauer_sweep.py", "--count", "5", "--seed", "3"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_sweep_output_is_pinned(argv):
+    """The sweeps print their timing on one line ("done in 0.2s", "5 data in
+    0.0s"); with that figure masked, the whole output is pinned."""
+    out = re.sub(r"\b(done|data) in [0-9.]+s", r"\1 in …s", _run(argv).stdout)
+    golden = ROOT / "tests" / "golden" / (argv[0].removesuffix(".py") + ".stdout.golden")
+    assert out == golden.read_text(encoding="utf-8")

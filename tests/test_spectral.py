@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -12,12 +13,12 @@ from torusbrauer.cohomology import bar_delta_matrix, cohomology
 from torusbrauer.errors import (
     NotAnInvolutionError,
     NotInvariantError,
+    ValidationError,
 )
 from torusbrauer.groups import (
     CoeffModule,
     FiniteGroup,
     GaloisDatum,
-    GLattice,
     canonical_involution,
     involution_lattice,
     permutation_lattice,
@@ -29,13 +30,12 @@ from torusbrauer.intlat import IntMatrix
 from torusbrauer.spectral import (
     CochainComplex,
     SplitExtensionSpec,
-    binomial,
     pushforward_formula_check,
     d2_02,
     d2_cocycles,
     e2_21,
+    exterior_power,
     exterior_power_matrix,
-    h2_lattice,
     lattice_cohomology,
     real_torus_check,
     total_cohomology,
@@ -61,20 +61,20 @@ def fixed(module):
 
 def swap_lattice():
     g = c2()
-    return GLattice(g, 2, (IntMatrix.identity(2), IntMatrix.from_rows([[0, 1], [1, 0]])))
+    return CoeffModule(g, 2, None, (IntMatrix.identity(2), IntMatrix.from_rows([[0, 1], [1, 0]])))
 
 
 def sign_lattice(a, b):
     """Z^a + Z(1)^b as a C2-lattice."""
     g = c2()
     d = diagonal([1] * a + [-1] * b)
-    return GLattice(g, a + b, (IntMatrix.identity(a + b), d))
+    return CoeffModule(g, a + b, None, (IntMatrix.identity(a + b), d))
 
 
 def c3_rotation():
     g = FiniteGroup.cyclic(3)
     rot = IntMatrix.from_rows([[0, -1], [1, -1]])
-    return GLattice(g, 2, (IntMatrix.identity(2), rot, rot.mul(rot)))
+    return CoeffModule(g, 2, None, (IntMatrix.identity(2), rot, rot.mul(rot)))
 
 
 def s3_perm_lattice():
@@ -87,11 +87,30 @@ def v4_lattice():
     # element order (0,0), (0,1), (1,0), (1,1)
     d = diagonal([1, 1, -1])
     p = IntMatrix.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
-    return GLattice(g, 3, (IntMatrix.identity(3), d, p, p.mul(d)))
+    return CoeffModule(g, 3, None, (IntMatrix.identity(3), d, p, p.mul(d)))
 
 
-def direct_sum(l1: GLattice, l2: GLattice) -> GLattice:
+def direct_sum(l1: CoeffModule, l2: CoeffModule) -> CoeffModule:
     return l1.direct_sum(l2)
+
+
+class TestSplitExtensionSpec:
+    def test_pi_is_the_lattice_group(self):
+        N = swap_lattice()
+        ext = SplitExtensionSpec(N, CoeffModule.mu(N.group, 2, (1, 1)))
+        assert [f.name for f in dataclasses.fields(ext)] == ["N", "M"]
+        assert ext.pi is N.group
+
+    def test_lattice_with_a_modulus_refused(self):
+        g = c2()
+        with pytest.raises(ValidationError, match="^the lattice of a split extension has no modulus$"):
+            SplitExtensionSpec(CoeffModule.trivial(g, 2, 4), CoeffModule.trivial(g, 1, 4))
+
+    def test_different_groups_refused(self):
+        N = swap_lattice()
+        M = CoeffModule.trivial(FiniteGroup.cyclic(3), 1, 4)
+        with pytest.raises(ValidationError, match="^lattice and module live over different groups$"):
+            SplitExtensionSpec(N, M)
 
 
 class TestExteriorPower:
@@ -129,11 +148,11 @@ class TestExteriorPower:
             return build(A, q)
 
         monkeypatch.setattr(spectral, "exterior_power_matrix", counted)
-        for memo in (spectral.exterior_powers, lattice_cohomology, v2):
+        for memo in (exterior_power, lattice_cohomology, v2):
             memo.cache_clear()
         N = s3_perm_lattice()
         for n in (2, 3, 4):
-            ext = SplitExtensionSpec(N.group, N, CoeffModule.mu(N.group, n, (1,) * 6))
+            ext = SplitExtensionSpec(N, CoeffModule.mu(N.group, n, (1,) * 6))
             rep = d2_02(ext)
             pushforward_formula_check(ext, rep.source.generators, random.Random(n))
         assert built == {1: 6, 2: 6}
@@ -142,7 +161,7 @@ class TestExteriorPower:
 class TestLatticeCohomology:
     def test_trivial_rank3_q2(self):
         g = c2()
-        n = GLattice.trivial(g, 3)
+        n = CoeffModule.trivial(g, 3, None)
         m = CoeffModule.trivial(g, 1, 2)
         h = lattice_cohomology(n, m, 2)
         assert h.rank == 3 and h.modulus == 2
@@ -163,24 +182,24 @@ class TestLatticeCohomology:
 
 class TestH2Lattice:
     def test_rank1_zero(self):
-        assert h2_lattice(sign_lattice(1, 0)).rank == 0
+        assert exterior_power(sign_lattice(1, 0), 2).rank == 0
 
     def test_rank2_trivial(self):
-        h = h2_lattice(sign_lattice(2, 0))
+        h = exterior_power(sign_lattice(2, 0), 2)
         assert h.rank == 1 and h.modulus is None
         assert h.action[1].entries == ((1,),)
 
     def test_ind_sign_on_wedge(self):
-        h = h2_lattice(swap_lattice())
+        h = exterior_power(swap_lattice(), 2)
         assert h.action[1].entries == ((-1,),)
 
 
 class TestUctIdentify:
     def ext_r2(self):
         g = FiniteGroup.trivial()
-        n = GLattice.trivial(g, 2)
+        n = CoeffModule.trivial(g, 2, None)
         m = CoeffModule.trivial(g, 1, 4)
-        return SplitExtensionSpec(g, n, m)
+        return SplitExtensionSpec(n, m)
 
     def test_zero(self):
         assert uct_identify(self.ext_r2(), (0,)).is_zero()
@@ -192,7 +211,7 @@ class TestUctIdentify:
     def test_not_invariant_rejected(self):
         n = swap_lattice()
         m = CoeffModule.trivial(n.group, 1, 4)
-        ext = SplitExtensionSpec(n.group, n, m)
+        ext = SplitExtensionSpec(n, m)
         # sigma acts by -1 on the wedge, so only 2-torsion vectors are fixed
         with pytest.raises(NotInvariantError):
             uct_identify(ext, (1,))
@@ -200,10 +219,10 @@ class TestUctIdentify:
     def test_equivariance_s3(self):
         n = s3_perm_lattice()
         m = CoeffModule.trivial(n.group, 1, 2)
-        ext = SplitExtensionSpec(n.group, n, m)
+        ext = SplitExtensionSpec(n, m)
         a = uct_identify(ext, (1, 1, 1))
         for g in n.group.elements():
-            lhs = a.mul(exterior_power_matrix(n.rho[g], 2)).mod(2)
+            lhs = a.mul(exterior_power_matrix(n.action[g], 2)).mod(2)
             rhs = m.action[g].mul(a).mod(2)
             assert lhs.entries == rhs.entries
 
@@ -211,19 +230,19 @@ class TestUctIdentify:
 class TestTwistedResolution:
     def test_trivial_pi_matches_lattice_cohomology(self):
         g = FiniteGroup.trivial()
-        n = GLattice.trivial(g, 2)
+        n = CoeffModule.trivial(g, 2, None)
         m = CoeffModule.trivial(g, 1, 4)
-        ext = SplitExtensionSpec(g, n, m)
+        ext = SplitExtensionSpec(n, m)
         assert twisted_resolution(n).verify_d_squared()
         for q in range(3):
             h = total_cohomology(ext, q)
-            assert h.order() == 4 ** binomial(2, q)
+            assert h.order() == 4 ** math.comb(2, q)
 
     def test_zero_lattice_matches_group_cohomology(self):
         s3, _ = FiniteGroup.symmetric(3)
-        n = GLattice.trivial(s3, 0)
+        n = CoeffModule.trivial(s3, 0, None)
         m = CoeffModule.trivial(s3, 1, 2)
-        ext = SplitExtensionSpec(s3, n, m)
+        ext = SplitExtensionSpec(n, m)
         assert twisted_resolution(n).verify_d_squared(3)
         for q in range(3):
             assert total_cohomology(ext, q).same_structure(cohomology(s3, m, q).group)
@@ -253,9 +272,9 @@ class TestTwistedResolution:
         # Z x| C2 with inversion: H^* with integer coefficients is
         # Z, 0, (Z/2)^2 in degrees 0..2
         g = c2()
-        n = GLattice(g, 1, (IntMatrix.identity(1), IntMatrix.from_rows([[-1]])))
+        n = CoeffModule(g, 1, None, (IntMatrix.identity(1), IntMatrix.from_rows([[-1]])))
         m = CoeffModule.trivial(g, 1, None)
-        ext = SplitExtensionSpec(g, n, m)
+        ext = SplitExtensionSpec(n, m)
         assert total_cohomology(ext, 0).free_rank == 1
         assert total_cohomology(ext, 1).is_trivial()
         assert total_cohomology(ext, 2).torsion == (2, 2)
@@ -296,7 +315,7 @@ class TestTotalMatrix:
         for r in range(1, 5):
             for n in (2, 3, 4):
                 ext = SplitExtensionSpec(
-                    triv, GLattice.trivial(triv, r), CoeffModule.trivial(triv, 1, n)
+                    CoeffModule.trivial(triv, r, None), CoeffModule.trivial(triv, 1, n)
                 )
                 for q in range(4):
                     assert total_delta_matrix(ext, q) == block_total_matrix(ext, q)
@@ -304,7 +323,7 @@ class TestTotalMatrix:
     @pytest.mark.parametrize("modulus", [4, None])
     def test_swap_lattice(self, modulus):
         N = swap_lattice()
-        ext = SplitExtensionSpec(N.group, N, CoeffModule.trivial(N.group, 1, modulus))
+        ext = SplitExtensionSpec(N, CoeffModule.trivial(N.group, 1, modulus))
         for q in range(4):
             assert total_delta_matrix(ext, q) == block_total_matrix(ext, q)
 
@@ -312,22 +331,22 @@ class TestTotalMatrix:
 class TestD2:
     def test_trivial_pi_zero_map(self):
         g = FiniteGroup.trivial()
-        n = GLattice.trivial(g, 3)
+        n = CoeffModule.trivial(g, 3, None)
         m = CoeffModule.trivial(g, 1, 2)
-        rep = d2_02(SplitExtensionSpec(g, n, m))
+        rep = d2_02(SplitExtensionSpec(n, m))
         assert rep.is_zero()
 
     @pytest.mark.parametrize("modulus", [2, 4])
     def test_c2_always_zero(self, modulus):
         for n in [swap_lattice(), sign_lattice(1, 1), direct_sum(swap_lattice(), sign_lattice(1, 0))]:
             m = CoeffModule.mu(n.group, modulus, (1, -1))
-            rep = d2_02(SplitExtensionSpec(n.group, n, m))
+            rep = d2_02(SplitExtensionSpec(n, m))
             assert rep.is_zero()
 
     def test_additive_in_alpha(self):
         n = s3_perm_lattice()
         m = CoeffModule.trivial(n.group, 1, 2)
-        ext = SplitExtensionSpec(n.group, n, m)
+        ext = SplitExtensionSpec(n, m)
         inv = fixed(lattice_cohomology(n, m, 2))
         eng = e2_21(ext)
         for g1 in inv.generators:
@@ -346,7 +365,7 @@ class TestD2:
     def test_coboundary_independence(self):
         n = c3_rotation()
         m = CoeffModule.trivial(n.group, 1, 3)
-        ext = SplitExtensionSpec(n.group, n, m)
+        ext = SplitExtensionSpec(n, m)
         inv = fixed(lattice_cohomology(n, m, 2))
         res = twisted_resolution(n)
         coch = CochainComplex(ext, res)
@@ -366,8 +385,8 @@ class TestD2:
         g = n.group
         m6 = CoeffModule.trivial(g, 1, 6)
         m3 = CoeffModule.trivial(g, 1, 3)
-        ext6 = SplitExtensionSpec(g, n, m6)
-        ext3 = SplitExtensionSpec(g, n, m3)
+        ext6 = SplitExtensionSpec(n, m6)
+        ext3 = SplitExtensionSpec(n, m3)
         inv = fixed(lattice_cohomology(n, m6, 2))
         for gen in inv.generators:
             pushed_alpha = tuple(x % 3 for x in gen)
@@ -406,7 +425,7 @@ class TestV2:
         # the cocycle of v2(N1), up to coboundaries in the small complex
         pairs = [
             (swap_lattice(), sign_lattice(1, 1)),
-            (c3_rotation(), GLattice.trivial(FiniteGroup.cyclic(3), 1)),
+            (c3_rotation(), CoeffModule.trivial(FiniteGroup.cyclic(3), 1, None)),
         ]
         for n1, n2 in pairs:
             big = direct_sum(n1, n2)
@@ -432,8 +451,8 @@ class TestPushforwardFormula:
     def test_zero_alpha(self):
         n = swap_lattice()
         m = CoeffModule.mu(n.group, 2, (1, 1))
-        ext = SplitExtensionSpec(n.group, n, m)
-        assert pushforward_formula_check(ext, [(0,) * binomial(n.rank, 2)], rng=random.Random(0)) == [True]
+        ext = SplitExtensionSpec(n, m)
+        assert pushforward_formula_check(ext, [(0,) * math.comb(n.rank, 2)], rng=random.Random(0)) == [True]
 
     def test_c2_random_lattices(self):
         rng = random.Random(21)
@@ -447,14 +466,14 @@ class TestPushforwardFormula:
             if n.rank > 3:
                 continue
             m = CoeffModule.mu(n.group, 2, (1, 1))
-            ext = SplitExtensionSpec(n.group, n, m)
+            ext = SplitExtensionSpec(n, m)
             inv = fixed(lattice_cohomology(n, m, 2))
             assert all(pushforward_formula_check(ext, inv.generators, rng=rng))
 
     def test_s3_permutation_mod2(self):
         n = s3_perm_lattice()
         m = CoeffModule.trivial(n.group, 1, 2)
-        ext = SplitExtensionSpec(n.group, n, m)
+        ext = SplitExtensionSpec(n, m)
         inv = fixed(lattice_cohomology(n, m, 2))
         rng = random.Random(3)
         assert len(inv.generators) >= 1
@@ -463,7 +482,7 @@ class TestPushforwardFormula:
     def test_c3_mod3(self):
         n = c3_rotation()
         m = CoeffModule.trivial(n.group, 1, 3)
-        ext = SplitExtensionSpec(n.group, n, m)
+        ext = SplitExtensionSpec(n, m)
         inv = fixed(lattice_cohomology(n, m, 2))
         rng = random.Random(8)
         assert all(pushforward_formula_check(ext, inv.generators, rng=rng))
@@ -496,7 +515,7 @@ class TestRealTorus:
 def real_d2(S, n):
     """d2 on the sign-twisted involution lattice of S with coefficients mu_n."""
     N = tate_twist(involution_lattice(S), (1, -1))
-    return d2_02(SplitExtensionSpec(N.group, N, CoeffModule.mu(N.group, n, (1, -1))))
+    return d2_02(SplitExtensionSpec(N, CoeffModule.mu(N.group, n, (1, -1))))
 
 
 class TestBasisChangeInvariance:
@@ -529,12 +548,12 @@ def criterion6_lattices():
     # V4 elements are (0,0), (0,1), (1,0), (1,1): (1, *) swaps e_0 and e_1,
     # and the sign character is -1 on (*, 1)
     sw = IntMatrix.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
-    perm_v4 = GLattice(FiniteGroup.direct_product(c2(), c2()), 3, (i3, i3, sw, sw))
+    perm_v4 = CoeffModule(FiniteGroup.direct_product(c2(), c2()), 3, None, (i3, i3, sw, sw))
     return {
         "C2 swap": swap,
         "C2 swap (x) sign": tate_twist(swap, (1, -1)),
-        "C2 swap + 1": direct_sum(swap, GLattice.trivial(c2(), 1)),
-        "C3 permutation": GLattice(g3, 3, (i3, rot, rot.mul(rot))),
+        "C2 swap + 1": direct_sum(swap, CoeffModule.trivial(c2(), 1, None)),
+        "C3 permutation": CoeffModule(g3, 3, None, (i3, rot, rot.mul(rot))),
         "V4 permutation": perm_v4,
         "V4 permutation (x) sign": tate_twist(perm_v4, (1, -1, 1, -1)),
     }
@@ -554,7 +573,7 @@ class TestV2BasisChange:
             for transpose in (False, True):
                 P = ladder(k, N.rank, transpose)
                 Q = unimodular_inverse(P)
-                cls = v2(GLattice(N.group, N.rank, tuple(P.mul(m).mul(Q) for m in N.rho)))
+                cls = v2(CoeffModule(N.group, N.rank, None, tuple(P.mul(m).mul(Q) for m in N.action)))
                 group = e2_21(cls.ext_univ).group
                 assert group.same_structure(ref_group)
                 assert cls.is_zero() == ref.is_zero()
@@ -574,7 +593,7 @@ ENGINE_CASES = {
 def engine_case(name):
     lattice, n = ENGINE_CASES[name]
     N = lattice()
-    return SplitExtensionSpec(N.group, N, CoeffModule.trivial(N.group, 1, n))
+    return SplitExtensionSpec(N, CoeffModule.trivial(N.group, 1, n))
 
 
 def class_order(group, coords):
@@ -619,7 +638,7 @@ class TestValueSemantics:
             IntMatrix.from_columns([swap.column(j) for j in range(2)], nrows=2),
             IntMatrix.identity(2).mul(swap),
         )
-        lattices = [GLattice(c2(), 2, (IntMatrix.identity(2), m)) for m in forms]
+        lattices = [CoeffModule(c2(), 2, None, (IntMatrix.identity(2), m)) for m in forms]
         assert len({hash(N) for N in lattices}) == 1
         twisted_resolution.cache_clear()
         first = twisted_resolution(lattices[0])
@@ -651,7 +670,7 @@ def reference_d2_cocycle(ext, alpha):
 
 def identity_alpha(N):
     """The identity of Hom(Lambda^2 N, Lambda^2 N), flattened as v2 reads it."""
-    nsub = binomial(N.rank, 2)
+    nsub = math.comb(N.rank, 2)
     return tuple(int(a == b) for a in range(nsub) for b in range(nsub))
 
 
@@ -671,7 +690,7 @@ def ladder_conjugates(N):
         for transpose in (False, True):
             P = ladder(k, N.rank, transpose)
             Q = unimodular_inverse(P)
-            yield GLattice(N.group, N.rank, tuple(P.mul(m).mul(Q) for m in N.rho))
+            yield CoeffModule(N.group, N.rank, None, tuple(P.mul(m).mul(Q) for m in N.action))
 
 
 class TestD2Reference:
@@ -695,14 +714,14 @@ class TestD2Reference:
 
         for _, lat, mods in _cv_lattices():
             for m in mods:
-                self.check(SplitExtensionSpec(lat.group, lat, m))
+                self.check(SplitExtensionSpec(lat, m))
 
     @pytest.mark.parametrize("name", sorted(criterion6_lattices()))
     def test_ladder_conjugates(self, name):
         nonzero = 0
         for N in ladder_conjugates(criterion6_lattices()[name]):
             for n in (2, 3, 4):
-                nonzero += self.check(SplitExtensionSpec(N.group, N, CoeffModule.trivial(N.group, 1, n)))
+                nonzero += self.check(SplitExtensionSpec(N, CoeffModule.trivial(N.group, 1, n)))
         assert nonzero > 0
 
     @pytest.mark.parametrize("ty", [(1, 1, 0), (0, 1, 1), (1, 1, 1)], ids=str)
@@ -714,7 +733,7 @@ class TestD2Reference:
             for k in (1, 2):
                 P = ladder(k, S0.rows)
                 N = tate_twist(involution_lattice(P.mul(S0).mul(unimodular_inverse(P))), (1, -1))
-                nonzero += self.check(SplitExtensionSpec(N.group, N, CoeffModule.mu(N.group, n, (1, -1))))
+                nonzero += self.check(SplitExtensionSpec(N, CoeffModule.mu(N.group, n, (1, -1))))
         assert nonzero > 0
 
     @pytest.mark.parametrize("name", sorted(example_extensions()))

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from torusbrauer.errors import ValidationError
-from torusbrauer.groups import CoeffModule, FiniteGroup, GaloisDatum, GLattice
+from torusbrauer.groups import CoeffModule, FiniteGroup, GaloisDatum
 from torusbrauer.intlat import IntMatrix
 
 
@@ -51,10 +51,11 @@ def table_oracle(table) -> str | None:
     return None
 
 
-def action_oracle(table, mats, rank, modulus, what) -> str | None:
-    """The checks of GLattice (modulus None, what="lattice") and CoeffModule
-    (what="module") on the raw matrices."""
+def action_oracle(table, mats, rank, modulus) -> str | None:
+    """The checks of CoeffModule on the raw matrices: a module with no
+    modulus is a lattice."""
     n = len(table)
+    what = "lattice" if modulus is None else "module"
     if modulus is not None:
         for m in mats:
             if any(not 0 <= x < modulus for row in m for x in row):
@@ -109,7 +110,7 @@ def test_base_groups():
     assert [len(t) for t, _ in BASE_GROUPS.values()] == [6, 6, 8, 24]
     for table, mats in BASE_GROUPS.values():
         assert table_oracle(table) is None
-        assert action_oracle(table, mats, len(mats[0]), None, "lattice") is None
+        assert action_oracle(table, mats, len(mats[0]), None) is None
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +183,7 @@ def _s3_matrices_wrong_at_square():
 def test_lattice_wrong_at_one_product_of_non_generators():
     mats = _s3_matrices_wrong_at_square()
     with pytest.raises(ValidationError, match="^lattice action is not a homomorphism$"):
-        GLattice(S3, 3, mats)
+        CoeffModule(S3, 3, None, mats)
 
 
 def test_module_wrong_at_one_product_of_non_generators():
@@ -257,9 +258,5 @@ def test_action_checks_match_brute_force(case):
     table, k = BASE_GROUPS[name][0], len(mats[0])
     ints = tuple(IntMatrix.from_rows([list(r) for r in m]) for m in mats)
     assert verdict(lambda: CoeffModule(_group(name), k, modulus, ints)) == action_oracle(
-        table, mats, k, modulus, "module"
+        table, mats, k, modulus
     )
-    if modulus is None:
-        assert verdict(lambda: GLattice(_group(name), k, ints)) == action_oracle(
-            table, mats, k, None, "lattice"
-        )
