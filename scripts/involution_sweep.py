@@ -13,8 +13,10 @@ import argparse
 import random
 import sys
 import time
+from pathlib import Path
 
-sys.path[:0] = ["src", "."]
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from tests.matrices import involution_types, random_unimodular
 from torusbrauer.groups import canonical_involution, involution_lattice, unimodular_inverse

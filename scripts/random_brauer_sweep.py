@@ -8,30 +8,15 @@ computation.
 """
 
 import argparse
-import math
 import random
 import sys
 import time
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from torusbrauer.brauer import BrauerAnalysis
-from torusbrauer.groups import GaloisDatum
-
-
-MAX_GENERATORS = 2
-
-
-def random_datum(rng, max_rank: int, moduli) -> GaloisDatum:
-    r = rng.randrange(2, max_rank + 1)
-    M = rng.choice(moduli)
-    units = [u for u in range(1, M) if math.gcd(u, M) == 1]
-    pairs = []
-    for _ in range(rng.randrange(0, MAX_GENERATORS + 1)):
-        p = list(range(r))
-        rng.shuffle(p)
-        pairs.append((tuple(p), rng.choice(units)))
-    return GaloisDatum.from_generators(r, M, pairs)
+from torusbrauer.groups import random_galois_datum
 
 
 def main() -> int:
@@ -49,7 +34,7 @@ def main() -> int:
     failures = 0
     seen_groups: dict = {}
     for i in range(args.count):
-        d = random_datum(rng, args.max_rank, moduli)
+        d = random_galois_datum(rng, args.max_rank, moduli)
         analysis = BrauerAnalysis(d)
         failed = analysis.failures()
         failures += bool(failed)

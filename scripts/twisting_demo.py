@@ -10,8 +10,9 @@ checks each generator against the pushforward of the universal class.
 import argparse
 import random
 import sys
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from torusbrauer.groups import (
     CoeffModule,

@@ -37,7 +37,7 @@ from .errors import (
     TorusBrauerError,
     ValidationError,
 )
-from .groups import MAX_GROUP_ORDER, CoeffModule, FiniteGroup, GaloisDatum
+from .groups import MAX_GROUP_ORDER, CoeffModule, FiniteGroup, GaloisDatum, random_galois_datum
 from .intlat import IntMatrix
 from .spectral import (
     SplitExtensionSpec,
@@ -390,15 +390,7 @@ def _suite_twisted(rng):
 
 def _suite_brauer(rng):
     for _ in range(8):
-        r = rng.randrange(2, 5)
-        M = rng.choice([2, 4, 6, 8, 12])
-        units = [u for u in range(1, M) if math.gcd(u, M) == 1]
-        pairs = []
-        for _ in range(rng.randrange(0, 3)):
-            p = list(range(r))
-            rng.shuffle(p)
-            pairs.append((tuple(p), rng.choice(units)))
-        failures = BrauerAnalysis(GaloisDatum.from_generators(r, M, pairs)).failures()
+        failures = BrauerAnalysis(random_galois_datum(rng)).failures()
         if failures:
             raise DisagreementError(f"random sweep found an oracle mismatch: {failures}")
 

@@ -29,7 +29,7 @@ from functools import cached_property, lru_cache, partial
 
 from .errors import DegreeTooLargeError, ValidationError
 from .groups import CoeffModule, FiniteGroup, Subgroup
-from .intlat import IntMatrix, Subquotient, _add_entry
+from .intlat import IntMatrix, Subquotient, _add_entry, _axpy
 
 MAX_DEGREE = 3
 
@@ -66,28 +66,19 @@ class BarResolution:
             sign = -sign
             # face i < p multiplies entries i-1 and i; face p drops the last
             face = T[: i - 1] + (mul[T[i - 1]][T[i]],) + T[i + 1 :] if i < p else T[:-1]
-            key = (face, g0)
-            c = out.get(key, 0) + sign
-            if c:
-                out[key] = c
-            else:
-                del out[key]
+            _add_entry(out, (face, g0), sign, None)
         return out
 
     def boundary(self, element: dict) -> dict:
         out: dict = {}
         for (T, g0), c in element.items():
-            for key, c2 in self.boundary_of_basis(T, g0).items():
-                out[key] = out.get(key, 0) + c * c2
-        return {k: v for k, v in out.items() if v}
+            _axpy(self.boundary_of_basis(T, g0), out, c, None)
+        return out
 
     def homotopy(self, element: dict) -> dict:
         """Z-linear h(g0*[T]) = [g0|T]; satisfies dh + hd = 1 - eta*eps."""
-        out: dict = {}
-        for (T, g0), c in element.items():
-            key = ((g0,) + T, 0)
-            out[key] = out.get(key, 0) + c
-        return {k: v for k, v in out.items() if v}
+        # (T, g0) -> (g0,) + T is one-to-one, so no two terms meet
+        return {((g0,) + T, 0): c for (T, g0), c in element.items()}
 
     def act(self, g: int, element: dict) -> dict:
         """g . element: g multiplies the coefficient g0 of each g0*[T]."""
@@ -165,8 +156,7 @@ def chain_lift(boundary, homotopy, act, unit):
             return unit
         out: dict = {}
         for b2, g, c in boundary(p, b):
-            for key, x in act(g, f(p - 1, b2)).items():
-                out[key] = out.get(key, 0) + c * x
+            _axpy(act(g, f(p - 1, b2)), out, c, None)
         return homotopy(p, out)
 
     return f
@@ -212,17 +202,15 @@ class PeriodicData:
         if target_degree % 2 == 1:
             # geometric sums against (t-1)
             for g, c in elem.items():
-                a = self.power_of[g]
-                for i in range(a):
-                    key = self.t_power[i]
-                    out[key] = out.get(key, 0) + c
+                for i in range(self.power_of[g]):
+                    _add_entry(out, self.t_power[i], c, None)
         else:
             # against the norm: pick out t^(m-1)
             top = self.t_power[self.m - 1]
             c = elem.get(top, 0)
             if c:
                 out[0] = c
-        return {k: v for k, v in out.items() if v}
+        return out
 
 
 def sigma_lift(G: FiniteGroup):

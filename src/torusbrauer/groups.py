@@ -300,6 +300,21 @@ class GaloisDatum:
         )
 
 
+def random_galois_datum(rng, max_rank: int = 4, moduli=(2, 4, 6, 8, 12)) -> GaloisDatum:
+    """A random datum: r in 2..max_rank, M drawn from `moduli`, and 0-2
+    generators (perm, unit), each a shuffled permutation of range(r) and a
+    unit mod M, drawn from `rng` in that order."""
+    r = rng.randrange(2, max_rank + 1)
+    M = rng.choice(moduli)
+    units = [u for u in range(1, M) if gcd(u, M) == 1]
+    pairs = []
+    for _ in range(rng.randrange(0, 3)):
+        p = list(range(r))
+        rng.shuffle(p)
+        pairs.append((tuple(p), rng.choice(units)))
+    return GaloisDatum.from_generators(r, M, pairs)
+
+
 @dataclass(frozen=True)
 class CoeffModule:
     """(Z/n)^k with a finite-group action, or, when modulus is None, the

@@ -40,7 +40,7 @@ from .groups import (
     involution_lattice,
     tate_twist,
 )
-from .intlat import FinAbGroup, IntMatrix, Subquotient, _det
+from .intlat import FinAbGroup, IntMatrix, Subquotient, _add_entry, _axpy, _det
 
 MAX_TOTAL_DEGREE = 4
 
@@ -50,12 +50,15 @@ def _subsets(r: int, q: int):
 
 
 def exterior_power_matrix(A: IntMatrix, q: int) -> IntMatrix:
-    """Matrix of Lambda^q(A) on the wedge basis e_S, S a sorted q-subset."""
+    """Matrix of Lambda^q(A) on the wedge bases e_S, S a sorted q-subset, for
+    any map A, rectangular included: row S_row (a q-subset of A.rows) and
+    column S_col (a q-subset of A.cols) hold the minor A[S_row, S_col]."""
     a = A.entries
-    subs = _subsets(A.rows, q)
+    cols = _subsets(A.cols, q)
     return IntMatrix.from_rows(
-        [[_det([[a[i][j] for j in S_col] for i in S_row]) for S_col in subs] for S_row in subs],
-        ncols=len(subs),
+        [[_det([[a[i][j] for j in S_col] for i in S_row]) for S_col in cols]
+         for S_row in _subsets(A.rows, q)],
+        ncols=len(cols),
     )
 
 
@@ -69,6 +72,8 @@ def exterior_power(N: CoeffModule, q: int) -> CoeffModule:
     """Lambda^q N with the induced (covariant) action on the wedge basis
     e_S, S a sorted q-subset.  Memoised: it depends on the lattice and q
     alone, and every coefficient module of the lattice reads it."""
+    if N.modulus is not None:
+        raise ValidationError("a lattice has no modulus")
     mats = tuple(exterior_power_matrix(m, q) for m in N.action)
     return CoeffModule(N.group, comb(N.rank, q), None, mats)
 
@@ -126,6 +131,8 @@ class TwistedResolution:
     the lattice alone: the coefficient module enters only through cochains."""
 
     def __init__(self, N: CoeffModule):
+        if N.modulus is not None:
+            raise ValidationError("a lattice has no modulus")
         self.pi = N.group
         self.N = N
         self.r = N.rank
@@ -146,20 +153,11 @@ class TwistedResolution:
     # -- group ring helpers ------------------------------------------------
     def _left_mul(self, a, u, elem: dict) -> dict:
         pi, ru = self.pi, self.N.action[u]
-        out: dict = {}
-        for (b, v, T, S), c in elem.items():
-            key = (
-                tuple(ai + bi for ai, bi in zip(a, ru.apply(b))),
-                pi.mul(u, v),
-                T,
-                S,
-            )
-            out[key] = out.get(key, 0) + c
-        return {k: v for k, v in out.items() if v}
-
-    def _add_into(self, acc: dict, elem: dict, scale: int = 1):
-        for k, v in elem.items():
-            acc[k] = acc.get(k, 0) + scale * v
+        # x^a u is a unit of the group ring (ru is invertible), so no two terms meet
+        return {
+            (tuple(ai + bi for ai, bi in zip(a, ru.apply(b))), pi.mul(u, v), T, S): c
+            for (b, v, T, S), c in elem.items()
+        }
 
     # -- the vertical (Koszul) differential and its contracting homotopy ---
     def d0_basis(self, T, S) -> dict:
@@ -173,9 +171,10 @@ class TwistedResolution:
             rest = S[:j] + S[j + 1 :]
             s = sign_p * (-1 if j % 2 else 1)
             expo = tuple(1 if t == i else 0 for t in range(self.r))
-            out[(expo, 0, T, rest)] = out.get((expo, 0, T, rest), 0) + s
-            out[(zero, 0, T, rest)] = out.get((zero, 0, T, rest), 0) - s
-        return {k: v for k, v in out.items() if v}
+            # each j drops its own element of S, and expo is not zero: no key repeats
+            out[(expo, 0, T, rest)] = s
+            out[(zero, 0, T, rest)] = -s
+        return out
 
     def homotopy(self, elem: dict) -> dict:
         """Contracting homotopy of the Koszul direction, coset by coset:
@@ -203,9 +202,8 @@ class TwistedResolution:
                         (s if t == i else (c[t] if t > i else 0))
                         for t in range(self.r)
                     )
-                    key = (tuple(ru.apply(cc)), u, T, S2)
-                    out[key] = out.get(key, 0) + sign_p * s_sign * coeff
-        return {k: v for k, v in out.items() if v}
+                    _add_entry(out, (tuple(ru.apply(cc)), u, T, S2), sign_p * s_sign * coeff, None)
+        return out
 
     # -- twisting differentials -------------------------------------------
     def d_basis(self, k: int, T, S) -> dict:
@@ -228,9 +226,8 @@ class TwistedResolution:
         # solved inductively: d0 d_k(b) = -sum_{i+j=k, i,j>=1} d_i d_j(b) - d_k(d0 b)
         F: dict = {}
         for i in range(1, k):
-            self._add_into(F, self.d_elem(i, self.d_basis(k - i, T, S)), -1)
-        self._add_into(F, self.d_elem(k, self.d0_basis(T, S)), -1)
-        F = {kk: v for kk, v in F.items() if v}
+            _axpy(self.d_elem(i, self.d_basis(k - i, T, S)), F, -1, None)
+        _axpy(self.d_elem(k, self.d0_basis(T, S)), F, -1, None)
         res = self.homotopy(F)
         self._d_cache[key] = res
         return res
@@ -238,16 +235,14 @@ class TwistedResolution:
     def d_elem(self, k: int, elem: dict) -> dict:
         out: dict = {}
         for (a, u, T, S), c in elem.items():
-            img = self.d_basis(k, T, S)
-            for k2, c2 in self._left_mul(a, u, img).items():
-                out[k2] = out.get(k2, 0) + c * c2
-        return {kk: v for kk, v in out.items() if v}
+            _axpy(self._left_mul(a, u, self.d_basis(k, T, S)), out, c, None)
+        return out
 
     def total_d(self, elem: dict) -> dict:
         out: dict = {}
         for k in range(0, MAX_TOTAL_DEGREE + 1):
-            self._add_into(out, self.d_elem(k, elem))
-        return {kk: v for kk, v in out.items() if v}
+            _axpy(self.d_elem(k, elem), out, 1, None)
+        return out
 
     def verify_d_squared(self, max_total: int | None = None):
         """Exhaustively check that the total differential squares to zero on
@@ -267,16 +262,14 @@ class TwistedResolution:
         """d0 h + h d0 = id - (unit)(augmentation) on sample elements."""
         for elem, (p, q) in samples:
             lhs: dict = {}
-            self._add_into(lhs, self.d_elem(0, self.homotopy(elem)))
-            self._add_into(lhs, self.homotopy(self.d_elem(0, elem)))
-            want = dict(elem)
+            _axpy(self.d_elem(0, self.homotopy(elem)), lhs, 1, None)
+            _axpy(self.homotopy(self.d_elem(0, elem)), lhs, 1, None)
+            want: dict = {}
+            _axpy(elem, want, 1, None)
             if q == 0:
                 # subtract eta(eps(x)): exponent vector reset to zero
                 for (a, u, T, S), c in elem.items():
-                    key = ((0,) * self.r, u, T, S)
-                    want[key] = want.get(key, 0) - c
-            want = {k: v for k, v in want.items() if v}
-            lhs = {k: v for k, v in lhs.items() if v}
+                    _add_entry(want, ((0,) * self.r, u, T, S), -c, None)
             if lhs != want:
                 raise HomotopySolveFailureError("contracting homotopy identity fails")
         return True
@@ -448,13 +441,9 @@ def v2(N: CoeffModule) -> V2Class:
 def pushforward_cocycle(ext: SplitExtensionSpec, atilde: IntMatrix, src):
     """Image of a Hom(N, Lambda^2 N)-valued row cocycle under post-composition
     with the map Lambda^2 N -> M given by atilde, as a cocycle for ext."""
-    r, k = ext.N.rank, ext.M.rank
-    nsub = comb(r, 2)
-    out = []
-    # one value in Hom(N, Lambda^2 N) per tuple of pi^2 and basis vector of N
-    for t in range(ext.pi.order**2 * r):
-        out.extend(atilde.apply(src[t * nsub : (t + 1) * nsub]))
-    return tuple(ext.M.reduce(out))
+    # one value in Lambda^2 N per tuple of pi^2 and basis vector of N
+    post = IntMatrix.identity(ext.pi.order**2 * ext.N.rank).kron(atilde)
+    return tuple(ext.M.reduce(post.apply(src)))
 
 
 def pushforward_formula_check(ext: SplitExtensionSpec, alphas, rng) -> list[bool]:
@@ -487,27 +476,16 @@ def v2_additivity_check(N1: CoeffModule, N2: CoeffModule) -> bool:
     Hom(N1 + N2, Lambda^2 (N1 + N2))."""
     big = N1.direct_sum(N2)
     vbig = v2(big)
-    pi = N1.group
-    r1, r2, R = N1.rank, N2.rank, big.rank
-    if R < 2:
-        return True
-    s_index = {S: i for i, S in enumerate(_subsets(R, 2))}
-    expected = [0] * len(vbig.cocycle)
-
-    def embed(v, rank, row_shift):
-        subs = _subsets(rank, 2)
-        nsub = len(subs)
-        for t in range(pi.order**2):
-            for i in range(rank):
-                for s, (a, b) in enumerate(subs):
-                    sb = s_index[(a + row_shift, b + row_shift)]
-                    idx = (t * R + (i + row_shift)) * len(s_index) + sb
-                    expected[idx] += v.cocycle[(t * rank + i) * nsub + s]
-
-    if r1 >= 2:
-        embed(v2(N1), r1, 0)
-    if r2 >= 2:
-        embed(v2(N2), r2, r1)
+    expected, shift = [0] * len(vbig.cocycle), 0
+    for N in (N1, N2):
+        # J is the coordinate inclusion of N; a value in Hom(N, Lambda^2 N)
+        # moves by J on N and by Lambda^2 J on Lambda^2 N
+        J = IntMatrix.from_rows(
+            [[int(i == j + shift) for j in range(N.rank)] for i in range(big.rank)], ncols=N.rank
+        )
+        move = IntMatrix.identity(N.group.order**2).kron(J.kron(exterior_power_matrix(J, 2)))
+        expected = [a + b for a, b in zip(expected, move.apply(v2(N).cocycle))]
+        shift += N.rank
     diff = tuple(a - b for a, b in zip(vbig.cocycle, expected))
     return not any(e2_21(vbig.ext_univ).coords_of(diff))
 

@@ -36,6 +36,7 @@ from torusbrauer.groups import (
     canonical_involution,
     involution_lattice,
     permutation_lattice,
+    random_galois_datum,
     subgroup_generated,
     tate_twist,
     unimodular_inverse,
@@ -92,18 +93,6 @@ def s3_datum():
     return GaloisDatum.from_generators(3, 2, [((1, 0, 2), 1), ((0, 2, 1), 1)])
 
 
-def random_datum(rng, max_r=4, moduli=(2, 4, 6, 8, 12), max_gens=2):
-    r = rng.randrange(2, max_r + 1)
-    M = rng.choice(moduli)
-    units = [u for u in range(1, M) if math.gcd(u, M) == 1]
-    pairs = []
-    for _ in range(rng.randrange(0, max_gens + 1)):
-        p = list(range(r))
-        rng.shuffle(p)
-        pairs.append((tuple(p), rng.choice(units)))
-    return GaloisDatum.from_generators(r, M, pairs)
-
-
 # ---------------------------------------------------------------------------
 # criterion 1: worked symbol-basis examples, each under a second
 # ---------------------------------------------------------------------------
@@ -141,7 +130,7 @@ def test_criterion_2_random_verification(capsys):
     ):
         rng = random.Random(2024)
         for _ in range(50):
-            d = random_datum(rng)
+            d = random_galois_datum(rng)
             failures = BrauerAnalysis(d).failures()
             assert not failures, (d.r, d.M, d.perm, d.chi, failures)
 
@@ -154,7 +143,7 @@ def test_criterion_2_random_verification(capsys):
 def test_criterion_3_quadratic_order_divisibility(capsys):
     with criterion(3, capsys, "n' = gcd(n, 1 + chi(sigma)) exactly on quadratic orbits"):
         rng = random.Random(99)
-        data = [qi_datum(), s3_datum()] + [random_datum(rng) for _ in range(40)]
+        data = [qi_datum(), s3_datum()] + [random_galois_datum(rng) for _ in range(40)]
         quadratic_seen = 0
         for d in data:
             for rep in BrauerAnalysis(d).orbits:

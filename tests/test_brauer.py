@@ -1,5 +1,4 @@
 import itertools
-import math
 import pathlib
 import random
 
@@ -8,7 +7,7 @@ import pytest
 from torusbrauer import brauer, cli
 from torusbrauer.brauer import BrauerAnalysis, n_value, pair_orbits
 from torusbrauer.errors import RankTooSmallError
-from torusbrauer.groups import GaloisDatum, subgroup_from_ids
+from torusbrauer.groups import GaloisDatum, random_galois_datum, subgroup_from_ids
 
 EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "examples_cli"
 
@@ -23,18 +22,6 @@ def s3_datum():
 
 def trivial_datum(r=3, M=2):
     return GaloisDatum.from_generators(r, M, [])
-
-
-def random_datum(rng, max_r=4, moduli=(2, 4, 6, 8, 12), max_gens=2):
-    r = rng.randrange(2, max_r + 1)
-    M = rng.choice(moduli)
-    units = [u for u in range(1, M) if math.gcd(u, M) == 1]
-    pairs = []
-    for _ in range(rng.randrange(0, max_gens + 1)):
-        p = list(range(r))
-        rng.shuffle(p)
-        pairs.append((tuple(p), rng.choice(units)))
-    return GaloisDatum.from_generators(r, M, pairs)
 
 
 class TestPairOrbits:
@@ -87,7 +74,7 @@ class TestOrbitReport:
     def test_n_prime_divides_one_plus_chi(self):
         rng = random.Random(5)
         for _ in range(40):
-            d = random_datum(rng)
+            d = random_galois_datum(rng)
             for rep in BrauerAnalysis(d).reports.values():
                 assert rep.n % 1 == 0 and d.M % rep.n == 0
                 if rep.quadratic:
@@ -154,7 +141,7 @@ class TestOrbitSumsAgainstCosets:
     def test_criterion_2_draws(self):
         rng = random.Random(2024)
         for _ in range(60):
-            self.check(random_datum(rng))
+            self.check(random_galois_datum(rng))
 
     # every unit mod 4, 8 and 12 is its own inverse; 3 mod 10 and 5 mod 18
     # are not
@@ -208,7 +195,7 @@ class TestVerification:
     def test_random_sweep(self):
         rng = random.Random(17)
         for _ in range(25):
-            d = random_datum(rng)
+            d = random_galois_datum(rng)
             assert BrauerAnalysis(d).failures() == {}, (d.r, d.M, d.perm, d.chi)
 
     def test_generation_fails_without_an_orbit_sum(self):
@@ -257,6 +244,6 @@ class TestAnalysedOnce:
     def test_criterion_2_stream_seed_7(self):
         rng = random.Random(7)
         for _ in range(50):
-            d = random_datum(rng)
+            d = random_galois_datum(rng)
             a = BrauerAnalysis(d)
             assert a.agreement and a.failures() == {}, (d.r, d.M, d.perm, d.chi)

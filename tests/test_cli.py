@@ -1,4 +1,5 @@
 import ast
+import copy
 import json
 import os
 import pathlib
@@ -7,6 +8,7 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from torusbrauer import brauer, spectral
 from torusbrauer.cli import (
@@ -582,3 +584,69 @@ class TestDisagreementMessage:
             f"disagreement: {check} check failed: orbit of pair (1, 2) with "
             "n=2, n'=2, m_o=2: forced\n"
         )
+
+
+# ---------------------------------------------------------------------------
+# the CLI contract under mutated documents
+# ---------------------------------------------------------------------------
+
+COMMANDS = {"galois-datum": ("qt-brauer",), "involution-lattice": ("real-torus",),
+            "split-extension": ("d2", "v2")}
+# small edge integers and a value of every other JSON type
+REPLACEMENTS = (-1, 0, 1, 2, 3, 7, None, True, False, 1.5, "x", [], {})
+
+
+def _paths(node, path=()):
+    """The path of every node below the root of a JSON document."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+@st.composite
+def mutants(draw, doc):
+    """doc with one node dropped (a key, or a list truncated at an entry),
+    duplicated (a list entry) or replaced by an edge integer or another
+    JSON type."""
+    doc = copy.deepcopy(doc)
+    *head, last = draw(st.sampled_from(list(_paths(doc))))
+    parent = doc
+    for key in head:
+        parent = parent[key]
+    edits = ["drop", "replace"] + (["duplicate"] if isinstance(parent, list) else [])
+    edit = draw(st.sampled_from(edits))
+    if edit == "drop":
+        del parent[last if isinstance(parent, dict) else slice(last, None)]
+    elif edit == "duplicate":
+        parent.insert(last, copy.deepcopy(parent[last]))
+    else:
+        parent[last] = draw(st.sampled_from(REPLACEMENTS))
+    return doc
+
+
+class TestMutatedDocuments:
+    """Every mutant of an example document ends in exit 0, 2, 3 or 4, with a
+    one-line message when it fails, and no exception escapes `run`."""
+
+    @pytest.mark.parametrize("stem", sorted(p.stem for p in INPUTS.glob("*.json")))
+    def test_exit_codes_and_one_line_messages(self, stem, tmp_path_factory):
+        doc = json.loads((INPUTS / f"{stem}.json").read_text())
+        path = tmp_path_factory.mktemp(stem) / "mutant.json"
+
+        @settings(max_examples=150, deadline=None, database=None)
+        @given(mutants(doc))
+        def check(mutant):
+            path.write_text(json.dumps(mutant))
+            for command in COMMANDS[doc["kind"]]:
+                code, text = run([command, str(path)])
+                assert code in (EXIT_OK, EXIT_SCHEMA, EXIT_VALIDATION, EXIT_DISAGREEMENT)
+                if code != EXIT_OK:
+                    assert text.endswith("\n") and text.count("\n") == 1, text
+
+        check()

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from torusbrauer.cohomology import (
+    MAX_DEGREE,
     BarResolution,
     PeriodicData,
     _TransferData,
@@ -31,6 +32,44 @@ def random_element(bar, p, rng, terms=3):
         g0 = rng.randrange(bar.group.order)
         out[(T, g0)] = out.get((T, g0), 0) + rng.randrange(-3, 4)
     return {k: v for k, v in out.items() if v}
+
+
+def criterion6_groups():
+    """The groups of the acceptance criterion-6 lattices."""
+    c2 = FiniteGroup.cyclic(2)
+    return {"C2": c2, "C3": FiniteGroup.cyclic(3), "V4": FiniteGroup.direct_product(c2, c2),
+            "S3": FiniteGroup.symmetric(3)[0]}
+
+
+class TestZeroFreeChains:
+    """No chain holds a zero coefficient: chains are summed by intlat's _axpy
+    and _add_entry, which store none, and BarResolution.homotopy copies terms
+    one for one."""
+
+    @pytest.mark.parametrize("name", sorted(criterion6_groups()))
+    def test_bar_boundary_and_homotopy(self, name):
+        bar, rng = BarResolution(criterion6_groups()[name]), random.Random(name)
+        for p in range(2, MAX_DEGREE + 1):
+            for _ in range(20):
+                x = random_element(bar, p, rng, terms=6)
+                d, h = bar.boundary(x), bar.homotopy(x)
+                for chain in (d, h, bar.boundary(d), bar.boundary(h), bar.homotopy(d)):
+                    assert all(chain.values())
+
+    @pytest.mark.parametrize("name", sorted(criterion6_groups()))
+    def test_comparison_chain_maps(self, name):
+        G = criterion6_groups()[name]
+        tuples = [(p, T) for p in range(MAX_DEGREE + 1)
+                  for T in itertools.product(G.elements(), repeat=p)]
+        chains = []
+        if G.generator_if_cyclic() is not None:
+            sigma, tau = sigma_lift(G), tau_lift(G)
+            chains += [sigma(p, 0) for p in range(MAX_DEGREE + 1)]
+            chains += [tau(p, T) for p, T in tuples]
+        for g in G.elements():
+            td = _TransferData(subgroup_generated(G, [g]))
+            chains += [td.theta(p, (r, T)) for p, T in tuples for r in td.reps]
+        assert all(all(chain.values()) for chain in chains)
 
 
 class TestBarResolution:

@@ -10,10 +10,10 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-def _run(argv):
+def _run(argv, cwd=ROOT):
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
-        cwd=ROOT,
+        cwd=cwd,
         capture_output=True,
         text=True,
         timeout=300,
@@ -39,6 +39,15 @@ def test_script_exits_zero(argv):
         assert proc.stdout == (ROOT / "tests" / "golden" / "twisting_demo.stdout.golden").read_text()
 
 
+def _pinned(argv, cwd=ROOT):
+    """The script's output with its timing masked, and its golden.  The
+    sweeps print their timing on one line ("done in 0.2s", "5 data in
+    0.0s"); the demo prints none."""
+    out = re.sub(r"\b(done|data) in [0-9.]+s", r"\1 in …s", _run(argv, cwd).stdout)
+    golden = ROOT / "tests" / "golden" / (argv[0].removesuffix(".py") + ".stdout.golden")
+    return out, golden.read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -48,8 +57,22 @@ def test_script_exits_zero(argv):
     ids=lambda argv: argv[0],
 )
 def test_sweep_output_is_pinned(argv):
-    """The sweeps print their timing on one line ("done in 0.2s", "5 data in
-    0.0s"); with that figure masked, the whole output is pinned."""
-    out = re.sub(r"\b(done|data) in [0-9.]+s", r"\1 in …s", _run(argv).stdout)
-    golden = ROOT / "tests" / "golden" / (argv[0].removesuffix(".py") + ".stdout.golden")
-    assert out == golden.read_text(encoding="utf-8")
+    """With the timing masked, the whole output is pinned."""
+    out, golden = _pinned(argv)
+    assert out == golden
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["involution_sweep.py", "--max-rank", "3"],
+        ["random_brauer_sweep.py", "--count", "5", "--seed", "3"],
+        ["twisting_demo.py"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_script_runs_from_any_directory(argv, tmp_path):
+    """Each script finds the package from its own location: started in an
+    unrelated directory, it prints its golden."""
+    out, golden = _pinned(argv, cwd=tmp_path)
+    assert out == golden

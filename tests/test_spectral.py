@@ -7,6 +7,7 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tests.matrices import det, diagonal, ladder
 from torusbrauer.cohomology import bar_delta_matrix, cohomology
@@ -136,6 +137,29 @@ class TestExteriorPower:
             lhs = exterior_power_matrix(a.mul(b), 2)
             rhs = exterior_power_matrix(a, 2).mul(exterior_power_matrix(b, 2))
             assert lhs.entries == rhs.entries
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_cauchy_binet_on_rectangular_maps(self, data):
+        m, n = data.draw(st.sampled_from([(3, 2), (4, 3)]))
+        k = data.draw(st.integers(1, 4))
+
+        def matrix(rows, cols):
+            row = st.lists(st.integers(-3, 3), min_size=cols, max_size=cols)
+            return IntMatrix.from_rows(data.draw(st.lists(row, min_size=rows, max_size=rows)))
+
+        a, b = matrix(m, n), matrix(n, k)
+        lhs = exterior_power_matrix(a.mul(b), 2)
+        assert (lhs.rows, lhs.cols) == (math.comb(m, 2), math.comb(k, 2))
+        assert lhs == exterior_power_matrix(a, 2).mul(exterior_power_matrix(b, 2))
+
+    @pytest.mark.parametrize("R, n, shift", [(5, 2, 0), (5, 2, 3), (5, 3, 1), (4, 1, 2), (3, 0, 3)])
+    def test_coordinate_inclusion_selects_shifted_pairs(self, R, n, shift):
+        J = IntMatrix.from_rows([[int(i == j + shift) for j in range(n)] for i in range(R)], ncols=n)
+        cols = list(itertools.combinations(range(n), 2))
+        want = [[int(S == (a + shift, b + shift)) for a, b in cols]
+                for S in itertools.combinations(range(R), 2)]
+        assert exterior_power_matrix(J, 2) == IntMatrix.from_rows(want, ncols=len(cols))
 
     def test_built_once_per_lattice_and_degree(self, monkeypatch):
         # d2 at three levels and v2 read Lambda^1 and Lambda^2 of each of
@@ -578,6 +602,49 @@ class TestV2BasisChange:
                 assert group.same_structure(ref_group)
                 assert cls.is_zero() == ref.is_zero()
                 assert class_order(group, cls.coords()) == class_order(ref_group, ref.coords())
+
+
+class TestZeroFreeChains:
+    """No chain of the twisted resolution holds a zero coefficient: chains
+    are summed by intlat's _axpy and _add_entry, which store none, and
+    _left_mul copies terms one for one."""
+
+    @pytest.mark.parametrize("name", sorted(criterion6_lattices()) + ["S3 permutation"])
+    def test_every_chain_of_the_resolution(self, name, monkeypatch):
+        N = {**criterion6_lattices(), "S3 permutation": s3_perm_lattice()}[name]
+        chains = []
+
+        def recorded(method):
+            def wrapper(self, *args):
+                chains.append(method(self, *args))
+                return chains[-1]
+            return wrapper
+
+        for method in ("d_basis", "d_elem", "homotopy", "_left_mul"):
+            monkeypatch.setattr(spectral.TwistedResolution, method,
+                                recorded(getattr(spectral.TwistedResolution, method)))
+        assert spectral.TwistedResolution(N).verify_d_squared(3)
+        assert chains and all(all(chain.values()) for chain in chains)
+
+
+class TestLatticeWithAModulus:
+    """The lattice entry points refuse a module with a modulus."""
+
+    def test_exterior_power(self):
+        with pytest.raises(ValidationError, match="^a lattice has no modulus$"):
+            exterior_power(CoeffModule.mu(c2(), 4, (1, 3)), 1)
+
+    def test_lattice_cohomology(self):
+        with pytest.raises(ValidationError, match="^a lattice has no modulus$"):
+            lattice_cohomology(CoeffModule.trivial(c2(), 2, 2), CoeffModule.mu(c2(), 4, (1, 1)), 1)
+
+    def test_twisted_resolution(self):
+        with pytest.raises(ValidationError, match="^a lattice has no modulus$"):
+            twisted_resolution(CoeffModule.trivial(c2(), 2, 2))
+
+    def test_v2(self):
+        with pytest.raises(ValidationError, match="^a lattice has no modulus$"):
+            v2(CoeffModule.trivial(c2(), 2, 2))
 
 
 # lattice and level of each case; coefficients are Z/n with trivial action
