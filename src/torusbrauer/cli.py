@@ -374,6 +374,18 @@ def _suite_cohom(rng):
                 raise DisagreementError(
                     f"H^{q}(Z/{m}, Z/{m}): periodic {per.group} != bar {bar.group}"
                 )
+    # the small resolution of a non-cyclic group, which the default takes
+    c2 = FiniteGroup.cyclic(2)
+    for name, g in (("V4", FiniteGroup.direct_product(c2, c2)), ("S3", FiniteGroup.symmetric(3)[0])):
+        for m in (2, 3, 4):
+            mod = CoeffModule.trivial(g, 1, m)
+            for q in (1, 2):
+                small = cohomology(g, mod, q)
+                bar = cohomology(g, mod, q, resolution="bar")
+                if not small.group.same_structure(bar.group):
+                    raise DisagreementError(
+                        f"H^{q}({name}, Z/{m}): small resolution {small.group} != bar {bar.group}"
+                    )
 
 
 def _suite_twisted(rng):

@@ -1,24 +1,30 @@
 """Cohomology of finite groups with CoeffModule coefficients.
 
-Two engines compute H^n(G, M):
+H^n(G, M) is computed on one of two kinds of complex:
 
-* a periodic one for cyclic groups (norm / difference, instant at any rank),
-* the bar cochain complex otherwise (functions on n-tuples of group
-  elements, identity components included).
+* the bar cochain complex (functions on n-tuples of group elements,
+  identity components included), whose classes need no conversion;
+* Hom_G(F, M) for a free resolution F of small rank, reached through
+  comparison chain maps sigma: F -> Bar and tau: Bar -> F.  Two such
+  resolutions exist: the periodic one of a cyclic group (norm / difference,
+  instant at any rank) and `SmallResolution`, built for any finite group by
+  integer linear algebra.
+
+By default a cyclic group takes the periodic resolution, any other group
+the small one in degrees >= 1 and the bar complex in degree 0.
 
 Classes are always carried around as bar cochains, flat vectors indexed by
 `_tuple_index` and then coordinate, so restriction, transfer and
-pushforward work uniformly; the periodic engine converts back and forth
-through explicit chain maps between the two resolutions.
+pushforward work uniformly; an engine on a resolution F reads a bar cocycle
+on sigma_n(e_b) and writes a class back as the bar cochain [T] |-> f(tau_n[T]).
 
 Every comparison chain map is one `chain_lift` through the contracting
-homotopy of its target: sigma (periodic -> bar), tau (bar -> periodic) and
-the transfer's theta (bar of G over Z[H] -> bar of H).  Every map of
-cochains is built by `cochain_map` from chains, the images of the basis
-elements of the target resolution: bar faces for the bar coboundaries,
-d_{p+1}(1) for the periodic ones, sigma_n(1) and tau_n([T]) for the
-comparison maps, embedded tuples for restriction and the terms
-r^-1 * theta(r [T]) for the transfer.
+homotopy of its target: sigma (F -> bar), tau (bar -> F) and the transfer's
+theta (bar of G over Z[H] -> bar of H).  Every map of cochains is built by
+`cochain_map` from chains, the images of the basis elements of the target
+resolution: bar faces for the bar coboundaries, d_{p+1}(e_b) for those on
+F, sigma_n(e_b) and tau_n([T]) for the comparison maps, embedded tuples for
+restriction and the terms r^-1 * theta(r [T]) for the transfer.
 """
 
 from __future__ import annotations
@@ -27,16 +33,17 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 
-from .errors import DegreeTooLargeError, ValidationError
+from .errors import DegreeTooLargeError, HomotopySolveFailureError, NotExactError, ValidationError
 from .groups import CoeffModule, FiniteGroup, Subgroup
-from .intlat import IntMatrix, Subquotient, _add_entry, _axpy
+from .intlat import IntMatrix, Subquotient, _add_entry, _axpy, smith, solve
 
 MAX_DEGREE = 3
 
-# The one bound on every memoised constructor: the cohomology engines and
-# transfer data here, the lattice cohomology modules and twisted resolutions
-# in spectral.  One command builds a handful of each; the bound keeps a sweep
-# over many documents in one process from holding all of them.
+# The one bound on every memoised constructor: the cohomology engines,
+# resolutions, comparison maps and transfer data here, the lattice cohomology
+# modules and twisted resolutions in spectral.  One command builds a handful
+# of each; the bound keeps a sweep over many documents in one process from
+# holding all of them.
 CACHE_SIZE = 32
 
 
@@ -58,8 +65,11 @@ class BarResolution:
         return itertools.product(self.group.elements(), repeat=p)
 
     def boundary_of_basis(self, T, g0=0):
-        """d(g0*[T]) as an element dict of degree len(T)-1: the bar faces."""
+        """d(g0*[T]) as an element dict of degree len(T)-1: the bar faces.
+        d_0 = 0: the resolution is not augmented."""
         mul, p = self.group.table, len(T)
+        if not p:
+            return {}
         out = {(T[1:], mul[g0][T[0]]): 1}
         sign = 1
         for i in range(1, p + 1):
@@ -170,8 +180,9 @@ def chain_lift(boundary, homotopy, act, unit):
 class PeriodicData:
     """... -> Z[G] -N-> Z[G] -(t-1)-> Z[G] -> Z for G cyclic with generator t.
 
-    d_p = (t-1) for p odd, the norm for p even >= 2.  Group ring elements are
-    dicts {g: coeff}.
+    d_p = (t-1) for p odd, the norm for p even >= 2.  Each term has one
+    basis element e_0, so an element is a dict {(0, g): coeff}, as on
+    `SmallResolution`.
     """
 
     def __init__(self, G: FiniteGroup):
@@ -189,44 +200,241 @@ class PeriodicData:
             self.power_of[x], self.t_power[a] = a, x
             x = G.mul(x, t)
 
+    def rank(self, p: int) -> int:
+        return 1
+
     def d_of_one(self, p: int) -> dict:
-        """d_p(1) as a group ring element."""
+        """d_p(e_0) as a group ring element {g: coeff}."""
         if p % 2 == 1:
             # t - 1, which is zero for the trivial group (t = 0)
             return {self.t: 1, 0: -1} if self.t else {}
         return {g: 1 for g in self.group.elements()}
+
+    def boundary(self, p: int, b: int) -> list:
+        return [(0, g, c) for g, c in self.d_of_one(p).items()]
 
     def homotopy(self, target_degree: int, elem: dict) -> dict:
         """h: degree target-1 -> target with d_target h + h d_{target-1} = 1 - eta eps."""
         out: dict = {}
         if target_degree % 2 == 1:
             # geometric sums against (t-1)
-            for g, c in elem.items():
+            for (_, g), c in elem.items():
                 for i in range(self.power_of[g]):
-                    _add_entry(out, self.t_power[i], c, None)
+                    _add_entry(out, (0, self.t_power[i]), c, None)
         else:
             # against the norm: pick out t^(m-1)
-            top = self.t_power[self.m - 1]
-            c = elem.get(top, 0)
+            c = elem.get((0, self.t_power[self.m - 1]), 0)
             if c:
-                out[0] = c
+                out[(0, 0)] = c
         return out
 
 
-def sigma_lift(G: FiniteGroup):
-    """sigma(p, 0) = sigma_p(1) in Bar_p, for the chain map Per -> Bar: the
-    source has one basis element 1 in each degree, with d(1) = d_of_one(p)."""
-    per, bar = PeriodicData(G), BarResolution(G)
-    return chain_lift(lambda p, _: [(0, g, c) for g, c in per.d_of_one(p).items()],
-                      lambda p, x: bar.homotopy(x), bar.act, {((), 0): 1})
+# ---------------------------------------------------------------------------
+# a free resolution of small rank for any finite group
+# ---------------------------------------------------------------------------
 
 
-def tau_lift(G: FiniteGroup):
-    """tau(p, T) = the image of the bar basis element [T] in Per_p, for the
-    chain map Bar -> Per; g acts on Z[G] by left multiplication."""
-    per, bar = PeriodicData(G), BarResolution(G)
+def _grow_span(rows: dict, v: dict) -> bool:
+    """Add v, a vector {index: nonzero}, to the Z-span of `rows`, an
+    echelon basis {pivot index: row} with positive pivots, and say whether
+    the span grew.  v is consumed.  A clash of pivots runs Euclid's
+    algorithm on the two rows, so the span grows exactly when a pivot is
+    added or shrinks; when v was in the span, `rows` is left as it was."""
+    grew = False
+    while v:
+        j = min(v)
+        row = rows.get(j)
+        if row is None:
+            rows[j] = v if v[j] > 0 else {i: -a for i, a in v.items()}
+            return True
+        _axpy(row, v, -(v[j] // row[j]), None)
+        if j in v:  # a remainder in (0, row[j]) becomes the pivot
+            rows[j], v, grew = v, row, True
+    return grew
+
+
+class SmallResolution:
+    """A free Z[G]-resolution F of Z of small rank, for any finite group,
+    built by linear algebra over Z (G. Ellis, "Computing group
+    resolutions", J. Symbolic Comput. 38, 2004).  F_p is built when a degree
+    first asks for it.
+
+    F_0 = Z[G] and F_1 is free on G.generators with d(e_s) = s - 1.  For
+    p >= 2 the generators of F_p are picked from the Z-basis of ker d_{p-1}
+    that the Smith form of d_{p-1} gives (the basis `kernel_basis` returns),
+    in its order: a vector is kept when it enlarges the Z-span of the
+    G-translates of those kept before, that is when it raises the rank of
+    the span or lowers its index.  The picking stops at full rank and index
+    1 in the kernel, which is the exactness of F at F_{p-1}; on a Z-basis
+    of the kernel one pass gets there, since every basis vector ends in
+    the span.  If the span never gets there, NotExactError is raised;
+    `check_exact` runs the same picking on the generators a term has.
+
+    An element of F_p is a dict {(b, g): c} standing for the sum of the
+    c * g.e_b; in Z-coordinates g.e_b sits at index b * |G| + g.  The
+    contracting homotopy is Z-linear, with d h + h d = 1 - eta eps: on
+    x = g.e_b in degree p - 1 it is the solution y of d_p y = x - h(d x)
+    (of d_1 y = g - 1 in degree 0) that `solve` finds on the Smith form of
+    d_p.
+    """
+
+    def __init__(self, G: FiniteGroup):
+        self.group = G
+        # _d[p][b] = d_p(e_b) as terms (b2, g, c) standing for c * g.e_b2;
+        # d_0 = 0, as on the bar resolution
+        self._d = [[[]], [[(0, s, 1), (0, 0, -1)] for s in G.generators]]
+        self._matrix: dict = {}
+        self._snf: dict = {}
+        self._h: dict = {}
+
+    def rank(self, p: int) -> int:
+        return len(self._boundaries(p))
+
+    def boundary(self, p: int, b: int) -> list:
+        return self._boundaries(p)[b]
+
+    def _boundaries(self, p: int) -> list:
+        while len(self._d) <= p:
+            q = len(self._d) - 1  # the next term is generated by ker d_q
+            self._d.append(self._spanning(q, self._kernel_basis(q)))
+        return self._d[p]
+
+    def matrix(self, p: int) -> IntMatrix:
+        """d_p (p >= 1) on Z-coordinates, |G| rank(p-1) x |G| rank(p)."""
+        if p not in self._matrix:
+            n, mul = self.group.order, self.group.table
+            rows: list = [{} for _ in range(n * self.rank(p - 1))]
+            for b, chain in enumerate(self._boundaries(p)):
+                for h in range(n):  # d(h.e_b) = h.d(e_b)
+                    for b2, g, c in chain:
+                        _add_entry(rows[b2 * n + mul[h][g]], b * n + h, c, None)
+            self._matrix[p] = IntMatrix(tuple(rows), len(rows), n * self.rank(p))
+        return self._matrix[p]
+
+    def _smith(self, p: int):
+        if p not in self._snf:
+            self._snf[p] = smith(self.matrix(p))
+        return self._snf[p]
+
+    def _kernel_columns(self, p: int) -> list:
+        d, cols = self._smith(p).diagonal(), self._smith(p).V.cols
+        return [j for j in range(cols) if j >= len(d) or not d[j]]
+
+    def _kernel_basis(self, p: int) -> list:
+        """The Z-basis of ker d_p: the columns of V at the zero diagonal
+        entries of the Smith form, as vectors {Z-coordinate: entry}."""
+        V = self._smith(p).V.transpose().nonzeros
+        return [dict(V[j]) for j in self._kernel_columns(p)]
+
+    def _spanning(self, p: int, vectors) -> list:
+        """The chains d_{p+1}(e_b) of the vectors picked, in order, to span
+        ker d_p with their G-translates; raises NotExactError if they never
+        do."""
+        n, mul = self.group.order, self.group.table
+        kernel = self._kernel_columns(p)
+        # kernel coordinates x |-> (V^-1 x)_j, j in kernel, by columns
+        v_inv = self._smith(p).v_inv
+        coord_cols = IntMatrix(tuple(v_inv.nonzeros[j] for j in kernel),
+                               len(kernel), v_inv.cols).transpose().nonzeros
+
+        def full(span):  # rank and index of the span in Z^len(kernel)
+            return len(span) == len(kernel) and all(row[j] == 1 for j, row in span.items())
+
+        def coords(v, g):  # of the translate g.v
+            out: dict = {}
+            for i, c in v.items():
+                b, h = divmod(i, n)
+                _axpy(coord_cols[b * n + mul[g][h]], out, c, None)
+            return out
+
+        span: dict = {}
+        taken = []
+        for v in vectors:
+            if full(span):
+                break
+            if not _grow_span(span, coords(v, 0)):
+                continue  # v is spanned already
+            taken.append([(i // n, i % n, c) for i, c in sorted(v.items())])
+            for g in range(1, n):
+                _grow_span(span, coords(v, g))
+        if not full(span):
+            raise NotExactError(
+                f"resolution is not exact at F_{p}: the translates span rank "
+                f"{len(span)} of {len(kernel)}, with pivots {sorted(span[j][j] for j in span)}"
+            )
+        return taken
+
+    def check_exact(self, p: int) -> None:
+        """Raise NotExactError unless the translates of the d_{p+1}(e_b)
+        span ker d_p."""
+        n = self.group.order
+        self._spanning(p, [{b * n + g: c for b, g, c in chain} for chain in self._boundaries(p + 1)])
+
+    def homotopy(self, p: int, elem: dict) -> dict:
+        """h: F_{p-1} -> F_p, Z-linear, with d h + h d = 1 - eta eps."""
+        out: dict = {}
+        for (b, g), c in elem.items():
+            _axpy(self._homotopy_of_basis(p, b, g), out, c, None)
+        return out
+
+    def _homotopy_of_basis(self, p: int, b: int, g: int) -> dict:
+        key = (p, b, g)
+        if key not in self._h:
+            n, mul = self.group.order, self.group.table
+            want = {(b, g): 1}  # x - h(d x) for x = g.e_b; g - 1 in degree 0
+            if p == 1:
+                _add_entry(want, (0, 0), -1, None)
+            else:
+                dx: dict = {}
+                for b2, g2, c in self.boundary(p - 1, b):
+                    _add_entry(dx, (b2, mul[g][g2]), c, None)
+                _axpy(self.homotopy(p - 1, dx), want, -1, None)
+            vec = [0] * (n * self.rank(p - 1))
+            for (b2, g2), c in want.items():
+                vec[b2 * n + g2] = c
+            y = solve(self.matrix(p), vec, snf=self._smith(p))
+            if y is None:
+                raise HomotopySolveFailureError(
+                    f"d_{p} y = x - h(d x) has no solution at {g}.e_{b}"
+                )
+            self._h[key] = {divmod(i, n): c for i, c in enumerate(y) if c}
+        return self._h[key]
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def periodic_resolution(G: FiniteGroup) -> PeriodicData:
+    return PeriodicData(G)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def small_resolution(G: FiniteGroup) -> SmallResolution:
+    return SmallResolution(G)
+
+
+# A resolution F is read through rank(p), boundary(p, b) (the terms
+# (b2, g, c) of d_p(e_b)) and homotopy(p, x) on F-elements {(b, g): c};
+# PeriodicData and SmallResolution both offer them.
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def sigma_lift(res):
+    """sigma(p, b) = sigma_p(e_b) in Bar_p, for the chain map F -> Bar."""
+    bar = BarResolution(res.group)
+    return chain_lift(res.boundary, lambda p, x: bar.homotopy(x), bar.act, {((), 0): 1})
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def tau_lift(res):
+    """tau(p, T) = the image of the bar basis element [T] in F_p, for the
+    chain map Bar -> F; g acts on F by left multiplication."""
+    G, bar = res.group, BarResolution(res.group)
+
+    def act(g, x):  # left multiplication by g is one-to-one on the keys
+        row = G.table[g]
+        return {(b, row[h]): c for (b, h), c in x.items()}
+
     return chain_lift(lambda p, T: [(T2, g0, c) for (T2, g0), c in bar.boundary_of_basis(T).items()],
-                      per.homotopy, lambda g, x: {G.mul(g, k): c for k, c in x.items()}, {0: 1})
+                      res.homotopy, act, {(0, 0): 1})
 
 
 # ---------------------------------------------------------------------------
@@ -247,63 +455,68 @@ class CohomologyClass:
 
 
 class GroupCohomology:
-    """H^n(G, M) with class-of-cocycle and representative maps."""
+    """H^n(G, M) with class-of-cocycle and representative maps, on the bar
+    complex (`res` is None) or on Hom_G(F, M) for a resolution F = `res`."""
 
     def __init__(self, G: FiniteGroup, M: CoeffModule, degree: int, resolution="auto"):
         if degree < 0 or degree > MAX_DEGREE:
             raise DegreeTooLargeError(f"degree must be in 0..{MAX_DEGREE}")
         if M.group != G:
             raise ValidationError("module is not over the given group")
+        if resolution not in ("auto", "periodic", "bar"):
+            raise ValueError("unknown resolution kind")
         self.G = G
         self.M = M
         self.degree = degree
         if resolution == "auto":
-            resolution = (
-                "periodic" if G.generator_if_cyclic() is not None else "bar"
-            )
+            # degree 0 stays on bar: another complex would move the
+            # generators that qt-brauer prints (ROADMAP item 9)
+            resolution = ("periodic" if G.generator_if_cyclic() is not None
+                          else "small" if degree else "bar")
         self.resolution = resolution
         n = degree
-        if resolution == "periodic":
-            d_of_one = PeriodicData(G).d_of_one
-
-            def delta(p):  # C^p -> C^{p+1}: f |-> f(d_{p+1}(1)), one basis element
-                return cochain_map(M, [[(0, g, c) for g, c in d_of_one(p + 1).items()]], 1)
-
-        elif resolution == "bar":
+        if resolution == "bar":
+            self.res = None
             delta = partial(bar_delta_matrix, G, M)
         else:
-            raise ValueError("unknown resolution kind")
+            self.res = res = (periodic_resolution if resolution == "periodic" else small_resolution)(G)
+
+            def delta(p):  # C^p -> C^{p+1}: f |-> f(d e_b), e_b a basis element of F_{p+1}
+                return cochain_map(M, [res.boundary(p + 1, b) for b in range(res.rank(p + 1))],
+                                   res.rank(p))
+
         d_out = delta(n)
         d_in = delta(n - 1) if n >= 1 else IntMatrix.zero(d_out.cols, 0)
         self.sub = Subquotient(d_out, d_in, modulus=M.modulus)
         self.group = self.sub.group
 
-    # -- comparison maps of the periodic engine, each built on first use --
+    # -- comparison maps of an engine on a resolution, built on first use --
     @cached_property
     def _to_ambient(self) -> IntMatrix:
-        """A bar cochain evaluated on sigma_n(1)."""
-        terms = sigma_lift(self.G)(self.degree, 0).items()
-        chain = [(_tuple_index(self.G, T), g0, c) for (T, g0), c in terms]
-        return cochain_map(self.M, [chain], self.G.order**self.degree)
+        """A bar cochain evaluated on each sigma_n(e_b)."""
+        sigma, n = sigma_lift(self.res), self.degree
+        chains = ([(_tuple_index(self.G, T), g0, c) for (T, g0), c in sigma(n, b).items()]
+                  for b in range(self.res.rank(n)))
+        return cochain_map(self.M, chains, self.G.order**n)
 
     @cached_property
     def _from_ambient(self) -> IntMatrix:
-        """The bar cochain [T] |-> f(tau_n([T])) of a periodic cochain f: one
-        lift per tuple, |G|^n of them."""
-        tau, n = tau_lift(self.G), self.degree
-        chains = ([(0, g0, c) for g0, c in tau(n, T).items()]
+        """The bar cochain [T] |-> f(tau_n([T])) of a cochain f on the
+        resolution: one lift per tuple, |G|^n of them."""
+        tau, n = tau_lift(self.res), self.degree
+        chains = ([(b, g0, c) for (b, g0), c in tau(n, T).items()]
                   for T in itertools.product(self.G.elements(), repeat=n))
-        return cochain_map(self.M, chains, 1)
+        return cochain_map(self.M, chains, self.res.rank(n))
 
     # -- public surface ---------------------------------------------------
     def coords_of(self, cochain):
-        if self.resolution == "periodic":
+        if self.res is not None:
             cochain = self._to_ambient.apply(cochain, self.M.modulus)
         return self.sub.project(self.M.reduce(cochain))
 
     def rep_of(self, coords) -> tuple:
         vec = self.sub.lift(coords)
-        if self.resolution == "periodic":
+        if self.res is not None:
             return self._from_ambient.apply(vec, self.M.modulus)
         return tuple(vec)
 

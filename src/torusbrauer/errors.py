@@ -45,5 +45,10 @@ class DegreeTooLargeError(ValidationError):
     pass
 
 
+class NotExactError(ValidationError):
+    """A free resolution fails to be exact at one of its terms."""
+
+
 class HomotopySolveFailureError(TorusBrauerError):
-    """Internal inconsistency while solving for twisting differentials."""
+    """Internal inconsistency while solving for a twisting differential or
+    a contracting homotopy."""

@@ -561,6 +561,43 @@ class TestChecksUnderOptimize:
         assert proc.stderr.startswith("disagreement: selftest suite failure: intlat: smith: ")
 
 
+class TestSelftestCohom:
+    def test_wrong_small_resolution_exits_4(self):
+        # every engine on the small resolution reports Z/7; the cohom suite
+        # must name the group, the degree and both structures
+        code = (
+            "import sys\n"
+            "import torusbrauer.cohomology as cohomology\n"
+            "from torusbrauer.cli import main\n"
+            "from torusbrauer.intlat import FinAbGroup\n"
+            "init = cohomology.GroupCohomology.__init__\n"
+            "def wrong(self, *args, **kwargs):\n"
+            "    init(self, *args, **kwargs)\n"
+            "    if isinstance(self.res, cohomology.SmallResolution):\n"
+            "        self.group = FinAbGroup(0, (7,))\n"
+            "cohomology.GroupCohomology.__init__ = wrong\n"
+            "sys.exit(main(['selftest', '--suite', 'cohom']))\n"
+        )
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]),
+            PYTHONDONTWRITEBYTECODE="1",
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == EXIT_DISAGREEMENT, proc.stdout + proc.stderr
+        assert proc.stdout == "" and proc.stderr.count("\n") == 1
+        assert proc.stderr == (
+            "disagreement: selftest suite failure: cohom: "
+            "H^1(V4, Z/2): small resolution Z/7 != bar Z/2 + Z/2\n"
+        )
+
+    def test_small_resolution_agrees(self):
+        code, text = run(["--json", "selftest", "--suite", "cohom"])
+        assert code == EXIT_OK and json.loads(text)["all_passed"]
+
+
 class TestDisagreementMessage:
     def test_orders_failure_names_the_orbit(self, monkeypatch):
         monkeypatch.setattr(brauer, "_vector_order", lambda v, m: 0)

@@ -8,12 +8,14 @@ from torusbrauer.cohomology import (
     MAX_DEGREE,
     BarResolution,
     PeriodicData,
+    SmallResolution,
     _TransferData,
     bar_delta_matrix,
     cohomology,
     corestriction,
     restriction,
     sigma_lift,
+    small_resolution,
     tau_lift,
 )
 from torusbrauer.groups import (
@@ -21,8 +23,8 @@ from torusbrauer.groups import (
     FiniteGroup,
     subgroup_generated,
 )
-from torusbrauer.errors import CompositionNonzeroError
-from torusbrauer.intlat import IntMatrix, Subquotient
+from torusbrauer.errors import CompositionNonzeroError, NotExactError
+from torusbrauer.intlat import IntMatrix, Subquotient, smith
 
 
 def random_element(bar, p, rng, terms=3):
@@ -63,7 +65,7 @@ class TestZeroFreeChains:
                   for T in itertools.product(G.elements(), repeat=p)]
         chains = []
         if G.generator_if_cyclic() is not None:
-            sigma, tau = sigma_lift(G), tau_lift(G)
+            sigma, tau = sigma_lift(PeriodicData(G)), tau_lift(PeriodicData(G))
             chains += [sigma(p, 0) for p in range(MAX_DEGREE + 1)]
             chains += [tau(p, T) for p, T in tuples]
         for g in G.elements():
@@ -87,6 +89,16 @@ class TestBarResolution:
             for _ in range(5):
                 x = random_element(bar, p, rng)
                 assert bar.boundary(bar.boundary(x)) == {}
+
+    @pytest.mark.parametrize("name", sorted(criterion6_groups()))
+    def test_boundary_of_low_degrees(self, name):
+        # d_0 = 0 (the resolution is not augmented), so a degree-1 chain has
+        # a boundary of degree 0 whose boundary is empty
+        bar, rng = BarResolution(criterion6_groups()[name]), random.Random(name)
+        assert bar.boundary_of_basis(()) == {} and bar.boundary_of_basis((), 1) == {}
+        for p in (1, 2):
+            for _ in range(5):
+                assert bar.boundary(bar.boundary(random_element(bar, p, rng))) == {}
 
     def test_homotopy_identity(self):
         s3, _ = FiniteGroup.symmetric(3)
@@ -231,6 +243,9 @@ class TestPeriodic:
         per = PeriodicData(g)
         rng = random.Random(m + 17)
 
+        def h(p, y):  # the homotopy on group ring elements {g: c}
+            return {g: c for (_, g), c in per.homotopy(p, {(0, g): c for g, c in y.items()}).items()}
+
         def mul_by(ring_elem, y):
             out = {}
             for a, c in ring_elem.items():
@@ -243,9 +258,9 @@ class TestPeriodic:
             for _ in range(8):
                 x = {rng.randrange(m): rng.randrange(-3, 4) for _ in range(3)}
                 x = {k: v for k, v in x.items() if v}
-                lhs = mul_by(per.d_of_one(p), per.homotopy(p, x))
+                lhs = mul_by(per.d_of_one(p), h(p, x))
                 if p - 1 >= 1:
-                    extra = per.homotopy(p - 1, mul_by(per.d_of_one(p - 1), x))
+                    extra = h(p - 1, mul_by(per.d_of_one(p - 1), x))
                 else:
                     aug = sum(x.values())
                     extra = {0: aug} if aug else {}
@@ -262,9 +277,9 @@ class TestPeriodic:
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
     def test_comparison_chain_maps(self, m):
         g = FiniteGroup.cyclic(m)
-        tau, sigma = tau_lift(g), sigma_lift(g)
-        bar = BarResolution(g)
         per = PeriodicData(g)
+        tau, sigma = tau_lift(per), sigma_lift(per)
+        bar = BarResolution(g)
         rng = random.Random(m + 3)
 
         def mul_by(ring_elem, y):
@@ -278,7 +293,7 @@ class TestPeriodic:
         def tau_element(p, x):  # tau on sum c * g0[T], extended Z[G]-linearly
             out = {}
             for (T, g0), c in x.items():
-                for k, d in mul_by({g0: 1}, tau(p, T)).items():
+                for k, d in mul_by({g0: 1}, {g: c for (_, g), c in tau(p, T).items()}).items():
                     out[k] = out.get(k, 0) + c * d
             return {k: v for k, v in out.items() if v}
 
@@ -463,18 +478,18 @@ def sigma_ambient(eng, cochain):
     M, k = eng.M, eng.M.rank
     col = tuple_columns(eng.G, eng.degree)
     vec = [0] * k
-    for (T, g0), c in sigma_lift(eng.G)(eng.degree, 0).items():
+    for (T, g0), c in sigma_lift(eng.res)(eng.degree, 0).items():
         add_moved(vec, M, g0, c, cochain[col[T] * k : (col[T] + 1) * k])
     return M.reduce(vec)
 
 
 def tau_cochain(eng, vec):
     """The bar cochain [T] |-> f(tau_n([T])) of a periodic cochain f."""
-    M, tau = eng.M, tau_lift(eng.G)
+    M, tau = eng.M, tau_lift(eng.res)
     out = []
     for T in itertools.product(eng.G.elements(), repeat=eng.degree):
         val = [0] * M.rank
-        for g0, c in tau(eng.degree, T).items():
+        for (_, g0), c in tau(eng.degree, T).items():
             add_moved(val, M, g0, c, vec)
         out.extend(M.reduce(val))
     return tuple(out)
@@ -662,3 +677,144 @@ class TestInducedMaps:
         for z in bar_cocycles(sub.group, mh, degree, rng):
             cls = cohomology(sub.group, mh, degree).classify(z)
             assert corestriction(sub, mod, cls).cochain == transferred_cochain(sub, mod, cls)
+
+
+# ---------------------------------------------------------------------------
+# the small resolution of a non-cyclic group
+# ---------------------------------------------------------------------------
+
+
+def _quaternion_mul(x, y):
+    a, b, c, d = x
+    e, f, g, h = y
+    return (a * e - b * f - c * g - d * h, a * f + b * e + c * h - d * g,
+            a * g - b * h + c * e + d * f, a * h + b * g - c * f + d * e)
+
+
+def _perm_mul(p, q):
+    return tuple(p[q[i]] for i in range(len(q)))
+
+
+def small_resolution_groups():
+    """name -> (group, top degree of F checked): non-cyclic groups of order
+    4 to 24.  D4 is generated by two reflections of the square; from a
+    rotation and a reflection the greedy picking gives F_3 rank 5."""
+    c2 = FiniteGroup.cyclic(2)
+    quaternion_units = [(0, 1, 0, 0), (0, 0, 1, 0)]
+    return {
+        "V4": (FiniteGroup.direct_product(c2, c2), 4),
+        "S3": (FiniteGroup.symmetric(3)[0], 4),
+        "D4": (FiniteGroup.from_concrete([(1, 0, 3, 2), (0, 3, 2, 1)], _perm_mul, (0, 1, 2, 3))[0], 4),
+        "Q8": (FiniteGroup.from_concrete(quaternion_units, _quaternion_mul, (1, 0, 0, 0))[0], 4),
+        "A4": (FiniteGroup.from_concrete([(1, 2, 0, 3), (1, 0, 3, 2)], _perm_mul, (0, 1, 2, 3))[0], 3),
+        "C2xC4": (FiniteGroup.direct_product(c2, FiniteGroup.cyclic(4)), 4),
+        "S4": (FiniteGroup.symmetric(4)[0], 3),
+    }
+
+
+def free_boundary(res, p, x):
+    """d_p on an element {(b, g): c} of F_p: d(g.e_b) = g.d(e_b)."""
+    mul, out = res.group.table, {}
+    for (b, g), c in x.items():
+        for b2, g2, c2 in res.boundary(p, b):
+            key = (b2, mul[g][g2])
+            out[key] = out.get(key, 0) + c * c2
+    return {k: v for k, v in out.items() if v}
+
+
+def smith_rank_and_units(A):
+    """The rank of A, and whether its nonzero invariant factors are all 1."""
+    d = [x for x in smith(A).diagonal() if x]
+    return len(d), all(x == 1 for x in d)
+
+
+class TestSmallResolution:
+    @pytest.mark.parametrize("name", ["V4", "S3", "D4"])
+    def test_ranks(self, name):
+        res = SmallResolution(small_resolution_groups()[name][0])
+        assert [res.rank(p) for p in range(4)] == [1, 2, 3, 4]
+
+    def test_terms_are_built_on_demand(self):
+        res = SmallResolution(small_resolution_groups()["S3"][0])
+        res.boundary(3, 0)
+        assert len(res._d) == 4  # F_0 .. F_3, no more
+
+    @pytest.mark.parametrize("name", sorted(small_resolution_groups()))
+    def test_d_squared_is_zero(self, name):
+        G, top = small_resolution_groups()[name]
+        res = SmallResolution(G)
+        # the augmentation kills d_1: each column sums to zero
+        assert all(sum(res.matrix(1).column(j)) == 0 for j in range(res.matrix(1).cols))
+        for p in range(2, top + 1):
+            assert res.matrix(p - 1).mul(res.matrix(p)).is_zero()
+
+    @pytest.mark.parametrize("name", sorted(small_resolution_groups()))
+    def test_exact(self, name):
+        # im d_{p+1} has the rank of ker d_p (rank d_p + rank d_{p+1} is the
+        # rank of F_p, with the augmentation, of rank 1, as d_0) and index 1
+        # in it (d_{p+1} has unit invariant factors), so the two are equal;
+        # check_exact reads the same off its span of translates
+        G, top = small_resolution_groups()[name]
+        res = SmallResolution(G)
+        below = 1
+        for p in range(top):
+            rank, units = smith_rank_and_units(res.matrix(p + 1))
+            assert units and below + rank == G.order * res.rank(p)
+            below = rank
+            if p:
+                res.check_exact(p)
+
+    def test_a_dropped_generator_breaks_exactness(self):
+        res = SmallResolution(small_resolution_groups()["S3"][0])
+        res.check_exact(1)
+        # without its last generator, the translates of the others are
+        # short of ker d_1: the picking took that one because they were
+        res._d[2].pop()
+        with pytest.raises(NotExactError):
+            res.check_exact(1)
+
+    @pytest.mark.parametrize("name", sorted(small_resolution_groups()))
+    def test_contracting_homotopy(self, name):
+        # d h + h d = 1 - eta eps on every Z-basis element g.e_b of F_p
+        G, top = small_resolution_groups()[name]
+        res = SmallResolution(G)
+        for p in range(top):
+            for b in range(res.rank(p)):
+                for g in G.elements():
+                    x = {(b, g): 1}
+                    lhs = free_boundary(res, p + 1, res.homotopy(p + 1, x))
+                    if p:
+                        for k, v in res.homotopy(p, free_boundary(res, p, x)).items():
+                            lhs[k] = lhs.get(k, 0) + v
+                    else:
+                        lhs[(0, 0)] = lhs.get((0, 0), 0) + 1  # eta eps x = e_0
+                    assert {k: v for k, v in lhs.items() if v} == x
+
+    @pytest.mark.parametrize("name", sorted(set(small_resolution_groups()) - {"S4"}))
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_engine_against_bar(self, name, m):
+        G = small_resolution_groups()[name][0]
+        M = CoeffModule.trivial(G, 1, m)
+        for q in (1, 2):
+            eng, bar = cohomology(G, M, q), cohomology(G, M, q, resolution="bar")
+            assert eng.res is small_resolution(G)
+            assert eng.group.same_structure(bar.group)
+            for cls in eng.generator_classes():
+                assert eng.coords_of(eng.rep_of(cls.coords)) == cls.coords
+            # the bar engine's generator classes generate the whole group
+            images = [eng.coords_of(cls.cochain) for cls in bar.generator_classes()]
+            assert len(span_of(images, eng.group.torsion)) == eng.group.order()
+
+
+def span_of(vectors, orders):
+    """The subgroup of the sum of the Z/t, t in orders, spanned by vectors."""
+    zero = (0,) * len(orders)
+    span, frontier = {zero}, [zero]
+    while frontier:
+        v = frontier.pop()
+        for w in vectors:
+            u = tuple((x + y) % t for x, y, t in zip(v, w, orders))
+            if u not in span:
+                span.add(u)
+                frontier.append(u)
+    return span

@@ -4,8 +4,11 @@ with it (tests/oracles.py).
 For d2 the lattices are those of acceptance criterion 6, written as plain
 lists in the CLI's element order.  Levels follow the benchmark's `twisting`
 workload (C2 and C3 at 2..7, V4 at 2..5, the sign character from level 3
-on), and S3 runs at every level 2..4 with both characters.  For the Brauer
-oracle the data are acceptance criterion 2's stream.
+on), and S3 runs at every level 2..4 with both characters; the V4 targets
+are counted on the normalised bar complex.  The same count checks
+|H^q(G, M)| for V4 (q = 1..3), D4 and Q8 (q = 1, 2) on trivial, sign and
+permutation modules mod 2, 3 and 4.  For the Brauer oracle the data are
+acceptance criterion 2's stream.
 
 The count identity checks d2 on the real-torus lattices (the sign twist of
 each involution type of rank <= 3, with mu_n acted on by -1).  Inflation
@@ -28,8 +31,10 @@ from tests import oracles
 from torusbrauer.brauer import BrauerAnalysis
 from tests.matrices import involution_types
 from torusbrauer.cli import parse_split_extension
+from torusbrauer.cohomology import cohomology
 from torusbrauer.groups import (
     CoeffModule,
+    FiniteGroup,
     GaloisDatum,
     canonical_involution,
     involution_lattice,
@@ -45,6 +50,74 @@ def _perm_matrix(p):
 
 def _scaled(mats, signs):
     return [[[u * x for x in row] for row in m] for m, u in zip(mats, signs)]
+
+
+def _closure(gens, mul, one):
+    """The elements of the group the generators generate, identity first,
+    and its multiplication table on their positions."""
+    elems, i = [one], 0
+    while i < len(elems):
+        for g in gens:
+            x = mul(elems[i], g)
+            if x not in elems:
+                elems.append(x)
+        i += 1
+    return elems, [[elems.index(mul(a, b)) for b in elems] for a in elems]
+
+
+def _quaternion_mul(x, y):
+    a, b, c, d = x
+    e, f, g, h = y
+    return (a * e - b * f - c * g - d * h, a * f + b * e + c * h - d * g,
+            a * g - b * h + c * e + d * f, a * h + b * g - c * f + d * e)
+
+
+def _groups():
+    """name -> (multiplication table, {module: one matrix per element}) for
+    V4, D4 and Q8, each with the trivial module, a sign character and a
+    permutation module of rank 4: V4 on itself, D4 on the vertices of a
+    square and Q8 on its quotient by {+-1}."""
+
+    def pmul(p, q):
+        return tuple(p[q[i]] for i in range(len(q)))
+
+    def sign(p):
+        return (-1) ** sum(p[i] > p[j] for i in range(len(p)) for j in range(i + 1, len(p)))
+
+    v4 = [[i ^ j for j in range(4)] for i in range(4)]  # (a, b) is element 2a + b
+    d4_elems, d4 = _closure([(1, 2, 3, 0), (0, 3, 2, 1)], pmul, (0, 1, 2, 3))
+    q8_elems, q8 = _closure([(0, 1, 0, 0), (0, 0, 1, 0)], _quaternion_mul, (1, 0, 0, 0))
+    # Q8 / {+-1}: the class of an element is the position of +-1, i, j or k
+    q8_class = [next(i for i, x in enumerate(e) if x) for e in q8_elems]
+    q8_reps = [q8_elems.index(u) for u in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))]
+    one = [[1]]
+    return {
+        "V4": (v4, {"trivial": [one] * 4,
+                    "sign": [[[s]] for s in (1, -1, 1, -1)],
+                    "permutation": [_perm_matrix(row) for row in v4]}),
+        "D4": (d4, {"trivial": [one] * 8,
+                    "sign": [[[sign(p)]] for p in d4_elems],
+                    "permutation": [_perm_matrix(p) for p in d4_elems]}),
+        "Q8": (q8, {"trivial": [one] * 8,
+                    "sign": [[[-1 if e[2] or e[3] else 1]] for e in q8_elems],
+                    "permutation": [_perm_matrix([q8_class[q8[g][r]] for r in q8_reps])
+                                    for g in range(8)]}),
+    }
+
+
+GROUPS = _groups()
+DEGREES = {"V4": (1, 2, 3), "D4": (1, 2), "Q8": (1, 2)}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("module", ["trivial", "sign", "permutation"])
+@pytest.mark.parametrize("name,q", [(name, q) for name, qs in DEGREES.items() for q in qs])
+def test_cohomology_orders_match_the_bar_oracle(name, q, module, n):
+    table, modules = GROUPS[name]
+    mats = modules[module]
+    G = FiniteGroup(tuple(map(tuple, table)))
+    M = CoeffModule.make(G, len(mats[0]), n, [IntMatrix.from_rows(m) for m in mats])
+    assert _order(cohomology(G, M, q).group) == oracles.bar_h_order(table, mats, n, q)
 
 
 def _lattices():
@@ -67,8 +140,8 @@ def _lattices():
         "C2 swap (x) sign": ({"cyclic": 2}, _scaled([i2, sw], c2_sign), c2_sign, "tate"),
         "C2 swap + 1": ({"cyclic": 2}, [i3, sw_plus], c2_sign, "tate"),
         "C3 permutation": ({"cyclic": 3}, [i3, c3, _perm_matrix((2, 0, 1))], None, "tate"),
-        "V4 permutation": ({"klein": True}, v4, v4_sign, None),
-        "V4 permutation (x) sign": ({"klein": True}, _scaled(v4, v4_sign), v4_sign, None),
+        "V4 permutation": ({"klein": True}, v4, v4_sign, "bar"),
+        "V4 permutation (x) sign": ({"klein": True}, _scaled(v4, v4_sign), v4_sign, "bar"),
         "S3 permutation": ({"symmetric": 3}, s3_rho, parity, "shapiro"),
         "S3 permutation (x) sign": ({"symmetric": 3}, _scaled(s3_rho, parity), parity, "shapiro"),
     }
@@ -105,6 +178,10 @@ def test_d2_orders_match_enumeration(name, n, signed):
         assert _order(report.target) == expected
     elif target == "shapiro":
         assert _order(report.target) == oracles.shapiro_h2_order(rho, chi, n)
+    else:
+        table = GROUPS["V4"][0]
+        expected = oracles.bar_h_order(table, oracles.hom_action(rho, chi, n, 1), n, 2)
+        assert _order(report.target) == expected
     assert report.matrix.rows == len(report.target.generators)
     assert report.matrix.cols == len(report.source.generators)
 

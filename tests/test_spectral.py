@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tests.matrices import det, diagonal, ladder
-from torusbrauer.cohomology import bar_delta_matrix, cohomology
+from torusbrauer import cohomology as cohomology_module
+from torusbrauer.cohomology import bar_delta_matrix, cohomology, small_resolution
 from torusbrauer.errors import (
     NotAnInvolutionError,
     NotInvariantError,
@@ -693,6 +694,46 @@ class TestOneEngine:
         # the two coordinate systems differ by an isomorphism
         for cls, t in zip(bar.generator_classes(), bar.group.torsion):
             assert class_order(per.group, per.coords_of(cls.cochain)) == t
+
+
+def small_resolution_lattices():
+    """The V4 and S3 lattices of acceptance criterion 6, each with mu_4 and
+    its sign character."""
+    lattices = {name: N for name, N in criterion6_lattices().items() if name.startswith("V4")}
+    s3 = s3_perm_lattice()
+    parity = tuple(det(m) for m in s3.action)
+    lattices["S3 permutation"] = s3
+    lattices["S3 permutation (x) sign"] = tate_twist(s3, parity)
+    chi = {"V4": (1, -1, 1, -1), "S3": parity}
+    return {name: SplitExtensionSpec(N, CoeffModule.mu(N.group, 4, chi[name[:2]]))
+            for name, N in lattices.items()}
+
+
+class TestE21OffTheBarComplex:
+    """E2^{2,1} of a non-cyclic pi is computed on the small resolution F:
+    its cochain matrix out of degree 2 has rank(F_3) * k rows, not the
+    |pi|^3 * k of the bar complex, and no bar coboundary is built."""
+
+    @pytest.mark.parametrize("name", sorted(small_resolution_lattices()))
+    def test_e2_21_runs_on_the_small_resolution(self, name, monkeypatch):
+        ext = small_resolution_lattices()[name]
+        rows, real = [], cohomology_module.Subquotient
+
+        def spy(d_out, d_in, modulus=None):
+            rows.append(d_out.rows)
+            return real(d_out, d_in, modulus)
+
+        def no_bar(*args):
+            raise AssertionError("E2^{2,1} built a bar coboundary")
+
+        monkeypatch.setattr(cohomology_module, "Subquotient", spy)
+        monkeypatch.setattr(cohomology_module, "bar_delta_matrix", no_bar)
+        cohomology.cache_clear()
+        eng = e2_21(ext)
+        F, k = small_resolution(ext.pi), eng.M.rank
+        assert eng.res is F
+        assert rows == [F.rank(3) * k]
+        assert F.rank(3) * k < ext.pi.order**3 * k
 
 
 class TestValueSemantics:
