@@ -389,13 +389,17 @@ def _suite_cohom(rng):
 
 
 def _suite_twisted(rng):
+    from .groups import permutation_lattice
     from .spectral import twisted_resolution
 
     c2 = FiniteGroup.cyclic(2)
     swap = CoeffModule(
         c2, 2, None, (IntMatrix.identity(2), IntMatrix.from_rows([[0, 1], [1, 0]]))
     )
-    twisted_resolution(swap).verify_d_squared()  # raises unless d^2 = 0
+    s3 = permutation_lattice(GaloisDatum.from_generators(3, 2, [((1, 0, 2), 1), ((0, 2, 1), 1)]))
+    # on the periodic resolution of C2 and the small one of S3
+    for N in (swap, s3):
+        twisted_resolution(N).verify_d_squared()  # raises unless d^2 = 0
     if not v2(swap).is_zero():
         raise DisagreementError("v2 of the C2 swap lattice is not zero")
 

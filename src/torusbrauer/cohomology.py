@@ -10,13 +10,16 @@ H^n(G, M) is computed on one of two kinds of complex:
   instant at any rank) and `SmallResolution`, built for any finite group by
   integer linear algebra.
 
-By default a cyclic group takes the periodic resolution, any other group
-the small one in degrees >= 1 and the bar complex in degree 0.
+By default (`free_resolution`) a cyclic group takes the periodic
+resolution, any other group the small one in degrees >= 1 and the bar
+complex in degree 0.
 
-Classes are always carried around as bar cochains, flat vectors indexed by
-`_tuple_index` and then coordinate, so restriction, transfer and
-pushforward work uniformly; an engine on a resolution F reads a bar cocycle
-on sigma_n(e_b) and writes a class back as the bar cochain [T] |-> f(tau_n[T]).
+A class handed to restriction or transfer is a bar cochain, a flat vector
+indexed by `_tuple_index` and then coordinate; an engine on a resolution F
+reads a bar cocycle on sigma_n(e_b) and writes a class back as the bar
+cochain [T] |-> f(tau_n[T]).  A cocycle already on F, such as a row cocycle
+of a twisted resolution built on the same F, is classified with no
+comparison map (`coords_on_res`).
 
 Every comparison chain map is one `chain_lift` through the contracting
 homotopy of its target: sigma (F -> bar), tau (bar -> F) and the transfer's
@@ -411,6 +414,13 @@ def small_resolution(G: FiniteGroup) -> SmallResolution:
     return SmallResolution(G)
 
 
+def free_resolution(G: FiniteGroup):
+    """The resolution F of small rank that G's engines in degree >= 1 and its
+    twisted resolutions are built on: the periodic one of a cyclic group,
+    the small one of any other."""
+    return periodic_resolution(G) if G.generator_if_cyclic() is not None else small_resolution(G)
+
+
 # A resolution F is read through rank(p), boundary(p, b) (the terms
 # (b2, g, c) of d_p(e_b)) and homotopy(p, x) on F-elements {(b, g): c};
 # PeriodicData and SmallResolution both offer them.
@@ -469,18 +479,17 @@ class GroupCohomology:
         self.M = M
         self.degree = degree
         if resolution == "auto":
-            # degree 0 stays on bar: another complex would move the
-            # generators that qt-brauer prints (ROADMAP item 9)
-            resolution = ("periodic" if G.generator_if_cyclic() is not None
-                          else "small" if degree else "bar")
-        self.resolution = resolution
+            # degree 0 of a non-cyclic group stays on bar: another complex
+            # would move the generators that qt-brauer prints (ROADMAP item 9)
+            on_bar = not degree and G.generator_if_cyclic() is None
+            res = None if on_bar else free_resolution(G)
+        else:
+            res = periodic_resolution(G) if resolution == "periodic" else None
+        self.res = res
         n = degree
-        if resolution == "bar":
-            self.res = None
+        if res is None:
             delta = partial(bar_delta_matrix, G, M)
         else:
-            self.res = res = (periodic_resolution if resolution == "periodic" else small_resolution)(G)
-
             def delta(p):  # C^p -> C^{p+1}: f |-> f(d e_b), e_b a basis element of F_{p+1}
                 return cochain_map(M, [res.boundary(p + 1, b) for b in range(res.rank(p + 1))],
                                    res.rank(p))
@@ -510,8 +519,14 @@ class GroupCohomology:
 
     # -- public surface ---------------------------------------------------
     def coords_of(self, cochain):
+        """The coordinates of the class of a bar cocycle."""
         if self.res is not None:
             cochain = self._to_ambient.apply(cochain, self.M.modulus)
+        return self.coords_on_res(cochain)
+
+    def coords_on_res(self, cochain):
+        """The coordinates of the class of a cocycle on the engine's own
+        complex: Hom_G(F_n, M) for a resolution F, the bar complex otherwise."""
         return self.sub.project(self.M.reduce(cochain))
 
     def rep_of(self, coords) -> tuple:

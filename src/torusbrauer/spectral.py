@@ -2,13 +2,16 @@
 with twisting differentials, the second-page differential d2 on bidegree
 (0,2), and the universal degree-two class attached to the lattice.
 
-The resolution is a twisted tensor product of the bar resolution of pi with
-the Koszul resolution of Z^r.  The vertical differential d0 is Koszul, d1 is
-prescribed on the bottom row (bar faces) and lifted upward through the Koszul
+The resolution is a twisted tensor product of the Koszul resolution of Z^r
+with the free resolution F of pi that pi's cohomology engines use
+(`cohomology.free_resolution`; C. T. C. Wall, "Resolutions for extensions of
+groups", 1961).  The vertical differential d0 is Koszul, d1 is prescribed on
+the bottom row (the boundary of F) and lifted upward through the Koszul
 contracting homotopy, and every higher d_k is solved inductively from the
 d^2 = 0 constraint via the same homotopy.  Coefficients are modules with
 trivial Z^r-action, so all vertical cochain differentials vanish and the
-second page appears directly on the rows of the cochain bicomplex.
+second page appears directly on the rows of the cochain bicomplex, whose
+row q = 1 is the complex Hom_pi(F, Hom(N, M)) of the E2^{2,1} engine.
 """
 
 from __future__ import annotations
@@ -18,15 +21,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
 
-from .cohomology import (
-    CACHE_SIZE,
-    BarResolution,
-    GroupCohomology,
-    _tuple_index,
-    bar_delta_matrix,
-    cochain_map,
-    cohomology,
-)
+from .cohomology import CACHE_SIZE, GroupCohomology, cochain_map, cohomology, free_resolution
 from .errors import (
     HomotopySolveFailureError,
     NotInvariantError,
@@ -121,9 +116,9 @@ class SplitExtensionSpec:
 # ---------------------------------------------------------------------------
 # the resolution
 # ---------------------------------------------------------------------------
-# Elements of W_{p,q} are dicts {(a, u, T, S): coeff}: the group ring element
-# x^a u times the free basis element indexed by the p-tuple T over pi and the
-# sorted q-subset S.
+# Elements of W_{p,q} are dicts {(a, u, B, S): coeff}: the group ring element
+# x^a u times the free basis element indexed by B = (p, b), the basis element
+# e_b of F_p, and the sorted q-subset S.
 
 
 class TwistedResolution:
@@ -136,6 +131,7 @@ class TwistedResolution:
         self.pi = N.group
         self.N = N
         self.r = N.rank
+        self.F = free_resolution(self.pi)
         self._d_cache: dict = {}
 
     # -- basis bookkeeping -------------------------------------------------
@@ -143,25 +139,25 @@ class TwistedResolution:
         if p < 0 or q < 0 or q > self.r:
             return []
         subs = _subsets(self.r, q)
-        return [(T, S) for T in itertools.product(self.pi.elements(), repeat=p) for S in subs]
+        return [((p, b), S) for b in range(self.F.rank(p)) for S in subs]
 
     def rank(self, p: int, q: int) -> int:
         if p < 0 or q < 0 or q > self.r:
             return 0
-        return self.pi.order**p * comb(self.r, q)
+        return self.F.rank(p) * comb(self.r, q)
 
     # -- group ring helpers ------------------------------------------------
     def _left_mul(self, a, u, elem: dict) -> dict:
         pi, ru = self.pi, self.N.action[u]
         # x^a u is a unit of the group ring (ru is invertible), so no two terms meet
         return {
-            (tuple(ai + bi for ai, bi in zip(a, ru.apply(b))), pi.mul(u, v), T, S): c
-            for (b, v, T, S), c in elem.items()
+            (tuple(ai + bi for ai, bi in zip(a, ru.apply(b))), pi.mul(u, v), B, S): c
+            for (b, v, B, S), c in elem.items()
         }
 
     # -- the vertical (Koszul) differential and its contracting homotopy ---
-    def d0_basis(self, T, S) -> dict:
-        p, q = len(T), len(S)
+    def d0_basis(self, B, S) -> dict:
+        p, q = B[0], len(S)
         if q == 0:
             return {}
         sign_p = -1 if p % 2 else 1
@@ -172,8 +168,8 @@ class TwistedResolution:
             s = sign_p * (-1 if j % 2 else 1)
             expo = tuple(1 if t == i else 0 for t in range(self.r))
             # each j drops its own element of S, and expo is not zero: no key repeats
-            out[(expo, 0, T, rest)] = s
-            out[(zero, 0, T, rest)] = -s
+            out[(expo, 0, B, rest)] = s
+            out[(zero, 0, B, rest)] = -s
         return out
 
     def homotopy(self, elem: dict) -> dict:
@@ -182,9 +178,8 @@ class TwistedResolution:
         with the same (-1)^p sign twist carried by d0 in column p."""
         pi = self.pi
         out: dict = {}
-        for (a, u, T, S), coeff in elem.items():
-            p = len(T)
-            sign_p = -1 if p % 2 else 1
+        for (a, u, B, S), coeff in elem.items():
+            sign_p = -1 if B[0] % 2 else 1
             c = self.N.action[pi.inv(u)].apply(a)
             ru = self.N.action[u]
             stop = S[0] if S else self.r
@@ -202,40 +197,39 @@ class TwistedResolution:
                         (s if t == i else (c[t] if t > i else 0))
                         for t in range(self.r)
                     )
-                    _add_entry(out, (tuple(ru.apply(cc)), u, T, S2), sign_p * s_sign * coeff, None)
+                    _add_entry(out, (tuple(ru.apply(cc)), u, B, S2), sign_p * s_sign * coeff, None)
         return out
 
     # -- twisting differentials -------------------------------------------
-    def d_basis(self, k: int, T, S) -> dict:
-        p, q = len(T), len(S)
+    def d_basis(self, k: int, B, S) -> dict:
+        (p, b), q = B, len(S)
         if k == 0:
-            return self.d0_basis(T, S)
+            return self.d0_basis(B, S)
         if p - k < 0 or q + k - 1 > self.r:
             return {}
-        key = (k, T, S)
+        key = (k, B, S)
         cached = self._d_cache.get(key)
         if cached is not None:
             return cached
         if k == 1 and q == 0:
-            # the bottom row is the bar resolution of pi
+            # the bottom row is F, whose chains hold each (b2, g) once
             zero = (0,) * self.r
-            faces = BarResolution(self.pi).boundary_of_basis(T)
-            res = {(zero, g0, face, ()): c for (face, g0), c in faces.items()}
+            res = {(zero, g, (p - 1, b2), ()): c for b2, g, c in self.F.boundary(p, b)}
             self._d_cache[key] = res
             return res
         # solved inductively: d0 d_k(b) = -sum_{i+j=k, i,j>=1} d_i d_j(b) - d_k(d0 b)
-        F: dict = {}
+        rhs: dict = {}
         for i in range(1, k):
-            _axpy(self.d_elem(i, self.d_basis(k - i, T, S)), F, -1, None)
-        _axpy(self.d_elem(k, self.d0_basis(T, S)), F, -1, None)
-        res = self.homotopy(F)
+            _axpy(self.d_elem(i, self.d_basis(k - i, B, S)), rhs, -1, None)
+        _axpy(self.d_elem(k, self.d0_basis(B, S)), rhs, -1, None)
+        res = self.homotopy(rhs)
         self._d_cache[key] = res
         return res
 
     def d_elem(self, k: int, elem: dict) -> dict:
         out: dict = {}
-        for (a, u, T, S), c in elem.items():
-            _axpy(self._left_mul(a, u, self.d_basis(k, T, S)), out, c, None)
+        for (a, u, B, S), c in elem.items():
+            _axpy(self._left_mul(a, u, self.d_basis(k, B, S)), out, c, None)
         return out
 
     def total_d(self, elem: dict) -> dict:
@@ -250,8 +244,8 @@ class TwistedResolution:
         top = MAX_TOTAL_DEGREE if max_total is None else max_total
         for p in range(top + 1):
             for q in range(min(self.r, top - p) + 1):
-                for T, S in self.basis(p, q):
-                    one = {((0,) * self.r, 0, T, S): 1}
+                for B, S in self.basis(p, q):
+                    one = {((0,) * self.r, 0, B, S): 1}
                     if self.total_d(self.total_d(one)):
                         raise HomotopySolveFailureError(
                             f"d^2 != 0 on basis element at bidegree {(p, q)}"
@@ -268,8 +262,8 @@ class TwistedResolution:
             _axpy(elem, want, 1, None)
             if q == 0:
                 # subtract eta(eps(x)): exponent vector reset to zero
-                for (a, u, T, S), c in elem.items():
-                    _add_entry(want, ((0,) * self.r, u, T, S), -c, None)
+                for (a, u, B, S), c in elem.items():
+                    _add_entry(want, ((0,) * self.r, u, B, S), -c, None)
             if lhs != want:
                 raise HomotopySolveFailureError("contracting homotopy identity fails")
         return True
@@ -283,14 +277,13 @@ def twisted_resolution(N: CoeffModule) -> TwistedResolution:
 # ---------------------------------------------------------------------------
 # cochains with coefficients acted on trivially by the lattice
 # ---------------------------------------------------------------------------
-# A cochain at bidegree (p,q) is a vector over the basis (T, S, j) with
-# index = (T_index * #subsets + S_index) * rank(M) + j.
+# A cochain at bidegree (p,q) is a vector over the basis (b, S, j) with
+# index = (b * #subsets + S_index) * rank(M) + j, e_b the basis of F_p.
 
 
 class CochainComplex:
     def __init__(self, ext: SplitExtensionSpec, res: TwistedResolution):
         self.res = res
-        self.pi = ext.pi
         self.M = ext.M
         self.r = ext.N.rank
 
@@ -303,17 +296,17 @@ class CochainComplex:
         """Matrix of f |-> f . (sum of the d_k, k in ks) into the bidegrees
         `targets`, from the bidegrees in `offsets` (one per q), each at its
         basis index offset in the source layout."""
-        res, pi = self.res, self.pi
-        # (T, S) sits at place[S][0] + T_index * place[S][1]
+        res = self.res
+        # ((p, b), S) sits at place[S][0] + b * place[S][1]
         place = {S: (off + i, comb(self.r, q)) for (_, q), off in offsets.items()
                  for i, S in enumerate(_subsets(self.r, q))}
         chains = (
-            [(o + _tuple_index(pi, T2) * w, u, c)
+            [(o + b2 * w, u, c)
              for k in ks
-             for (_, u, T2, S2), c in res.d_basis(k, T, S).items()
+             for (_, u, (_, b2), S2), c in res.d_basis(k, B, S).items()
              for o, w in (place[S2],)]
             for pt, qt in targets
-            for T, S in res.basis(pt, qt)
+            for B, S in res.basis(pt, qt)
         )
         return cochain_map(self.M, chains, sum(res.rank(*b) for b in offsets))
 
@@ -328,11 +321,11 @@ def e2_21(ext: SplitExtensionSpec) -> GroupCohomology:
 
     Because the coefficients carry no lattice action, the vertical cochain
     differentials vanish identically, and the row C^{1,1} -> C^{2,1} ->
-    C^{3,1} is the bar complex of pi with coefficients in Hom(N, M): the entry
-    is the degree-2 cohomology of pi with coefficients in Hom(N, M).  A row
-    cochain at (p,1) and a bar p-cochain share one flattening, so row
-    cocycles are classified as bar cocycles (by the periodic engine when pi
-    is cyclic).
+    C^{3,1} is Hom_pi(F, Hom(N, M)) for the resolution F of pi that the
+    twisted resolution is built on: the entry is the degree-2 cohomology of
+    pi with coefficients in Hom(N, M), and this engine works on the same F.
+    A row cochain at (p,1) and a cochain on F_p share one flattening, so row
+    cocycles are classified by `coords_on_res`, with no comparison map.
     """
     return cohomology(ext.pi, lattice_cohomology(ext.N, ext.M, 1), 2)
 
@@ -341,7 +334,7 @@ def e2_21(ext: SplitExtensionSpec) -> GroupCohomology:
 def row_coboundaries(ext: SplitExtensionSpec) -> IntMatrix:
     """The row differential C^{1,1} -> C^{2,1}, whose image is the coboundary
     subgroup at bidegree (2,1)."""
-    return bar_delta_matrix(ext.pi, lattice_cohomology(ext.N, ext.M, 1), 1)
+    return CochainComplex(ext, twisted_resolution(ext.N)).delta_matrix(1, 1, 1)
 
 
 def _check_invariant(mod: CoeffModule, vec):
@@ -393,7 +386,7 @@ def d2_02(ext: SplitExtensionSpec) -> D2Report:
     the generators of the source."""
     inv = cohomology(ext.pi, lattice_cohomology(ext.N, ext.M, 2), 0).group
     e21 = e2_21(ext)
-    cols = [list(e21.coords_of(c)) for c in d2_cocycles(ext, inv.generators)]
+    cols = [list(e21.coords_on_res(c)) for c in d2_cocycles(ext, inv.generators)]
     mat = IntMatrix.from_columns(cols, nrows=len(e21.group.generators))
     return D2Report(ext, inv, e21.group, mat)
 
@@ -416,7 +409,7 @@ class V2Class:
 
     def coords(self):
         if self._coords is None:
-            self._coords = e2_21(self.ext_univ).coords_of(self.cocycle)
+            self._coords = e2_21(self.ext_univ).coords_on_res(self.cocycle)
         return self._coords
 
     def is_zero(self) -> bool:
@@ -441,8 +434,8 @@ def v2(N: CoeffModule) -> V2Class:
 def pushforward_cocycle(ext: SplitExtensionSpec, atilde: IntMatrix, src):
     """Image of a Hom(N, Lambda^2 N)-valued row cocycle under post-composition
     with the map Lambda^2 N -> M given by atilde, as a cocycle for ext."""
-    # one value in Lambda^2 N per tuple of pi^2 and basis vector of N
-    post = IntMatrix.identity(ext.pi.order**2 * ext.N.rank).kron(atilde)
+    # one value in Lambda^2 N per basis element of F_2 and basis vector of N
+    post = IntMatrix.identity(free_resolution(ext.pi).rank(2) * ext.N.rank).kron(atilde)
     return tuple(ext.M.reduce(post.apply(src)))
 
 
@@ -466,7 +459,7 @@ def pushforward_formula_check(ext: SplitExtensionSpec, alphas, rng) -> list[bool
             cocycle = tuple(a + b for a, b in zip(cocycle, d_univ.apply(pert)))
         rhs_vec = pushforward_cocycle(ext, uct_identify(ext, alpha), cocycle)
         diff = tuple(a - b for a, b in zip(lhs_vec, rhs_vec))
-        verdicts.append(not any(e2_21(ext).coords_of(diff)))
+        verdicts.append(not any(e2_21(ext).coords_on_res(diff)))
     return verdicts
 
 
@@ -483,11 +476,12 @@ def v2_additivity_check(N1: CoeffModule, N2: CoeffModule) -> bool:
         J = IntMatrix.from_rows(
             [[int(i == j + shift) for j in range(N.rank)] for i in range(big.rank)], ncols=N.rank
         )
-        move = IntMatrix.identity(N.group.order**2).kron(J.kron(exterior_power_matrix(J, 2)))
+        move = IntMatrix.identity(free_resolution(N.group).rank(2)).kron(
+            J.kron(exterior_power_matrix(J, 2)))
         expected = [a + b for a, b in zip(expected, move.apply(v2(N).cocycle))]
         shift += N.rank
     diff = tuple(a - b for a, b in zip(vbig.cocycle, expected))
-    return not any(e2_21(vbig.ext_univ).coords_of(diff))
+    return not any(e2_21(vbig.ext_univ).coords_on_res(diff))
 
 
 # ---------------------------------------------------------------------------

@@ -378,11 +378,11 @@ def test_criterion_7_engine_invariants(capsys):
         for p in range(3):
             for q in range(3):
                 for _ in range(3):
-                    T = tuple(rng.randrange(2) for _ in range(p))
+                    B = (p, rng.randrange(res.rank(p, 0)))
                     S = tuple(sorted(rng.sample(range(2), q)))
                     a = tuple(rng.randrange(-2, 3) for _ in range(2))
                     u = rng.randrange(2)
-                    samples.append(({(a, u, T, S): rng.randrange(1, 4)}, (p, q)))
+                    samples.append(({(a, u, B, S): rng.randrange(1, 4)}, (p, q)))
         assert res.verify_homotopy_identity(samples)
 
         # free-abelian cohomology orders n^C(r,q)

@@ -64,6 +64,11 @@ class TestGolden:
         ("ind_extension", "d2", []),
         ("ind_extension", "v2", []),
         ("s3_extension", "v2", []),
+        # the witnesses whose d2 and v2 are nonzero
+        ("v4_fcc_extension", "d2", []),
+        ("v4_fcc_extension", "v2", []),
+        ("c4_extension", "d2", []),
+        ("c4_extension", "v2", []),
     ]
 
     @pytest.mark.parametrize("fmt", ["json", "txt"])

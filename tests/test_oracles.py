@@ -17,12 +17,17 @@ row q = 0 and
 
     |H^2(total)| * |im d2| = |H^2(C2, mu_n)| * |H^1(C2, Hom(N, mu_n))| * |source|,
 
-with the first two factors on the right counted by the oracles.
+with the first two factors on the right counted by the oracles.  On the V4
+witness (examples_cli/v4_fcc_extension.json), whose d2 is nonzero, and on
+the S4 permutation lattice of rank 4, the same identity is checked with all
+three E2 orders counted on the normalised bar complex and by fixed vectors.
 """
 
 import dataclasses
 import itertools
+import json
 import math
+import pathlib
 import random
 
 import pytest
@@ -40,8 +45,11 @@ from torusbrauer.groups import (
     involution_lattice,
     tate_twist,
 )
+from torusbrauer import spectral
 from torusbrauer.intlat import IntMatrix
 from torusbrauer.spectral import SplitExtensionSpec, d2_02, total_cohomology
+
+EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "examples_cli"
 
 
 def _perm_matrix(p):
@@ -248,6 +256,47 @@ def test_count_identity_rejects_a_nonzero_d2():
     column = [1] + [0] * (report.matrix.rows - 1)
     patched = IntMatrix.from_columns([column] * report.matrix.cols, nrows=report.matrix.rows)
     assert not _count_identity_holds(ext, dataclasses.replace(report, matrix=patched), 2)
+
+
+def _e2_orders(doc):
+    """|E2^{2,0}|, |E2^{1,1}| and |E2^{0,2}| of a split-extension document
+    with coefficients mu_n: on the normalised bar complex and by fixed
+    vectors."""
+    table, rho = doc["pi"]["table"], doc["action"]
+    n, chi = doc["coefficients"]["mu"], doc["coefficients"]["chi"]
+    return (oracles.bar_h_order(table, [[[u % n]] for u in chi], n, 2),
+            oracles.bar_h_order(table, oracles.hom_action(rho, chi, n, 1), n, 1),
+            oracles.fixed_count(oracles.hom_action(rho, chi, n, 2), n))
+
+
+def test_count_identity_on_s4():
+    # S4 permuting the basis of Z^4, mu_2: d2 is zero, so nothing is divided out
+    G, perms = FiniteGroup.symmetric(4)
+    doc = {"kind": "split-extension", "pi": {"table": [list(row) for row in G.table]},
+           "action": [_perm_matrix(p) for p in perms], "coefficients": {"mu": 2, "chi": [1] * 24}}
+    assert _e2_orders(doc) == (4, 2, 2)
+    ext = parse_split_extension(doc)
+    assert d2_02(ext).is_zero()
+    assert _order(total_cohomology(ext, 2)) == 4 * 2 * 2
+
+
+def test_count_identity_on_the_v4_witness(monkeypatch):
+    doc = json.loads((EXAMPLES / "v4_fcc_extension.json").read_text())
+    e20, e11, e02 = _e2_orders(doc)
+    assert (e20, e11, e02) == (8, 8, 4)
+    ext = parse_split_extension(doc)
+    h2 = _order(total_cohomology(ext, 2))
+    assert h2 == 128
+
+    def predicted():  # no differential reaches the row q = 0
+        report = spectral.d2_02(ext)
+        return e20 * e11 * e02 // _image_order(report.matrix, report.target)
+
+    assert predicted() == h2  # |im d2| = 2
+    report = d2_02(ext)
+    zero = dataclasses.replace(report, matrix=IntMatrix.zero(report.matrix.rows, report.matrix.cols))
+    monkeypatch.setattr(spectral, "d2_02", lambda ext: zero)
+    assert predicted() == 256
 
 
 def test_oracles_on_hand_computed_cases():

@@ -11,7 +11,13 @@ from hypothesis import given, settings, strategies as st
 
 from tests.matrices import det, diagonal, ladder
 from torusbrauer import cohomology as cohomology_module
-from torusbrauer.cohomology import bar_delta_matrix, cohomology, small_resolution
+from torusbrauer.cohomology import (
+    cochain_map,
+    cohomology,
+    free_resolution,
+    periodic_resolution,
+    small_resolution,
+)
 from torusbrauer.errors import (
     NotAnInvolutionError,
     NotInvariantError,
@@ -286,11 +292,11 @@ class TestTwistedResolution:
         for p in range(3):
             for q in range(n.rank + 1):
                 for _ in range(4):
-                    T = tuple(rng.randrange(3) for _ in range(p))
+                    B = (p, rng.randrange(res.rank(p, 0)))
                     S = tuple(sorted(rng.sample(range(n.rank), q)))
                     a = tuple(rng.randrange(-2, 3) for _ in range(n.rank))
                     u = rng.randrange(3)
-                    samples.append(({(a, u, T, S): rng.randrange(1, 4)}, (p, q)))
+                    samples.append(({(a, u, B, S): rng.randrange(1, 4)}, (p, q)))
         assert res.verify_homotopy_identity(samples)
 
     def test_known_group_dihedral_infinite(self):
@@ -377,12 +383,12 @@ class TestD2:
         for g1 in inv.generators:
             for g2 in inv.generators:
                 s = tuple((a + b) % 2 for a, b in zip(g1, g2))
-                lhs = e2_21(ext).coords_of(d2_cocycle(ext, s))
+                lhs = e2_21(ext).coords_on_res(d2_cocycle(ext, s))
                 rhs = eng.sub.coords_mod(
                     tuple(
                         a + b
-                        for a, b in zip(e2_21(ext).coords_of(d2_cocycle(ext, g1)),
-                                        e2_21(ext).coords_of(d2_cocycle(ext, g2)))
+                        for a, b in zip(e2_21(ext).coords_on_res(d2_cocycle(ext, g1)),
+                                        e2_21(ext).coords_on_res(d2_cocycle(ext, g2)))
                     )
                 )
                 assert lhs == rhs
@@ -398,11 +404,11 @@ class TestD2:
         rng = random.Random(12)
         for gen in inv.generators:
             base = d2_cocycle(ext, gen)
-            coords = e2_21(ext).coords_of(base)
+            coords = e2_21(ext).coords_on_res(base)
             for _ in range(5):
                 pert = tuple(rng.randrange(3) for _ in range(d_in.cols))
                 shifted = tuple(a + b for a, b in zip(base, d_in.apply(pert)))
-                assert e2_21(ext).coords_of(shifted) == coords
+                assert e2_21(ext).coords_on_res(shifted) == coords
 
     def test_naturality_in_m(self):
         # reduction mu_4 -> mu_2 commutes with d2
@@ -415,9 +421,9 @@ class TestD2:
         inv = fixed(lattice_cohomology(n, m6, 2))
         for gen in inv.generators:
             pushed_alpha = tuple(x % 3 for x in gen)
-            lhs = e2_21(ext3).coords_of(d2_cocycle(ext3, pushed_alpha))
+            lhs = e2_21(ext3).coords_on_res(d2_cocycle(ext3, pushed_alpha))
             pushed_cocycle = tuple(x % 3 for x in d2_cocycle(ext6, gen))
-            rhs = e2_21(ext3).coords_of(pushed_cocycle)
+            rhs = e2_21(ext3).coords_on_res(pushed_cocycle)
             assert lhs == rhs
 
 
@@ -464,12 +470,12 @@ class TestV2:
             subs_small = list(itertools.combinations(range(r1), 2))
             nb, ns = len(subs_big), len(subs_small)
             sel = []
-            for t in range(pi.order**2):
+            for b in range(free_resolution(pi).rank(2)):
                 for i in range(r1):
-                    base = (t * R + i) * nb
+                    base = (b * R + i) * nb
                     for s in subs_small:
                         sel.append(vbig.cocycle[base + subs_big.index(s)])
-            assert e2_21(vsmall.ext_univ).coords_of(tuple(sel)) == vsmall.coords()
+            assert e2_21(vsmall.ext_univ).coords_on_res(tuple(sel)) == vsmall.coords()
 
 
 class TestPushforwardFormula:
@@ -676,21 +682,26 @@ class TestOneEngine:
         "case", ["C2 swap mu_4", "C3 rotation mu_3", "V4 mu_2", "S3 permutation mu_2"]
     )
     def test_row_differential_is_the_bar_differential(self, case, p):
+        # the row is the coboundary of E2^{2,1}'s engine, on its resolution F
         ext = engine_case(case)
         row = CochainComplex(ext, twisted_resolution(ext.N)).delta_matrix(1, p, 1)
-        bar = bar_delta_matrix(ext.pi, lattice_cohomology(ext.N, ext.M, 1), p)
-        assert row == bar
+        F = free_resolution(ext.pi)
+        assert F is e2_21(ext).res
+        chains = [F.boundary(p + 1, b) for b in range(F.rank(p + 1))]
+        assert row == cochain_map(lattice_cohomology(ext.N, ext.M, 1), chains, F.rank(p))
 
     @pytest.mark.parametrize("case", ["C2 swap mu_4", "C2 swap + 1 mu_4", "C3 rotation mu_3"])
     def test_periodic_engine_agrees_with_bar(self, case):
         ext = engine_case(case)
         per = e2_21(ext)
         bar = cohomology(ext.pi, per.M, 2, resolution="bar")
-        assert per.resolution == "periodic"
+        assert per.res is periodic_resolution(ext.pi)
         assert per.group.same_structure(bar.group)
         inv = fixed(lattice_cohomology(ext.N, ext.M, 2))
+        # a row cocycle lives on F; the bar engine reads it through tau
         for cocycle in d2_cocycles(ext, inv.generators):
-            assert per.classify(cocycle).is_zero() == bar.classify(cocycle).is_zero()
+            on_bar = per._from_ambient.apply(cocycle, per.M.modulus)
+            assert (not any(per.coords_on_res(cocycle))) == bar.classify(on_bar).is_zero()
         # the two coordinate systems differ by an isomorphism
         for cls, t in zip(bar.generator_classes(), bar.group.torsion):
             assert class_order(per.group, per.coords_of(cls.cochain)) == t
@@ -756,23 +767,22 @@ class TestValueSemantics:
 
 
 def reference_d2_cocycle(ext, alpha):
-    """f . d_2 evaluated term by term: at each basis element (T, {i}) of
-    bidegree (2,1), the sum over the terms c * x^a u [(); S] of d_2(T, {i})
-    of c * u . alpha(e_S), reduced mod the modulus of M."""
+    """f . d_2 evaluated term by term: at each basis element (B, {i}) of
+    bidegree (2,1), in order, the sum over the terms c * x^a u [(0, 0); S]
+    of d_2(B, {i}) of c * u . alpha(e_S), reduced mod the modulus of M."""
     res = twisted_resolution(ext.N)
     k, r = ext.M.rank, ext.N.rank
     pairs = list(itertools.combinations(range(r), 2))
     alpha = ext.M.reduce(alpha)
     out = []
-    for T in itertools.product(ext.pi.elements(), repeat=2):
-        for i in range(r):
-            val = [0] * k
-            for (_, u, T2, S2), c in res.d_basis(2, T, (i,)).items():
-                assert T2 == ()
-                base = pairs.index(S2) * k
-                for j, x in enumerate(ext.M.act(u, alpha[base : base + k])):
-                    val[j] += c * x
-            out.extend(ext.M.reduce(val))
+    for B, S in res.basis(2, 1):
+        val = [0] * k
+        for (_, u, B2, S2), c in res.d_basis(2, B, S).items():
+            assert B2 == (0, 0)
+            base = pairs.index(S2) * k
+            for j, x in enumerate(ext.M.act(u, alpha[base : base + k])):
+                val[j] += c * x
+        out.extend(ext.M.reduce(val))
     return tuple(out)
 
 
@@ -847,3 +857,76 @@ class TestD2Reference:
     @pytest.mark.parametrize("name", sorted(example_extensions()))
     def test_examples_cli_extensions(self, name):
         self.check(example_extensions()[name])
+
+
+def s4_perm_lattice():
+    """S4 permuting the basis of Z^4."""
+    G, perms = FiniteGroup.symmetric(4)
+    mats = [[[int(p[j] == i) for j in range(4)] for i in range(4)] for p in perms]
+    return CoeffModule(G, 4, None, tuple(map(IntMatrix.from_rows, mats)))
+
+
+def witness_extensions():
+    """The V4 and C4 witnesses of examples_cli, whose d2 and v2 are nonzero."""
+    ext = example_extensions()
+    return {"V4 witness": ext["v4_fcc_extension.json"], "C4 witness": ext["c4_extension.json"]}
+
+
+def resolution_lattices():
+    """The criterion-6 lattices, the witnesses and the S3 and S4 permutation
+    lattices."""
+    return {**criterion6_lattices(), **{name: ext.N for name, ext in witness_extensions().items()},
+            "S3 permutation": s3_perm_lattice(), "S4 permutation": s4_perm_lattice()}
+
+
+class TestTwistedResolutionOffTheBarComplex:
+    """The twisted resolution is built on the resolution F of pi that
+    E2^{2,1}'s engine uses: W_{p,q} has rank(F_p) * C(r, q) basis elements,
+    not |pi|^p * C(r, q), and d2 and v2 read no bar face."""
+
+    @pytest.mark.parametrize("name", sorted(resolution_lattices()))
+    def test_d_squared_and_homotopy_identity(self, name):
+        N = resolution_lattices()[name]
+        res = twisted_resolution(N)
+        assert res.F is free_resolution(N.group)
+        assert res.verify_d_squared()  # up to total degree 4
+        rng = random.Random(name)
+        samples = []
+        for p in range(4):
+            for q in range(N.rank + 1):
+                for _ in range(2):
+                    B = (p, rng.randrange(res.rank(p, 0)))
+                    S = tuple(sorted(rng.sample(range(N.rank), q)))
+                    a = tuple(rng.randrange(-2, 3) for _ in range(N.rank))
+                    u = rng.randrange(N.group.order)
+                    samples.append(({(a, u, B, S): rng.randrange(1, 4)}, (p, q)))
+        assert res.verify_homotopy_identity(samples)
+
+    @pytest.mark.parametrize("name", ["C2 swap", "V4 witness", "S3 permutation", "S4 permutation"])
+    def test_d2_matrix_has_rank_F2_rows(self, name):
+        N = resolution_lattices()[name]
+        ext = SplitExtensionSpec(N, CoeffModule.mu(N.group, 4, (1,) * N.group.order))
+        d2 = CochainComplex(ext, twisted_resolution(N)).delta_matrix(2, 0, 2)
+        F, r, k = free_resolution(ext.pi), N.rank, ext.M.rank
+        assert d2.rows == F.rank(2) * r * k
+        assert d2.rows < ext.pi.order**2 * r * k
+
+    @pytest.mark.parametrize("name", ["C2 swap mu_4", "V4 witness", "S3 permutation mu_2"])
+    def test_d2_and_v2_read_no_bar_face(self, name, monkeypatch):
+        nonzero = name == "V4 witness"
+        ext = witness_extensions()[name] if nonzero else engine_case(name)
+        cohomology.cache_clear()
+        # the source, H^0, stays on the bar complex for a non-cyclic pi
+        inv = fixed(lattice_cohomology(ext.N, ext.M, 2))
+
+        def no_bar(*args):
+            raise AssertionError("d2 or v2 read the bar resolution")
+
+        monkeypatch.setattr(cohomology_module.BarResolution, "boundary_of_basis", no_bar)
+        monkeypatch.setattr(cohomology_module, "sigma_lift", no_bar)
+        twisted_resolution.cache_clear()
+        v2.cache_clear()
+        assert d2_02(ext).is_zero() != nonzero
+        verdicts = pushforward_formula_check(ext, inv.generators, random.Random(0))
+        assert verdicts == [True] * len(inv.generators)
+        assert v2(ext.N).is_zero() != nonzero
