@@ -12,7 +12,9 @@ ways and compared:
   twisted permutation action.
 
 `BrauerAnalysis` computes both for one datum, each piece once, and runs the
-checks that compare them.
+checks that compare them.  Past the oracle they run no elimination: each
+orbit sum is held sparse, on its own orbit, and spans are tested orbit block
+by orbit block (`_span_test`).
 """
 
 from __future__ import annotations
@@ -76,24 +78,21 @@ def pair_orbits(datum: GaloisDatum):
     if datum.r < 2:
         raise RankTooSmallError("need at least two coordinates")
     pairs = list(itertools.combinations(range(datum.r), 2))
-    seen = set()
-    orbits = []
-    reps = []
-    for p in pairs:
+    seen, orbits, reps = set(), [], []
+    for p in pairs:  # in order: p is the least pair of its orbit
         if p in seen:
             continue
-        orbit = {p}
-        frontier = [p]
+        orbit, frontier = {p}, [p]
         while frontier:
             q = frontier.pop()
-            for g in datum.group.elements():
+            for g in datum.group.generators:  # the orbit under G
                 q2 = _act_pair(datum, g, q)
                 if q2 not in orbit:
                     orbit.add(q2)
                     frontier.append(q2)
         seen |= orbit
         orbits.append(tuple(sorted(orbit)))
-        reps.append(min(orbit))
+        reps.append(p)
     return orbits, reps
 
 
@@ -138,12 +137,45 @@ def _symbol(report: OrbitReport) -> SymbolExpr:
     return SymbolExpr("I", report.pair, "y_j", report.m_o)
 
 
-def _vector_order(v, m: int) -> int:
-    g = 0
-    for x in v:
-        g = math.gcd(g, x % m)
-    g = math.gcd(g, m)
-    return m // g if g else 1
+def _vector_order(v: dict, m: int) -> int:
+    """The order mod m of the sparse vector v {index: entry}."""
+    return m // math.gcd(m, *v.values())
+
+
+def _dense(v: dict, rank: int) -> tuple:
+    return tuple(v.get(t, 0) for t in range(rank))
+
+
+def _span_test(columns, m: int, rank: int):
+    """A test of w in the span mod m of the sparse vectors `columns`.  With
+    disjoint supports, w is in it when it is c·v on the support of each v
+    and 0 off them; c is read from a w_t whose v_t has the order of v, as
+    each nonzero entry of an orbit sum has (M/m_o times a unit).  Where a
+    premise fails (a zero column has no such t), the test is `solve` on the
+    dense columns."""
+    owner, pivots = {}, []
+    for i, v in enumerate(columns):
+        d = math.gcd(m, *v.values())
+        t = next((t for t, x in v.items() if math.gcd(m, x) == d), None)
+        pivots.append(None if t is None else (t, d, pow(v[t] // d, -1, m // d)))
+        owner.update(dict.fromkeys(v, i))
+    if len(owner) < sum(map(len, columns)) or None in pivots:
+        matrix = IntMatrix.from_columns([_dense(v, rank) for v in columns], nrows=rank)
+        snf = smith(matrix, m)
+        return lambda w: solve(matrix, _dense(w, rank), m, snf=snf) is not None
+
+    def contains(w: dict) -> bool:
+        blocks = {owner.get(t) for t, x in w.items() if x % m}
+        if None in blocks:
+            return False
+        for i in blocks:
+            t, d, u = pivots[i]
+            c = w.get(t, 0) // d * u  # c·v_t = w_t exactly when d divides w_t
+            if any((c * x - w.get(s, 0)) % m for s, x in columns[i].items()):
+                return False
+        return True
+
+    return contains
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +187,8 @@ class BrauerAnalysis:
     """Everything the quasi-trivial case needs about one Galois datum, each
     piece computed once: a report for every coordinate pair (`reports`) and
     for each orbit representative (`orbits`), the pair module at level M, its
-    fixed subgroup (`oracle`, with its generators), an orbit sum for every
-    pair (`sums`), and the declared symbol basis (`group`, `symbols`)."""
+    fixed subgroup (`oracle`, with its generators), a sparse orbit sum for
+    every pair (`sums`), and the declared symbol basis (`group`, `symbols`)."""
 
     def __init__(self, datum: GaloisDatum):
         orbits, reps = pair_orbits(datum)
@@ -178,31 +210,24 @@ class BrauerAnalysis:
             self.group.torsion == self.oracle.torsion and self.oracle.free_rank == 0
         )
 
-    def _orbit_sum(self, report: OrbitReport):
+    def _orbit_sum(self, report: OrbitReport) -> dict:
         """The coset sum over G/H of the translates g.e_pair = ±chi(g)^-1
-        e_{g.pair}, scaled into Z/M so that it has exact order m_o.
+        e_{g.pair}, scaled into Z/M so that it has exact order m_o, as
+        {basis index: nonzero entry}: it lies on the orbit's pairs.
 
         H, the stabilizer of the unordered pair, is also the ordered one when
         the orbit is not quadratic, and gH determines g.pair: walking G in id
         order, the first g to reach each pair of the orbit is the
         representative `left_coset_reps` picks for its coset."""
-        datum, m = self.datum, self.datum.M
-        i, j = report.pair
-        total = [0] * self.module.rank
-        reached = set()
-        for g in datum.group.elements():
-            image = _act_pair(datum, g, report.pair)
-            if image not in reached:
-                reached.add(image)
-                sign = 1 if datum.perm[g][i] < datum.perm[g][j] else -1
-                total[self._index[image]] += sign * pow(datum.chi[g], -1, m)
+        m, (i, j) = self.datum.M, report.pair
         scale = m // report.m_o
-        return tuple((scale * x) % m for x in total)
-
-    @property
-    def orbit_sums(self) -> list:
-        """The orbit sum of each orbit representative: the declared basis."""
-        return [self.sums[o.pair] for o in self.orbits]
+        total = {}
+        for p, u in zip(self.datum.perm, self.datum.chi):  # G in id order
+            a, b = p[i], p[j]
+            t = self._index[(a, b) if a < b else (b, a)]
+            if t not in total:
+                total[t] = (scale if a < b else -scale) * pow(u, -1, m) % m
+        return {t: x for t, x in total.items() if x}
 
     def failures(self) -> dict[str, str]:
         """The checks that fail, by name, each with the first thing that
@@ -227,16 +252,16 @@ class BrauerAnalysis:
         return f"declared {self.group.describe()}, oracle {self.oracle.describe()}"
 
     def _generation(self) -> str | None:
+        m, rank = self.datum.M, self.module.rank
+        # g.v = (v^T g^T)^T; fixed by the generators is fixed by G
+        moved = [self.module.action[g].transpose() for g in self.datum.group.generators]
         for o in self.orbits:
             v = self.sums[o.pair]
-            # the stabilizer of v is a subgroup: fixed by generators is fixed
-            if any(tuple(self.module.act(g, v)) != v for g in self.datum.group.generators):
-                return f"{o.describe()}: orbit sum {v} is not fixed"
-        m = self.datum.M
-        sums = IntMatrix.from_columns(self.orbit_sums)
-        snf = smith(sums, m)
+            if any(IntMatrix((v,), 1, rank).mul(gt, m).nonzeros[0] != v for gt in moved):
+                return f"{o.describe()}: orbit sum {_dense(v, rank)} is not fixed"
+        in_span = _span_test([self.sums[o.pair] for o in self.orbits], m, rank)
         for gen in self.oracle.generators:
-            if solve(sums, gen, m, snf=snf) is None:
+            if not in_span(dict(enumerate(gen))):
                 return f"oracle generator {gen} is not in the span of the orbit sums"
         return None
 
@@ -254,13 +279,12 @@ class BrauerAnalysis:
         m = self.datum.M
         for o in self.orbits:
             base = self.sums[o.pair]
-            column = IntMatrix.from_columns([base])
-            snf = smith(column, m)
+            in_base = _span_test([base], m, self.module.rank)
             order = _vector_order(base, m)
             for pair in o.orbit:
                 alt, alt_m_o = self.sums[pair], self.reports[pair].m_o
                 if alt_m_o != o.m_o:
                     return f"{o.describe()}: pair {_pair_str(pair)} has m_o={alt_m_o}"
-                if solve(column, alt, m, snf=snf) is None or _vector_order(alt, m) != order:
+                if not in_base(alt) or _vector_order(alt, m) != order:
                     return f"{o.describe()}: pair {_pair_str(pair)} generates another subgroup"
         return None

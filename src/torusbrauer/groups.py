@@ -44,7 +44,7 @@ class FiniteGroup:
         if n == 0:
             raise ValidationError("malformed multiplication table")
         for row in t:
-            if len(row) != n or any(not (0 <= x < n) for x in row):
+            if len(row) != n or min(row) < 0 or max(row) >= n:
                 raise ValidationError("malformed multiplication table")
         for g in range(n):
             if t[0][g] != g or t[g][0] != g:
@@ -105,44 +105,58 @@ class FiniteGroup:
         """Close a generating set under multiplication; returns the abstract
         group plus the element list (identity listed first).
 
-        The size cap is checked as each element is added, so a group over the
-        cap is refused before a closure pass costs the square of its size.
+        Concrete products are only right multiplications by S, the listed
+        elements that earlier ones do not generate (|S|·|G| of them, the cap
+        checked as each element is reached).  The table follows by lookups,
+        a·(x·s) = (a·x)·s, so its column s reproduces every product computed,
+        and FiniteGroup's checks make it a group table (a `mul` that is not
+        associative passes only if its right multiplications by S act as a
+        group's do).  Element ids, which documents index action matrices by,
+        follow the closure order replayed on the table: the identity and the
+        listed elements, then passes in which each a listed when the pass
+        starts multiplies the elements listed when a's turn comes (row a goes
+        on where the last pass stopped), each new product listed at once."""
+        elems, index = [identity], {identity: 0}
+        moves, step, listed = [], [None], [0]  # moves[k] = (s_k, [x·s_k for each id x])
 
-        A pass multiplies each element a listed when it starts by the
-        elements listed when a's turn comes, and lists a new product at once.
-        Each product is computed once: row a of the table goes on from where
-        the previous pass stopped, since a product computed before lists
-        nothing new.  So element ids, which documents index action matrices
-        by, come out as if every pass began again at b = 0."""
-        elems = [identity]
-        index = {identity: 0}
-
-        def add(e):
+        def add(e, x, k):  # e = elems[x]·s_k
             if len(elems) == MAX_GROUP_ORDER:
-                raise ValidationError(
-                    f"generated group has more than {MAX_GROUP_ORDER} elements"
-                )
+                raise ValidationError(f"generated group has more than {MAX_GROUP_ORDER} elements")
             index[e] = len(elems)
             elems.append(e)
+            step.append((x, k))
+            return index[e]
 
         for e in elements:
             if e not in index:
-                add(e)
-        rows: list[list[int]] = []
-        grown = True
-        while grown:
-            grown = False
-            rows += [[] for _ in range(len(elems) - len(rows))]
-            for a, row in zip(elems[: len(rows)], rows):
-                for b in elems[len(row) :]:
-                    c = mul(a, b)
-                    i = index.get(c)
-                    if i is None:
-                        i = len(elems)
-                        add(c)
-                        grown = True
-                    row.append(i)
-        return FiniteGroup(tuple(map(tuple, rows))), elems
+                moves.append((e, []))
+                add(e, 0, len(moves) - 1)
+                for x, a in enumerate(elems):  # also visits what this loop appends
+                    for k, (s, move) in enumerate(moves):
+                        if len(move) == x:
+                            c = mul(a, s)
+                            move.append(index[c] if c in index else add(c, x, k))
+            listed.append(index[e])
+        if (n := len(elems)) == 1:
+            return FiniteGroup.trivial(), elems
+        cols = [tuple(range(n))]  # cols[b][a] = a·b
+        for x, k in step[1:]:
+            cols.append(itemgetter(*cols[x])(moves[k][1]))
+        order = list(dict.fromkeys(listed))
+        placed, done, size = set(order), [0] * n, 0
+        while size < len(order) < n:
+            size = len(order)
+            for i, a in enumerate(order[:size]):
+                stop = len(order)
+                for b in order[done[i] : stop]:
+                    if (c := cols[b][a]) not in placed:
+                        placed.add(c)
+                        order.append(c)
+                done[i] = stop
+        rank, reorder = sorted(range(n), key=order.__getitem__), itemgetter(*order)
+        for b in order:  # each column relabelled in place, the old one dropped
+            cols[b] = itemgetter(*reorder(cols[b]))(rank)
+        return FiniteGroup(tuple(zip(*map(cols.__getitem__, order)))), [elems[x] for x in order]
 
     @staticmethod
     def symmetric(n: int) -> tuple["FiniteGroup", list]:

@@ -1,13 +1,17 @@
 import itertools
+import json
+import math
 import pathlib
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from torusbrauer import brauer, cli
 from torusbrauer.brauer import BrauerAnalysis, n_value, pair_orbits
 from torusbrauer.errors import RankTooSmallError
 from torusbrauer.groups import GaloisDatum, random_galois_datum, subgroup_from_ids
+from torusbrauer.intlat import IntMatrix, solve
 
 EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "examples_cli"
 
@@ -97,17 +101,21 @@ class TestBruteInvariants:
         assert BrauerAnalysis(trivial_datum()).oracle.torsion == (2, 2, 2)
 
 
+def orbit_sums(analysis):
+    """The orbit sum of each orbit representative: the declared basis."""
+    return [analysis.sums[o.pair] for o in analysis.orbits]
+
+
 class TestOrbitSums:
     def test_trivial(self):
-        sums = BrauerAnalysis(trivial_datum()).orbit_sums
-        assert sums == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+        assert orbit_sums(BrauerAnalysis(trivial_datum())) == [{0: 1}, {1: 1}, {2: 1}]
 
     def test_s3(self):
-        assert BrauerAnalysis(s3_datum()).orbit_sums == [(1, 1, 1)]
+        assert orbit_sums(BrauerAnalysis(s3_datum())) == [{0: 1, 1: 1, 2: 1}]
 
     def test_qi_unit_multiple(self):
-        (v,) = BrauerAnalysis(qi_datum()).orbit_sums
-        assert v[0] % 2 == 1  # a unit times e_12 mod 4
+        (v,) = orbit_sums(BrauerAnalysis(qi_datum()))
+        assert list(v) == [0] and v[0] % 2 == 1  # a unit times e_12 mod 4
 
 
 def coset_orbit_sum(analysis, pair):
@@ -131,12 +139,16 @@ def cycle_datum(r, M, unit):
 
 
 class TestOrbitSumsAgainstCosets:
-    """Every pair's orbit sum equals the coset formula."""
+    """Every pair's orbit sum, held as {basis index: nonzero entry}, equals
+    the coset formula and lies on the pairs of its orbit."""
 
     def check(self, datum):
         analysis = BrauerAnalysis(datum)
+        pairs = list(itertools.combinations(range(datum.r), 2))
         for pair, v in analysis.sums.items():
-            assert v == coset_orbit_sum(analysis, pair), pair
+            dense = coset_orbit_sum(analysis, pair)
+            assert v == {t: x for t, x in enumerate(dense) if x}, pair
+            assert {pairs[t] for t in v} <= set(analysis.reports[pair].orbit), pair
 
     def test_criterion_2_draws(self):
         rng = random.Random(2024)
@@ -156,6 +168,103 @@ class TestOrbitSumsAgainstCosets:
         refl = tuple((-i) % r for i in range(r))
         self.check(GaloisDatum.from_generators(r, 8, [(rot, 3), (refl, 5)]))
         self.check(GaloisDatum.from_generators(r, 10, [(rot, 3), (refl, 9)]))
+
+
+def solve_says(columns, w, m, rank):
+    """Membership by elimination: solve on the dense columns."""
+    dense = [tuple(v.get(t, 0) for t in range(rank)) for v in columns]
+    matrix = IntMatrix.from_columns(dense, nrows=rank)
+    return solve(matrix, tuple(w.get(t, 0) for t in range(rank)), m) is not None
+
+
+@st.composite
+def span_cases(draw):
+    """Sparse columns mod m on blocks of coordinates (some column may reach
+    outside its block), and a vector w: a combination of the columns, half
+    the time moved at one coordinate."""
+    m = draw(st.integers(2, 48))
+    rank = draw(st.integers(1, 6))
+    owner = draw(st.lists(st.integers(0, 2), min_size=rank, max_size=rank))
+    entries = st.integers(0, m - 1)
+    columns = [{t: draw(entries) for t in range(rank) if owner[t] == i} for i in range(3)]
+    if draw(st.booleans()):  # a support outside the block
+        columns[draw(st.integers(0, 2))][draw(st.integers(0, rank - 1))] = draw(entries)
+    columns = [{t: x for t, x in v.items() if x} for v in columns]
+    w = {}
+    for v in columns:
+        c = draw(entries)
+        for t, x in v.items():
+            w[t] = (w.get(t, 0) + c * x) % m
+    if draw(st.booleans()):
+        t = draw(st.integers(0, rank - 1))
+        w[t] = (w.get(t, 0) + draw(st.integers(1, m - 1))) % m
+    return m, rank, columns, {t: x for t, x in w.items() if x}
+
+
+class TestSpanTest:
+    """Block membership gives the answer of solve on every input: by reading
+    one coordinate per block where its premises hold, by solve where not."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(span_cases())
+    def test_agrees_with_solve(self, case):
+        m, rank, columns, w = case
+        assert brauer._span_test(columns, m, rank)(w) == solve_says(columns, w, m, rank)
+        for v in columns:
+            assert brauer._span_test([v], m, rank)(w) == solve_says([v], w, m, rank)
+
+    @pytest.mark.parametrize(
+        "m, columns",
+        [
+            (12, [{}]),  # the zero base
+            (12, [{}, {0: 3, 2: 6}]),
+            (12, [{0: 4, 1: 6}]),  # no coordinate of order 6, the order of the base
+            (12, [{0: 1, 1: 1}, {1: 2, 2: 1}]),  # a support outside its block
+            (8, [{0: 2, 1: 4}, {2: 4}]),
+        ],
+    )
+    def test_every_vector(self, m, columns):
+        rank = 3
+        in_span = brauer._span_test(columns, m, rank)
+        for w in itertools.product(range(m), repeat=rank):
+            w = {t: x for t, x in enumerate(w) if x}
+            assert in_span(w) == solve_says(columns, w, m, rank), w
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 48), st.lists(st.integers(-100, 100), max_size=6))
+    def test_vector_order(self, m, dense):
+        # the dense definition: the least k >= 1 with k*v = 0 mod m
+        order = next(k for k in range(1, m + 1) if all(k * x % m == 0 for x in dense))
+        v = {t: x % m for t, x in enumerate(dense) if x % m}
+        assert brauer._vector_order(v, m) == order
+
+    def test_no_elimination_past_the_oracle(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an elimination on orbit sums")
+
+        rng = random.Random(11)
+        data = [random_galois_datum(rng) for _ in range(40)]
+        data += [cycle_datum(12, 4, 3), cycle_datum(9, 18, 5)]
+        analyses = [BrauerAnalysis(d) for d in data]
+        monkeypatch.setattr(brauer, "smith", refuse)
+        monkeypatch.setattr(brauer, "solve", refuse)
+        for a in analyses:
+            assert a.failures() == {}
+
+
+class TestScale:
+    def test_qt_brauer_on_a_30_cycle(self, tmp_path):
+        r = 30
+        doc = {"kind": "galois-datum", "r": r, "M": 4,
+               "generators": [{"perm": [(i + 1) % r for i in range(r)], "unit": 3}]}
+        path = tmp_path / "cycle30.json"
+        path.write_text(json.dumps(doc))
+        code, text = cli.run(["--json", "qt-brauer", str(path)])
+        assert code == cli.EXIT_OK
+        out = json.loads(text)
+        assert out["agreement"] and out["representative_independence"]
+        assert out["basis_checks"] == {"structure": True, "generation": True, "orders": True}
+        assert sum(o["orbit_size"] for o in out["orbits"]) == math.comb(r, 2)
 
 
 class TestSymbolBasis:
@@ -204,6 +313,12 @@ class TestVerification:
         a.orbits = a.orbits[:-1]
         assert a.failures()["generation"].endswith("is not in the span of the orbit sums")
 
+    def test_generation_needs_fixed_orbit_sums(self):
+        a = BrauerAnalysis(s3_datum())
+        (o,) = a.orbits
+        a.sums[o.pair] = {0: 1}  # e_12 alone: moved by the transpositions
+        assert a.failures()["generation"] == f"{o.describe()}: orbit sum (1, 0, 0) is not fixed"
+
     def test_representative_independence_needs_the_same_subgroup(self):
         # one orbit of three pairs under a 3-cycle, with m_o = 12
         a = BrauerAnalysis(GaloisDatum.from_generators(3, 12, [((1, 2, 0), 1)]))
@@ -212,13 +327,13 @@ class TestVerification:
         base = a.sums[o.pair]
         other = next(pair for pair in o.orbit if pair != o.pair)
         # 2*base lies in <base> but generates a subgroup of index 2
-        a.sums[other] = tuple(2 * x % 12 for x in base)
+        a.sums[other] = {t: 2 * x % 12 for t, x in base.items()}
         assert a.failures() == {
             "representative_independence": f"{o.describe()}: pair "
             f"({other[0] + 1}, {other[1] + 1}) generates another subgroup"
         }
         # a unit multiple generates <base> itself
-        a.sums[other] = tuple(5 * x % 12 for x in base)
+        a.sums[other] = {t: 5 * x % 12 for t, x in base.items()}
         assert a.failures() == {}
 
     def test_every_pair_has_a_report_and_a_sum(self):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import time
@@ -118,6 +119,61 @@ class TestFiniteGroup:
             ):
                 grp, elems = FiniteGroup.from_concrete(elements, mul, ident)
                 assert (grp.table, elems) == closure_by_full_passes(elements, mul, ident)
+        # the groups the CLI names
+        for n in range(1, 6):
+            ident = tuple(range(n))
+            perms = [p for p in itertools.permutations(ident) if p != ident]
+            grp, elems = FiniteGroup.symmetric(n)
+            assert (grp.table, elems) == closure_by_full_passes(perms, compose, ident)
+        c2 = FiniteGroup.cyclic(2)
+        pairs = [(a, b) for a in range(2) for b in range(2)]
+        table, _ = closure_by_full_passes(pairs, lambda x, y: (x[0] ^ y[0], x[1] ^ y[1]), (0, 0))
+        assert FiniteGroup.direct_product(c2, c2).table == table
+
+    def test_from_generators_multiplies_by_generators_only(self, monkeypatch):
+        # |S|·|G| concrete products, S the listed elements that earlier ones
+        # do not generate, and the table reproduces every one of them
+        products = []
+        close = FiniteGroup.from_concrete
+
+        def counting(elements, mul, identity):
+            def counted(x, y):
+                products.append((x, y, mul(x, y)))
+                return products[-1][2]
+
+            return close(elements, counted, identity)
+
+        monkeypatch.setattr(FiniteGroup, "from_concrete", staticmethod(counting))
+        rng = random.Random(32)
+        for _ in range(60):
+            r = rng.randrange(2, 7)
+            M = rng.choice([2, 4, 6, 8, 12])
+            units = [u for u in range(1, M) if math.gcd(u, M) == 1]
+            pairs = [(tuple(rng.sample(range(r), r)), rng.choice(units))
+                     for _ in range(rng.randrange(0, 4))]
+            products.clear()
+            d = GaloisDatum.from_generators(r, M, pairs)
+            ident = (tuple(range(r)), 1 % M)
+
+            def mul(x, y):
+                return tuple(x[0][i] for i in y[0]), x[1] * y[1] % M
+
+            S = []
+            for p, u in pairs:
+                reached, frontier = {ident}, [ident]
+                while frontier:
+                    x = frontier.pop()
+                    for y in (mul(x, s) for s in S):
+                        if y not in reached:
+                            reached.add(y)
+                            frontier.append(y)
+                if (p, u % M) not in reached:
+                    S.append((p, u % M))
+            assert len(products) <= len(S) * d.group.order
+            assert len(S) <= max(d.group.order.bit_length() - 1, 0)
+            index = {e: g for g, e in enumerate(zip(d.perm, d.chi))}
+            for x, y, xy in products:
+                assert d.group.mul(index[x], index[y]) == index[xy]
 
     def test_subgroups(self):
         s3, _ = FiniteGroup.symmetric(3)

@@ -260,3 +260,18 @@ def test_action_checks_match_brute_force(case):
     assert verdict(lambda: CoeffModule(_group(name), k, modulus, ints)) == action_oracle(
         table, mats, k, modulus
     )
+
+
+# A loop of order 5 (a Latin square with identity 0) that is not a group:
+# each right translation x -> x*g, g != 0, is a 2-cycle times a 3-cycle, so
+# the translations by any generating set generate a group that is not
+# regular (the square of one fixes two points), and no group table has them
+# as its right translations.
+LOOP5 = ((0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 3, 4, 0, 1), (3, 4, 1, 2, 0), (4, 2, 0, 1, 3))
+
+
+@pytest.mark.parametrize("listing", itertools.permutations(range(1, 5)))
+def test_closure_refuses_a_non_associative_loop(listing):
+    assert table_oracle(LOOP5) == "multiplication is not associative"
+    with pytest.raises(ValidationError):
+        FiniteGroup.from_concrete(listing, lambda a, b: LOOP5[a][b], 0)
