@@ -106,28 +106,21 @@ def n_value(datum: GaloisDatum, subgroup_ids) -> int:
 
 def _orbit_report(datum: GaloisDatum, pair, orbit) -> OrbitReport:
     i, j = pair
-    G = datum.group
-    h_ordered = tuple(
-        g for g in G.elements() if datum.perm[g][i] == i and datum.perm[g][j] == j
-    )
-    h_unordered = tuple(
-        g for g in G.elements() if _act_pair(datum, g, pair) == pair
-    )
-    quadratic = len(h_unordered) != len(h_ordered)
-    sigma = None
-    if quadratic:
-        sigma = min(g for g in h_unordered if g not in h_ordered)
+    h_ordered, h_unordered, sigma = [], [], None
+    for g, p in enumerate(datum.perm):  # G in id order, once for both
+        a = p[i]
+        if a == i and p[j] == j:
+            h_ordered.append(g)
+            h_unordered.append(g)
+        elif a == j and p[j] == i:
+            h_unordered.append(g)
+            sigma = g if sigma is None else sigma  # the least swapping element
+    quadratic = sigma is not None
     n = n_value(datum, h_ordered)
-    if quadratic:
-        npr = math.gcd(n, (1 + datum.chi[sigma]) % n if n > 1 else 0)
-        if npr == 0:
-            npr = n
-        m_o = npr
-    else:
-        npr = None
-        m_o = n
+    npr = math.gcd(n, 1 + datum.chi[sigma]) if quadratic else None
+    m_o = npr if quadratic else n
     return OrbitReport(
-        pair, orbit, h_ordered, h_unordered, quadratic, n, sigma, npr, m_o
+        pair, orbit, tuple(h_ordered), tuple(h_unordered), quadratic, n, sigma, npr, m_o
     )
 
 

@@ -11,8 +11,9 @@ H^n(G, M) is computed on one of two kinds of complex:
   integer linear algebra.
 
 By default (`free_resolution`) a cyclic group takes the periodic
-resolution, any other group the small one in degrees >= 1 and the bar
-complex in degree 0.
+resolution and any other group the small one, in every degree; the bar
+complex stays as the reference engine (`resolution="bar"`).  Degree 0
+reads no term past F_1.
 
 A class handed to restriction or transfer is a bar cochain, a flat vector
 indexed by `_tuple_index` and then coordinate; an engine on a resolution F
@@ -415,9 +416,9 @@ def small_resolution(G: FiniteGroup) -> SmallResolution:
 
 
 def free_resolution(G: FiniteGroup):
-    """The resolution F of small rank that G's engines in degree >= 1 and its
-    twisted resolutions are built on: the periodic one of a cyclic group,
-    the small one of any other."""
+    """The resolution F of small rank that G's engines and its twisted
+    resolutions are built on: the periodic one of a cyclic group, the small
+    one of any other."""
     return periodic_resolution(G) if G.generator_if_cyclic() is not None else small_resolution(G)
 
 
@@ -478,13 +479,12 @@ class GroupCohomology:
         self.G = G
         self.M = M
         self.degree = degree
-        if resolution == "auto":
-            # degree 0 of a non-cyclic group stays on bar: another complex
-            # would move the generators that qt-brauer prints (ROADMAP item 9)
-            on_bar = not degree and G.generator_if_cyclic() is None
-            res = None if on_bar else free_resolution(G)
+        # every degree on F; in degree 0, d^0 reads F_1 only: one block s - 1
+        # per generator s, not one block g - 1 per element as on bar
+        if resolution == "bar":
+            res = None
         else:
-            res = periodic_resolution(G) if resolution == "periodic" else None
+            res = free_resolution(G) if resolution == "auto" else periodic_resolution(G)
         self.res = res
         n = degree
         if res is None:

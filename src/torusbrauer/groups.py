@@ -18,6 +18,9 @@ from .errors import (
 from .intlat import IntMatrix, kernel_basis, smith
 
 MAX_GROUP_ORDER = 10000
+# The largest r of a Galois datum: qt-brauer works on the r(r-1)/2 coordinate
+# pairs, and r = 120 (7,140 pairs) already takes seconds.
+MAX_RANK = 120
 
 
 @dataclass(frozen=True)
@@ -96,9 +99,8 @@ class FiniteGroup:
     def cyclic(m: int) -> "FiniteGroup":
         if m > MAX_GROUP_ORDER:
             raise ValidationError(f"cyclic group of order {m} exceeds {MAX_GROUP_ORDER}")
-        return FiniteGroup(
-            tuple(tuple((i + j) % m for j in range(m)) for i in range(m))
-        )
+        twice = tuple(range(m)) * 2  # row i is (i + j) % m for j < m
+        return FiniteGroup(tuple(twice[i : i + m] for i in range(m)))
 
     @staticmethod
     def from_concrete(elements, mul, identity) -> tuple["FiniteGroup", list]:
@@ -267,6 +269,8 @@ class GaloisDatum:
 
     def __post_init__(self):
         G = self.group
+        if self.r > MAX_RANK:
+            raise ValidationError(f"rank r = {self.r} exceeds {MAX_RANK}")
         if self.M < 2 or self.M % 2:
             raise ValidationError("modulus M must be even (mu_2 is always rational)")
         if len(self.perm) != G.order or len(self.chi) != G.order:
@@ -296,6 +300,8 @@ class GaloisDatum:
 
         Permutations are 0-based tuples of length r.
         """
+        if r > MAX_RANK:  # before the closure composes permutations of length r
+            raise ValidationError(f"rank r = {r} exceeds {MAX_RANK}")
         gens = [(tuple(p), u % M) for p, u in pairs]
         ident = (tuple(range(r)), 1 % M)
 

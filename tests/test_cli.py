@@ -19,8 +19,8 @@ from torusbrauer.cli import (
     build_parser,
     run,
 )
-from torusbrauer.errors import NotAnInvolutionError
-from torusbrauer.groups import canonical_involution, unimodular_inverse
+from torusbrauer.errors import NotAnInvolutionError, ValidationError
+from torusbrauer.groups import MAX_RANK, FiniteGroup, GaloisDatum, canonical_involution, unimodular_inverse
 from torusbrauer.intlat import IntMatrix
 from torusbrauer.spectral import real_torus_check, real_torus_levels, twisted_resolution, v2
 from tests.matrices import involution_types, ladder
@@ -263,6 +263,27 @@ class TestExitCodes:
         code, text = run([command, write(tmp_path, "empty.json", doc)])
         assert code == EXIT_VALIDATION
         assert text == "validation error: malformed multiplication table\n"
+
+    # refused before any coordinate pair is listed: r = 10^5 has 5 * 10^9
+    @pytest.mark.parametrize("r", [MAX_RANK + 1, 100000, 10**9])
+    def test_rank_over_cap_validation(self, tmp_path, r):
+        doc = {"kind": "galois-datum", "r": r, "M": 4, "generators": []}
+        code, text = run(["qt-brauer", write(tmp_path, "big_r.json", doc)])
+        assert code == EXIT_VALIDATION
+        assert text == f"validation error: rank r = {r} exceeds {MAX_RANK}\n"
+
+    def test_rank_over_cap_with_generator_validation(self, tmp_path):
+        # refused before the closure composes permutations of length r
+        r = 10 * MAX_RANK
+        doc = {"kind": "galois-datum", "r": r, "M": 4,
+               "generators": [{"perm": [(i + 1) % r for i in range(r)], "unit": 3}]}
+        code, text = run(["qt-brauer", write(tmp_path, "cycle.json", doc)])
+        assert code == EXIT_VALIDATION and text.count("\n") == 1
+
+    def test_rank_over_cap_direct_datum(self):
+        r = MAX_RANK + 1
+        with pytest.raises(ValidationError, match=f"exceeds {MAX_RANK}"):
+            GaloisDatum(FiniteGroup.trivial(), r, 2, (tuple(range(r)),), (1,))
 
     def test_cyclic_over_cap_validation(self, tmp_path):
         # refused before the 10^6 x 10^6 table is built

@@ -72,6 +72,12 @@ class TestFiniteGroup:
         assert g.element_order(1) == 6
         assert g.generator_if_cyclic() is not None
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 6, 17, 64])
+    def test_cyclic_table_is_addition_mod_m(self, m):
+        assert FiniteGroup.cyclic(m).table == tuple(
+            tuple((i + j) % m for j in range(m)) for i in range(m)
+        )
+
     def test_symmetric(self):
         s3, elems = FiniteGroup.symmetric(3)
         assert s3.order == 6
