@@ -37,7 +37,14 @@ from .errors import (
     TorusBrauerError,
     ValidationError,
 )
-from .groups import MAX_GROUP_ORDER, CoeffModule, FiniteGroup, GaloisDatum, random_galois_datum
+from .groups import (
+    MAX_GROUP_ORDER,
+    MAX_INVOLUTION_RANK,
+    CoeffModule,
+    FiniteGroup,
+    GaloisDatum,
+    random_galois_datum,
+)
 from .intlat import IntMatrix
 from .spectral import (
     SplitExtensionSpec,
@@ -143,6 +150,8 @@ def parse_involution(doc: dict) -> IntMatrix:
     S = _matrix(_require(doc, "matrix", list), "matrix")
     if S.rows != S.cols:
         raise SchemaError(f"matrix must be square, got {S.rows} x {S.cols}")
+    if S.rows > MAX_INVOLUTION_RANK:  # before S * S is formed
+        raise ValidationError(f"involution rank {S.rows} exceeds {MAX_INVOLUTION_RANK}")
     return S
 
 

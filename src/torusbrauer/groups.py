@@ -15,12 +15,16 @@ from .errors import (
     NotASubgroupError,
     ValidationError,
 )
-from .intlat import IntMatrix, kernel_basis, smith
+from .intlat import IntMatrix, _det, _smith_reduce, smith
 
 MAX_GROUP_ORDER = 10000
 # The largest r of a Galois datum: qt-brauer works on the r(r-1)/2 coordinate
 # pairs, and r = 120 (7,140 pairs) already takes seconds.
 MAX_RANK = 120
+# The largest rank of a real-torus involution: d2 on the canonical lattice
+# grows as rank^4, and the worst type at rank 32, (32, 0, 0), takes about
+# 1.2 s at the default levels 2,4 (2 cores, Python 3.11).
+MAX_INVOLUTION_RANK = 32
 
 
 @dataclass(frozen=True)
@@ -451,7 +455,12 @@ class C2Decomposition:
     a: int  # trivial summands Z
     b: int  # sign summands Z(1)
     c: int  # induced rank-2 summands
-    B: IntMatrix  # B * S * B^-1 is the canonical block matrix
+    P: IntMatrix  # unimodular, P^-1 * S * P is the canonical block matrix
+
+    @property
+    def B(self) -> IntMatrix:
+        """P^-1, so that B * S * B^-1 is the canonical block matrix."""
+        return unimodular_inverse(self.P)
 
     def canonical_matrix(self) -> IntMatrix:
         return canonical_involution(self.a, self.b, self.c)
@@ -475,47 +484,52 @@ def canonical_involution(a: int, b: int, c: int) -> IntMatrix:
 
 def c2_decompose(S: IntMatrix) -> C2Decomposition:
     """Split an integral involution into trivial/sign/induced blocks (I.
-    Reiner, Proc. AMS 8 (1957)): one kernel and two Smith forms.
+    Reiner, Proc. AMS 8 (1957)): two eliminations, and a check by one
+    product and one determinant.
 
-    N- = ker(S + 1) is saturated, so the Smith form U L V = [I; 0] of a
-    basis L of N- has unit diagonal, and the columns of U^-1 are a basis
-    (L V, A) of N.  As (S - 1)(S + 1) = 0, (S - 1) A lies in N-: S A = A +
-    L V X, with X the top p rows of U (S - 1) A.  The Smith form P X Q = D
-    turns the bases into L' = L V P^-1 and A' = A Q, on which S A'_j = A'_j
-    + d_j L'_j, and A'_j + (d_j // 2) L'_j leaves d_j mod 2 in its place.
-    The odd d_j come first, since d_1 | d_2 | ...; each gives an induced
-    pair (A'_j, S A'_j).  The other A'_j are fixed and the other L'_i are
-    negated.
+    The Smith form U (S + 1) V = D has its k nonzero entries first, so the
+    last p = n - k columns L of the unimodular V are a basis of N- = ker(S +
+    1), and its first k columns A complete L to a basis of N.  As (S - 1)(S +
+    1) = 0, (S - 1) A lies in N-, so S A = A + L X with X the last p rows of
+    V^-1 times (S - 1) A.  The Smith form Y X Z = D turns the bases into L' =
+    L Y^-1 and A' = A Z, on which S A'_j = A'_j + d_j L'_j, and A'_j + (d_j //
+    2) L'_j leaves d_j mod 2 in its place.  The odd d_j come first, since
+    d_1 | d_2 | ...; each gives an induced pair (A'_j, S A'_j).  The other
+    A'_j are fixed and the other L'_i are negated.  These columns, in that
+    order, are the basis P that `_verified` checks.
     """
     n = S.rows
     ident = IntMatrix.identity(n)
     if S.cols != n or S.mul(S) != ident:
         raise NotAnInvolutionError("matrix is not an involution")
 
-    minus = smith(IntMatrix.from_columns(kernel_basis(S.add(ident)), nrows=n))
-    p = minus.D.cols
-    W = [minus.u_inv.column(j) for j in range(n)]
-    LV, A = IntMatrix.from_columns(W[:p], nrows=n), IntMatrix.from_columns(W[p:], nrows=n)
-    X = IntMatrix(minus.U.mul(S.mul(A).add(A.scale(-1))).nonzeros[:p], p, n - p)
-    coupling = smith(X)
-    L1, A1 = LV.mul(coupling.u_inv), A.mul(coupling.V)
+    plus = _smith_reduce(S.add(ident), None, {"V", "V_inv"})
+    k = sum(1 for dj in plus.diagonal() if dj)
+    p = n - k
+    A = IntMatrix(tuple(plus.V_cols[:k]), k, n).transpose()
+    L = IntMatrix(tuple(plus.V_cols[k:]), p, n).transpose()
+    X = IntMatrix(tuple(plus.V_inv[k:]), p, n).mul(S.mul(A).add(A.scale(-1)))
+    coupling = _smith_reduce(X, None, {"U_inv", "V"})
+    L1 = L.mul(IntMatrix(tuple(coupling.U_inv_cols), p, p).transpose())
+    A1 = A.mul(IntMatrix(tuple(coupling.V_cols), k, k).transpose())
     d = coupling.diagonal()
     c = sum(dj % 2 for dj in d)
-    fixed = [A1.column(j) for j in range(n - p)]
+    fixed = [A1.column(j) for j in range(k)]
     for j, dj in enumerate(d):
         fixed[j] = tuple(x + dj // 2 * y for x, y in zip(fixed[j], L1.column(j)))
     basis = fixed[c:] + [L1.column(i) for i in range(c, p)]
     for g in fixed[:c]:
         basis += [g, S.apply(g)]
-    return _verified(S, n - p - c, p - c, c, IntMatrix.from_columns(basis, nrows=n))
+    return _verified(S, k - c, p - c, c, IntMatrix.from_columns(basis, nrows=n))
 
 
-def _verified(S: IntMatrix, a: int, b: int, c: int, b_inv: IntMatrix) -> C2Decomposition:
-    """The decomposition whose basis is the columns of b_inv, once B S B^-1
-    is checked to be the canonical block matrix of type (a, b, c).  Every
-    caller that works on the canonical form relies on this isomorphism."""
-    out = C2Decomposition(a, b, c, unimodular_inverse(b_inv))
-    if out.B.mul(S).mul(b_inv) != out.canonical_matrix():
+def _verified(S: IntMatrix, a: int, b: int, c: int, P: IntMatrix) -> C2Decomposition:
+    """The decomposition whose basis is the columns of P, once S P = P C is
+    checked for the canonical block matrix C of type (a, b, c), and |det P|
+    = 1.  Then P is unimodular and P^-1 S P = C: every caller that works on
+    the canonical form relies on this isomorphism."""
+    out = C2Decomposition(a, b, c, P)
+    if S.mul(P) != P.mul(out.canonical_matrix()) or abs(_det([list(r) for r in P.entries])) != 1:
         raise ValidationError("decomposition verification failed")
     return out
 

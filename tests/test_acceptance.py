@@ -6,6 +6,7 @@ time budget assert it.
 """
 
 import contextlib
+import json
 import math
 import random
 import time
@@ -19,6 +20,7 @@ from torusbrauer.cli import (
     EXIT_OK,
     EXIT_SCHEMA,
     EXIT_VALIDATION,
+    parse_split_extension,
     run,
 )
 from torusbrauer.cohomology import (
@@ -268,6 +270,12 @@ def _cv_lattices():
             CoeffModule.mu(d.group, 4, parity),
         ]
         combos.append(("S3", lat, mods))
+
+    # the two witnesses whose d2 is nonzero: V4 on Z^3 in the FCC basis with
+    # mu_4, and C4 on Z^3 with Lambda^2 N (x) Z/4
+    for label, name in [("V4", "v4_fcc_extension.json"), ("C4", "c4_extension.json")]:
+        ext = parse_split_extension(json.loads((INPUTS / name).read_text()))
+        combos.append((label, ext.N, [ext.M]))
     return combos
 
 
@@ -277,7 +285,7 @@ def test_criterion_6_pushforward_formula_and_additivity(capsys):
     ):
         rng = random.Random(13)
         checked = 0
-        labels = set()
+        labels, nonzero = set(), set()
         for label, lat, mods in _cv_lattices():
             labels.add(label)
             for m in mods:
@@ -285,8 +293,12 @@ def test_criterion_6_pushforward_formula_and_additivity(capsys):
                 inv = cohomology(lat.group, lattice_cohomology(lat, m, 2), 0).group
                 assert all(pushforward_formula_check(ext, inv.generators, rng=rng)), (label, m.modulus)
                 checked += len(inv.generators)
-        assert labels == {"C2", "C3", "V4", "S3"}
+                if not d2_02(ext).is_zero():
+                    nonzero.add(label)
+        assert labels == {"C2", "C3", "C4", "V4", "S3"}
         assert checked >= 8
+        # the formula compares nonzero classes on both witnesses
+        assert nonzero == {"C4", "V4"}
 
         c2 = FiniteGroup.cyclic(2)
         swap = CoeffModule(

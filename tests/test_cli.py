@@ -17,10 +17,18 @@ from torusbrauer.cli import (
     EXIT_SCHEMA,
     EXIT_VALIDATION,
     build_parser,
+    parse_involution,
     run,
 )
 from torusbrauer.errors import NotAnInvolutionError, ValidationError
-from torusbrauer.groups import MAX_RANK, FiniteGroup, GaloisDatum, canonical_involution, unimodular_inverse
+from torusbrauer.groups import (
+    MAX_INVOLUTION_RANK,
+    MAX_RANK,
+    FiniteGroup,
+    GaloisDatum,
+    canonical_involution,
+    unimodular_inverse,
+)
 from torusbrauer.intlat import IntMatrix
 from torusbrauer.spectral import real_torus_check, real_torus_levels, twisted_resolution, v2
 from tests.matrices import involution_types, ladder
@@ -284,6 +292,24 @@ class TestExitCodes:
         r = MAX_RANK + 1
         with pytest.raises(ValidationError, match=f"exceeds {MAX_RANK}"):
             GaloisDatum(FiniteGroup.trivial(), r, 2, (tuple(range(r)),), (1,))
+
+    # refused before S * S is formed, an involution or not
+    @pytest.mark.parametrize("n", [MAX_INVOLUTION_RANK + 1, 4 * MAX_INVOLUTION_RANK])
+    def test_involution_rank_over_cap_validation(self, tmp_path, monkeypatch, n):
+        def no_product(*args, **kwargs):
+            raise AssertionError("a product was formed past the cap")
+
+        monkeypatch.setattr(IntMatrix, "mul", no_product)
+        for matrix in (IntMatrix.identity(n).entries, [[1] * n] * n):
+            doc = {"kind": "involution-lattice", "matrix": matrix}
+            code, text = run(["real-torus", write(tmp_path, "big_s.json", doc)])
+            assert code == EXIT_VALIDATION
+            assert text == f"validation error: involution rank {n} exceeds {MAX_INVOLUTION_RANK}\n"
+
+    def test_involution_rank_at_cap_parses(self):
+        ident = IntMatrix.identity(MAX_INVOLUTION_RANK)
+        doc = {"kind": "involution-lattice", "matrix": [list(row) for row in ident.entries]}
+        assert parse_involution(doc) == ident
 
     def test_cyclic_over_cap_validation(self, tmp_path):
         # refused before the 10^6 x 10^6 table is built

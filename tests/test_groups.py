@@ -13,6 +13,7 @@ from torusbrauer.errors import (
     NotAnInvolutionError,
     ValidationError,
 )
+from torusbrauer import groups, intlat
 from torusbrauer.groups import (
     CoeffModule,
     FiniteGroup,
@@ -26,6 +27,7 @@ from torusbrauer.groups import (
     subgroup_generated,
     tate_twist,
     unimodular_inverse,
+    _verified,
 )
 from torusbrauer.intlat import IntMatrix
 
@@ -414,6 +416,75 @@ class TestC2DecomposeAgainstOracle:
         S = IntMatrix.from_rows(RANK_8_CONJUGATE)
         assert S.mul(S) == IntMatrix.identity(8)
         assert _split_agrees_with_oracle(S) == (2, 2, 2)
+
+
+def _conjugates(rank):
+    """Every involution of each type of the given rank, canonical and on
+    random and ladder bases."""
+    rng = random.Random(rank)
+    mats = [IntMatrix.from_rows(RANK_8_CONJUGATE)] if rank == 8 else []
+    for ty in involution_types(rank):
+        if ty[0] + ty[1] + 2 * ty[2] != rank:
+            continue
+        S0 = canonical_involution(*ty)
+        mats.append(S0)
+        bases = [random_unimodular(rank, rng) for _ in range(3)]
+        bases += [ladder(k, rank, transpose) for k in (1, 4) for transpose in (False, True)]
+        mats += [P.mul(S0).mul(unimodular_inverse(P)) for P in bases]
+    return mats
+
+
+class TestC2DecomposeCost:
+    """c2_decompose runs two eliminations, of S + 1 and of the coupling
+    matrix, and checks its basis P by S P = P C and |det P| = 1, without
+    inverting it."""
+
+    @pytest.mark.parametrize("rank", range(1, 9))
+    def test_two_eliminations(self, rank, monkeypatch):
+        mats = _conjugates(rank)
+        calls = []
+        reduce = intlat._smith_reduce
+
+        def counting(*args):
+            calls.append(args[0].rows)
+            return reduce(*args)
+
+        # smith, kernel_basis and unimodular_inverse all reach intlat's name
+        monkeypatch.setattr(intlat, "_smith_reduce", counting)
+        monkeypatch.setattr(groups, "_smith_reduce", counting)
+        for S in mats:
+            calls.clear()
+            c2_decompose(S)
+            assert len(calls) == 2, S.entries
+
+    @pytest.mark.parametrize("ty", [(1, 0, 0), (0, 1, 0), (1, 1, 1), (0, 2, 1), (2, 2, 2)])
+    def test_check_refuses_index_two_basis(self, ty):
+        # doubling a column of a trivial or sign block keeps S P = P C, but P
+        # spans a sublattice of index 2
+        n = ty[0] + ty[1] + 2 * ty[2]
+        P0 = ladder(3, n)
+        S = P0.mul(canonical_involution(*ty)).mul(unimodular_inverse(P0))
+        P = c2_decompose(S).P
+        cols = [P.column(j) for j in range(n)]
+        cols[0] = tuple(2 * x for x in cols[0])
+        doubled = IntMatrix.from_columns(cols, nrows=n)
+        assert S.mul(doubled) == doubled.mul(canonical_involution(*ty))
+        assert abs(det(doubled)) == 2
+        with pytest.raises(ValidationError, match="verification failed"):
+            _verified(S, *ty, doubled)
+
+    @pytest.mark.parametrize("ty, i, j", [((1, 1, 0), 0, 1), ((1, 0, 1), 0, 1), ((0, 1, 1), 0, 2)])
+    def test_check_refuses_blocks_swapped(self, ty, i, j):
+        n = ty[0] + ty[1] + 2 * ty[2]
+        P0 = ladder(2, n, True)
+        S = P0.mul(canonical_involution(*ty)).mul(unimodular_inverse(P0))
+        P = c2_decompose(S).P
+        cols = [P.column(k) for k in range(n)]
+        cols[i], cols[j] = cols[j], cols[i]
+        swapped = IntMatrix.from_columns(cols, nrows=n)
+        assert abs(det(swapped)) == 1
+        with pytest.raises(ValidationError, match="verification failed"):
+            _verified(S, *ty, swapped)
 
 
 class TestPairModule:

@@ -478,6 +478,35 @@ class TestV2:
             assert e2_21(vsmall.ext_univ).coords_on_res(tuple(sel)) == vsmall.coords()
 
 
+def matrix_group_lattice(gens):
+    """The lattice Z^n of the integer matrix group generated by gens."""
+    n = len(gens[0])
+
+    def mul(a, b):
+        return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
+
+    G, elems = FiniteGroup.from_concrete(gens, mul, IntMatrix.identity(n).entries)
+    return CoeffModule(G, n, None, tuple(map(IntMatrix.from_rows, elems)))
+
+
+class TestV2RankTwo:
+    """D4 on the square lattice and D6 on the hexagonal one are the two
+    maximal finite subgroups of GL_2(Z) up to conjugacy.  v2 vanishes on
+    both, so by naturality under restriction it vanishes on every rank-2
+    lattice, and with it d2 out of (0, 2)."""
+
+    @pytest.mark.parametrize("name, gens, order, target", [
+        ("D4 square", [((0, -1), (1, 0)), ((1, 0), (0, -1))], 8, "Z/2"),
+        ("D6 hexagonal", [((1, -1), (1, 0)), ((0, 1), (1, 0))], 12, "0"),
+    ])
+    def test_maximal_group_v2_zero(self, name, gens, order, target):
+        N = matrix_group_lattice(gens)
+        assert N.group.order == order
+        vc = v2(N)
+        assert e2_21(vc.ext_univ).group.describe() == target
+        assert vc.is_zero()
+
+
 class TestPushforwardFormula:
     def test_zero_alpha(self):
         n = swap_lattice()
