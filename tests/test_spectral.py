@@ -492,8 +492,8 @@ def matrix_group_lattice(gens):
 class TestV2RankTwo:
     """D4 on the square lattice and D6 on the hexagonal one are the two
     maximal finite subgroups of GL_2(Z) up to conjugacy.  v2 vanishes on
-    both, so by naturality under restriction it vanishes on every rank-2
-    lattice, and with it d2 out of (0, 2)."""
+    both, so by its naturality (restriction, inflation, change of basis) it
+    vanishes on every rank-2 lattice, and with it d2 out of (0, 2)."""
 
     @pytest.mark.parametrize("name, gens, order, target", [
         ("D4 square", [((0, -1), (1, 0)), ((1, 0), (0, -1))], 8, "Z/2"),
