@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from .cohomology import cohomology
 from .errors import RankTooSmallError
 from .groups import GaloisDatum, pair_module
-from .intlat import FinAbGroup, IntMatrix, invariant_factors, smith, solve
+from .intlat import FinAbGroup, IntMatrix, _smith_reduce, invariant_factors
 
 
 # ---------------------------------------------------------------------------
@@ -144,8 +144,8 @@ def _span_test(columns, m: int, rank: int):
     disjoint supports, w is in it when it is c·v on the support of each v
     and 0 off them; c is read from a w_t whose v_t has the order of v, as
     each nonzero entry of an orbit sum has (M/m_o times a unit).  Where a
-    premise fails (a zero column has no such t), the test is `solve` on the
-    dense columns."""
+    premise fails (a zero column has no such t), the test is a solve on
+    one elimination of the dense columns."""
     owner, pivots = {}, []
     for i, v in enumerate(columns):
         d = math.gcd(m, *v.values())
@@ -154,8 +154,8 @@ def _span_test(columns, m: int, rank: int):
         owner.update(dict.fromkeys(v, i))
     if len(owner) < sum(map(len, columns)) or None in pivots:
         matrix = IntMatrix.from_columns([_dense(v, rank) for v in columns], nrows=rank)
-        snf = smith(matrix, m)
-        return lambda w: solve(matrix, _dense(w, rank), m, snf=snf) is not None
+        solver = _smith_reduce(matrix, m, {"U", "V"})
+        return lambda w: solver.solve(_dense(w, rank)) is not None
 
     def contains(w: dict) -> bool:
         blocks = {owner.get(t) for t, x in w.items() if x % m}

@@ -40,17 +40,19 @@ from .errors import (
 from .groups import (
     MAX_GROUP_ORDER,
     MAX_INVOLUTION_RANK,
+    MAX_REAL_TORUS_LEVELS,
     CoeffModule,
     FiniteGroup,
     GaloisDatum,
     random_galois_datum,
+    symmetric_order,
 )
 from .intlat import IntMatrix
 from .spectral import (
     SplitExtensionSpec,
     pushforward_formula_check,
     d2_02,
-    lattice_cohomology,
+    d2_source,
     real_torus_check,
     v2,
 )
@@ -166,12 +168,7 @@ def parse_group(spec):
         return m, lambda: FiniteGroup.cyclic(m)
     if "symmetric" in spec:
         n = _positive(spec, "symmetric")
-        order = 1
-        for k in range(2, n + 1):
-            if order > MAX_GROUP_ORDER:
-                break
-            order *= k
-        return order, lambda: FiniteGroup.symmetric(n)[0]
+        return symmetric_order(n), lambda: FiniteGroup.symmetric(n)[0]
     if "klein" in spec:
         if spec["klein"] is not True:
             raise SchemaError('field "klein" must be true')
@@ -346,9 +343,7 @@ def cmd_d2(doc: dict, rng) -> dict:
 def cmd_v2(doc: dict, rng) -> dict:
     ext = parse_split_extension(doc)
     cls = v2(ext.N)
-    verdicts = pushforward_formula_check(
-        ext, cohomology(ext.pi, lattice_cohomology(ext.N, ext.M, 2), 0).group.generators, rng=rng
-    )
+    verdicts = pushforward_formula_check(ext, d2_source(ext).generators, rng=rng)
     return {
         "command": "v2",
         "version": __version__,
@@ -373,22 +368,15 @@ def _suite_intlat(rng):
 
 
 def _suite_cohom(rng):
-    for m in (2, 3, 4):
-        g = FiniteGroup.cyclic(m)
-        mod = CoeffModule.trivial(g, 1, m)
-        for q in range(3):
-            per = cohomology(g, mod, q, resolution="periodic")
-            bar = cohomology(g, mod, q, resolution="bar")
-            if not per.group.same_structure(bar.group):
-                raise DisagreementError(
-                    f"H^{q}(Z/{m}, Z/{m}): periodic {per.group} != bar {bar.group}"
-                )
-    # the small resolution of a non-cyclic group, which the default takes
+    # the default engine, on each group's free resolution: the periodic terms
+    # of a cyclic group, the picked ones of V4 and S3
     c2 = FiniteGroup.cyclic(2)
-    for name, g in (("V4", FiniteGroup.direct_product(c2, c2)), ("S3", FiniteGroup.symmetric(3)[0])):
+    groups = [(f"C{m}", FiniteGroup.cyclic(m)) for m in (2, 3, 4)]
+    groups += [("V4", FiniteGroup.direct_product(c2, c2)), ("S3", FiniteGroup.symmetric(3)[0])]
+    for name, g in groups:
         for m in (2, 3, 4):
             mod = CoeffModule.trivial(g, 1, m)
-            for q in (1, 2):
+            for q in range(3):
                 small = cohomology(g, mod, q)
                 bar = cohomology(g, mod, q, resolution="bar")
                 if not small.group.same_structure(bar.group):
@@ -406,7 +394,7 @@ def _suite_twisted(rng):
         c2, 2, None, (IntMatrix.identity(2), IntMatrix.from_rows([[0, 1], [1, 0]]))
     )
     s3 = permutation_lattice(GaloisDatum.from_generators(3, 2, [((1, 0, 2), 1), ((0, 2, 1), 1)]))
-    # on the periodic resolution of C2 and the small one of S3
+    # on the periodic terms of C2 and the picked ones of S3
     for N in (swap, s3):
         twisted_resolution(N).verify_d_squared()  # raises unless d^2 = 0
     if not v2(swap).is_zero():
@@ -511,6 +499,8 @@ def run(argv) -> tuple[int, str]:
                 raise SchemaError("--modulus must name at least one level")
             if min(moduli) < 2:
                 raise SchemaError("--modulus levels must be at least 2")
+            if len(moduli) > MAX_REAL_TORUS_LEVELS:  # each level runs its own d2
+                raise ValidationError(f"{len(moduli)} levels exceed {MAX_REAL_TORUS_LEVELS}")
             report = cmd_real_torus(load_document(args.input, "involution-lattice"), moduli)
         elif args.command == "d2":
             report = cmd_d2(load_document(args.input, "split-extension"), rng)

@@ -5,15 +5,13 @@ H^n(G, M) is computed on one of two kinds of complex:
 * the bar cochain complex (functions on n-tuples of group elements,
   identity components included), whose classes need no conversion;
 * Hom_G(F, M) for a free resolution F of small rank, reached through
-  comparison chain maps sigma: F -> Bar and tau: Bar -> F.  Two such
-  resolutions exist: the periodic one of a cyclic group (norm / difference,
-  instant at any rank) and `SmallResolution`, built for any finite group by
-  integer linear algebra.
+  comparison chain maps sigma: F -> Bar and tau: Bar -> F.  F is one
+  `SmallResolution` per group (`free_resolution`): a cyclic group's terms
+  are the periodic ones (norm / difference, given in every degree), any
+  other group's are built by integer linear algebra.
 
-By default (`free_resolution`) a cyclic group takes the periodic
-resolution and any other group the small one, in every degree; the bar
-complex stays as the reference engine (`resolution="bar"`).  Degree 0
-reads no term past F_1.
+By default every degree is computed on F; the bar complex stays as the
+reference engine (`resolution="bar"`).  Degree 0 reads no term past F_1.
 
 A class handed to restriction or transfer is a bar cochain, a flat vector
 indexed by `_tuple_index` and then coordinate; an engine on a resolution F
@@ -39,7 +37,8 @@ from functools import cached_property, lru_cache, partial
 
 from .errors import DegreeTooLargeError, HomotopySolveFailureError, NotExactError, ValidationError
 from .groups import CoeffModule, FiniteGroup, Subgroup
-from .intlat import IntMatrix, Subquotient, _add_entry, _axpy, smith, solve
+from .intlat import (IntMatrix, Subquotient, _add_entry, _axpy, _columns_to_rows,
+                     _kernel_columns, _smith_reduce)
 
 MAX_DEGREE = 3
 
@@ -177,63 +176,6 @@ def chain_lift(boundary, homotopy, act, unit):
 
 
 # ---------------------------------------------------------------------------
-# periodic resolution for cyclic groups, with comparison chain maps
-# ---------------------------------------------------------------------------
-
-
-class PeriodicData:
-    """... -> Z[G] -N-> Z[G] -(t-1)-> Z[G] -> Z for G cyclic with generator t.
-
-    d_p = (t-1) for p odd, the norm for p even >= 2.  Each term has one
-    basis element e_0, so an element is a dict {(0, g): coeff}, as on
-    `SmallResolution`.
-    """
-
-    def __init__(self, G: FiniteGroup):
-        t = G.generator_if_cyclic()
-        if t is None:
-            raise ValidationError("periodic resolution needs a cyclic group")
-        self.group = G
-        self.t = t
-        self.m = G.order
-        # powers of t: t_power[a] = t^a and power_of[t^a] = a
-        self.power_of = [0] * self.m
-        self.t_power = [0] * self.m
-        x = 0
-        for a in range(self.m):
-            self.power_of[x], self.t_power[a] = a, x
-            x = G.mul(x, t)
-
-    def rank(self, p: int) -> int:
-        return 1
-
-    def d_of_one(self, p: int) -> dict:
-        """d_p(e_0) as a group ring element {g: coeff}."""
-        if p % 2 == 1:
-            # t - 1, which is zero for the trivial group (t = 0)
-            return {self.t: 1, 0: -1} if self.t else {}
-        return {g: 1 for g in self.group.elements()}
-
-    def boundary(self, p: int, b: int) -> list:
-        return [(0, g, c) for g, c in self.d_of_one(p).items()]
-
-    def homotopy(self, target_degree: int, elem: dict) -> dict:
-        """h: degree target-1 -> target with d_target h + h d_{target-1} = 1 - eta eps."""
-        out: dict = {}
-        if target_degree % 2 == 1:
-            # geometric sums against (t-1)
-            for (_, g), c in elem.items():
-                for i in range(self.power_of[g]):
-                    _add_entry(out, (0, self.t_power[i]), c, None)
-        else:
-            # against the norm: pick out t^(m-1)
-            c = elem.get((0, self.t_power[self.m - 1]), 0)
-            if c:
-                out[(0, 0)] = c
-        return out
-
-
-# ---------------------------------------------------------------------------
 # a free resolution of small rank for any finite group
 # ---------------------------------------------------------------------------
 
@@ -263,30 +205,41 @@ class SmallResolution:
     resolutions", J. Symbolic Comput. 38, 2004).  F_p is built when a degree
     first asks for it.
 
-    F_0 = Z[G] and F_1 is free on G.generators with d(e_s) = s - 1.  For
-    p >= 2 the generators of F_p are picked from the Z-basis of ker d_{p-1}
-    that the Smith form of d_{p-1} gives (the basis `kernel_basis` returns),
-    in its order: a vector is kept when it enlarges the Z-span of the
-    G-translates of those kept before, that is when it raises the rank of
-    the span or lowers its index.  The picking stops at full rank and index
-    1 in the kernel, which is the exactness of F at F_{p-1}; on a Z-basis
-    of the kernel one pass gets there, since every basis vector ends in
-    the span.  If the span never gets there, NotExactError is raised;
-    `check_exact` runs the same picking on the generators a term has.
+    A cyclic G = <t> has its terms given: the periodic resolution
+    ... -N-> Z[G] -(t-1)-> Z[G] -> Z, one basis element in every degree,
+    with d_p = t - 1 for p odd (0 for the trivial group) and the norm N for
+    p even >= 2.  For any other group F_0 = Z[G] and F_1 is free on
+    G.generators with d(e_s) = s - 1.  For p >= 2 the generators of F_p are
+    picked from the Z-basis of ker d_{p-1} that the Smith form of d_{p-1}
+    gives (the basis `kernel_basis` returns), in its order: a vector is
+    kept when it enlarges the Z-span of the G-translates of those kept
+    before, that is when it raises the rank of the span or lowers its
+    index.  The picking stops at full rank and index 1 in the kernel, which
+    is the exactness of F at F_{p-1}; on a Z-basis of the kernel one pass
+    gets there, since every basis vector ends in the span.  If the span
+    never gets there, NotExactError is raised; `check_exact` runs the same
+    picking on the generators a term has, given terms included.
 
     An element of F_p is a dict {(b, g): c} standing for the sum of the
     c * g.e_b; in Z-coordinates g.e_b sits at index b * |G| + g.  The
     contracting homotopy is Z-linear, with d h + h d = 1 - eta eps: on
     x = g.e_b in degree p - 1 it is the solution y of d_p y = x - h(d x)
-    (of d_1 y = g - 1 in degree 0) that `solve` finds on the Smith form of
-    d_p.
+    (of d_1 y = g - 1 in degree 0) found on the Smith form of d_p.
     """
 
     def __init__(self, G: FiniteGroup):
         self.group = G
+        t = G.generator_if_cyclic()
+        if t is None:
+            self._periodic = None
+            d_1 = [[(0, s, 1), (0, 0, -1)] for s in G.generators]
+        else:  # d_p(e_0) by the parity of p: the norm, then t - 1
+            self._periodic = ([[(0, g, 1) for g in G.elements()]],
+                              [[(0, t, 1), (0, 0, -1)] if t else []])
+            d_1 = self._periodic[1]
         # _d[p][b] = d_p(e_b) as terms (b2, g, c) standing for c * g.e_b2;
         # d_0 = 0, as on the bar resolution
-        self._d = [[[]], [[(0, s, 1), (0, 0, -1)] for s in G.generators]]
+        self._d = [[[]], d_1]
         self._matrix: dict = {}
         self._snf: dict = {}
         self._h: dict = {}
@@ -300,7 +253,11 @@ class SmallResolution:
     def _boundaries(self, p: int) -> list:
         while len(self._d) <= p:
             q = len(self._d) - 1  # the next term is generated by ker d_q
-            self._d.append(self._spanning(q, self._kernel_basis(q)))
+            if self._periodic:
+                self._d.append(self._periodic[(q + 1) % 2])
+            else:  # picked from the Z-basis of ker d_q: V's columns at d_j = 0
+                e = self._smith(q)
+                self._d.append(self._spanning(q, _kernel_columns(e.diagonal(), e.V_cols, None)))
         return self._d[p]
 
     def matrix(self, p: int) -> IntMatrix:
@@ -316,33 +273,26 @@ class SmallResolution:
         return self._matrix[p]
 
     def _smith(self, p: int):
+        """d_p reduced to Smith form, with the transforms read: U and V for
+        the homotopy's solve, V and V^-1 for the kernel."""
         if p not in self._snf:
-            self._snf[p] = smith(self.matrix(p))
+            self._snf[p] = _smith_reduce(self.matrix(p), None, {"U", "V", "V_inv"})
         return self._snf[p]
-
-    def _kernel_columns(self, p: int) -> list:
-        d, cols = self._smith(p).diagonal(), self._smith(p).V.cols
-        return [j for j in range(cols) if j >= len(d) or not d[j]]
-
-    def _kernel_basis(self, p: int) -> list:
-        """The Z-basis of ker d_p: the columns of V at the zero diagonal
-        entries of the Smith form, as vectors {Z-coordinate: entry}."""
-        V = self._smith(p).V.transpose().nonzeros
-        return [dict(V[j]) for j in self._kernel_columns(p)]
 
     def _spanning(self, p: int, vectors) -> list:
         """The chains d_{p+1}(e_b) of the vectors picked, in order, to span
         ker d_p with their G-translates; raises NotExactError if they never
         do."""
         n, mul = self.group.order, self.group.table
-        kernel = self._kernel_columns(p)
-        # kernel coordinates x |-> (V^-1 x)_j, j in kernel, by columns
-        v_inv = self._smith(p).v_inv
-        coord_cols = IntMatrix(tuple(v_inv.nonzeros[j] for j in kernel),
-                               len(kernel), v_inv.cols).transpose().nonzeros
+        e = self._smith(p)
+        # kernel coordinates x |-> (V^-1 x)_j for the j at zero diagonal
+        # entries, which over Z come last; by columns
+        r = sum(1 for x in e.diagonal() if x)
+        k = len(e.V_inv) - r
+        coord_cols = _columns_to_rows(e.V_inv[r:], len(e.V_inv))
 
-        def full(span):  # rank and index of the span in Z^len(kernel)
-            return len(span) == len(kernel) and all(row[j] == 1 for j, row in span.items())
+        def full(span):  # rank and index of the span in Z^k
+            return len(span) == k and all(row[j] == 1 for j, row in span.items())
 
         def coords(v, g):  # of the translate g.v
             out: dict = {}
@@ -364,13 +314,15 @@ class SmallResolution:
         if not full(span):
             raise NotExactError(
                 f"resolution is not exact at F_{p}: the translates span rank "
-                f"{len(span)} of {len(kernel)}, with pivots {sorted(span[j][j] for j in span)}"
+                f"{len(span)} of {k}, with pivots {sorted(span[j][j] for j in span)}"
             )
         return taken
 
     def check_exact(self, p: int) -> None:
-        """Raise NotExactError unless the translates of the d_{p+1}(e_b)
-        span ker d_p."""
+        """Raise NotExactError unless the translates of the d_{p+1}(e_b) lie
+        in ker d_p and span it."""
+        if not self.matrix(p).mul(self.matrix(p + 1)).is_zero():
+            raise NotExactError(f"d_{p} d_{p + 1} != 0")
         n = self.group.order
         self._spanning(p, [{b * n + g: c for b, g, c in chain} for chain in self._boundaries(p + 1)])
 
@@ -396,7 +348,7 @@ class SmallResolution:
             vec = [0] * (n * self.rank(p - 1))
             for (b2, g2), c in want.items():
                 vec[b2 * n + g2] = c
-            y = solve(self.matrix(p), vec, snf=self._smith(p))
+            y = self._smith(p).solve(vec)
             if y is None:
                 raise HomotopySolveFailureError(
                     f"d_{p} y = x - h(d x) has no solution at {g}.e_{b}"
@@ -406,25 +358,11 @@ class SmallResolution:
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def periodic_resolution(G: FiniteGroup) -> PeriodicData:
-    return PeriodicData(G)
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def small_resolution(G: FiniteGroup) -> SmallResolution:
+def free_resolution(G: FiniteGroup) -> SmallResolution:
+    """The resolution F that G's engines and its twisted resolutions are
+    built on, one per group, read through rank(p), boundary(p, b) and
+    homotopy(p, x)."""
     return SmallResolution(G)
-
-
-def free_resolution(G: FiniteGroup):
-    """The resolution F of small rank that G's engines and its twisted
-    resolutions are built on: the periodic one of a cyclic group, the small
-    one of any other."""
-    return periodic_resolution(G) if G.generator_if_cyclic() is not None else small_resolution(G)
-
-
-# A resolution F is read through rank(p), boundary(p, b) (the terms
-# (b2, g, c) of d_p(e_b)) and homotopy(p, x) on F-elements {(b, g): c};
-# PeriodicData and SmallResolution both offer them.
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -474,18 +412,14 @@ class GroupCohomology:
             raise DegreeTooLargeError(f"degree must be in 0..{MAX_DEGREE}")
         if M.group != G:
             raise ValidationError("module is not over the given group")
-        if resolution not in ("auto", "periodic", "bar"):
+        if resolution not in ("auto", "bar"):
             raise ValueError("unknown resolution kind")
         self.G = G
         self.M = M
         self.degree = degree
         # every degree on F; in degree 0, d^0 reads F_1 only: one block s - 1
         # per generator s, not one block g - 1 per element as on bar
-        if resolution == "bar":
-            res = None
-        else:
-            res = free_resolution(G) if resolution == "auto" else periodic_resolution(G)
-        self.res = res
+        self.res = res = None if resolution == "bar" else free_resolution(G)
         n = degree
         if res is None:
             delta = partial(bar_delta_matrix, G, M)

@@ -25,6 +25,11 @@ MAX_RANK = 120
 # grows as rank^4, and the worst type at rank 32, (32, 0, 0), takes about
 # 1.2 s at the default levels 2,4 (2 cores, Python 3.11).
 MAX_INVOLUTION_RANK = 32
+# The most levels one real-torus call takes: each level runs its own d2.  At
+# rank 32 eight levels 2..9 take about 2.1 s and 36 MB; the worst case, eight
+# levels of 4,200 digits (near the longest integer Python parses), 16 s and
+# 48 MB (2 cores, Python 3.11).
+MAX_REAL_TORUS_LEVELS = 8
 
 
 @dataclass(frozen=True)
@@ -166,14 +171,10 @@ class FiniteGroup:
 
     @staticmethod
     def symmetric(n: int) -> tuple["FiniteGroup", list]:
-        # the order k! passes the cap at a small k: stop multiplying there
-        order = 1
-        for k in range(2, n + 1):
-            order *= k
-            if order > MAX_GROUP_ORDER:
-                raise ValidationError(
-                    f"symmetric group of degree {n} has more than {MAX_GROUP_ORDER} elements"
-                )
+        if symmetric_order(n) > MAX_GROUP_ORDER:
+            raise ValidationError(
+                f"symmetric group of degree {n} has more than {MAX_GROUP_ORDER} elements"
+            )
         perms = [tuple(p) for p in itertools.permutations(range(n))]
         ident = tuple(range(n))
         perms.remove(ident)
@@ -192,6 +193,17 @@ class FiniteGroup:
 
         grp, _ = FiniteGroup.from_concrete(pairs, mul, (0, 0))
         return grp
+
+
+def symmetric_order(n: int) -> int:
+    """n!, or a partial product k! over MAX_GROUP_ORDER that stands for it:
+    the order passes the cap at a small k, and multiplying stops there."""
+    order = 1
+    for k in range(2, n + 1):
+        order *= k
+        if order > MAX_GROUP_ORDER:
+            break
+    return order
 
 
 def _greedy_generators(table) -> tuple[int, ...]:

@@ -262,6 +262,7 @@ class _Elimination:
 
         self.U, self.U_inv_cols = eye(A.rows, "U"), eye(A.rows, "U_inv")
         self.V_cols, self.V_inv = eye(A.cols, "V"), eye(A.cols, "V_inv")
+        self._diag = None  # the finished diagonal, read by solve
 
     def diagonal(self):
         return [self.M[i].get(i, 0) for i in range(min(len(self.M), self.cols))]
@@ -315,6 +316,17 @@ class _Elimination:
             self.U[i] = _scaled(self.U[i], c, mod)
         if self.U_inv_cols is not None:
             self.U_inv_cols[i] = _scaled(self.U_inv_cols[i], c_inv, mod)
+
+    def solve(self, b):
+        """One x with A x = b (mod `mod` when set) for the matrix A reduced
+        here, or None: U b, then the diagonal, then V y.  Needs U and V
+        kept, and the reduction finished: the diagonal is read once."""
+        mod, V_cols = self.mod, self.V_cols
+        if self._diag is None:
+            self._diag = self.diagonal()
+        ub = [_dot(row, b, mod) for row in self.U]
+        y = _diagonal_solve(self._diag, ub, len(V_cols), mod)
+        return None if y is None else _combine(V_cols, y, len(V_cols), mod)
 
     def normalize_pivot(self, t):
         """Over Z/n, scale row t by a unit so that the pivot a becomes
@@ -447,13 +459,12 @@ def _diagonal_solve(d, ub, ncols: int, modulus: int | None):
     return y
 
 
-def solve(A: IntMatrix, b, modulus: int | None = None, snf: SmithDecomposition | None = None):
-    """One solution x of A x = b over Z (or Z/modulus), or None.  A given
-    snf must be smith(A, modulus)."""
-    if snf is None:
-        snf = smith(A, modulus)
-    y = _diagonal_solve(snf.diagonal(), snf.U.apply(b, modulus), A.cols, modulus)
-    return None if y is None else snf.V.apply(y, modulus)
+def solve(A: IntMatrix, b, modulus: int | None = None):
+    """One solution x of A x = b over Z (or Z/modulus), or None.  The
+    elimination accumulates U and V alone."""
+    if len(b) != A.rows:
+        raise ValueError("dimension mismatch")
+    return _smith_reduce(A, modulus, {"U", "V"}).solve(b)
 
 
 def _kernel_columns(d, V_cols, modulus: int | None):
@@ -596,8 +607,7 @@ class Subquotient:
         self._solver = _smith_reduce(
             IntMatrix(tuple(blocks), a, k + d_in.cols), modulus, {"U", "V"}
         )
-        self._solver_diag = self._solver.diagonal()
-        rel = _kernel_columns(self._solver_diag, self._solver.V_cols, modulus)
+        rel = _kernel_columns(self._solver.diagonal(), self._solver.V_cols, modulus)
         s = _smith_reduce(IntMatrix(tuple(_columns_to_rows(rel, k)), k, len(rel)),
                           modulus, {"U", "U_inv"})
         self._U, self._U_inv_cols = s.U, s.U_inv_cols
@@ -630,13 +640,11 @@ class Subquotient:
         """Coordinates of the class of a cycle; raises if vec is not a cycle."""
         if len(vec) != self.ambient:
             raise ValueError("ambient dimension mismatch")
-        e, mod = self._solver, self.modulus
-        ub = [_dot(row, vec, mod) for row in e.U]
-        z = _diagonal_solve(self._solver_diag, ub, len(e.V_cols), mod)
+        mod = self.modulus
+        z = self._solver.solve(vec)
         if z is None:
             raise ValueError("vector is not a cycle")
-        x = _combine(e.V_cols, z, len(e.V_cols), mod)[: len(self._K)]
-        y = [_dot(row, x, mod) for row in self._U]
+        y = [_dot(row, z, mod) for row in self._U]  # rows of U read z[:k] alone
         out = []
         for i in self._kept:
             d = self._diag[i]

@@ -380,11 +380,17 @@ class D2Report:
         return self.matrix.is_zero()
 
 
+def d2_source(ext: SplitExtensionSpec) -> FinAbGroup:
+    """The source of d2 out of (0,2): the invariant degree-2 lattice classes,
+    H^0(pi, Hom(Lambda^2 N, M)), with their generators."""
+    return cohomology(ext.pi, lattice_cohomology(ext.N, ext.M, 2), 0).group
+
+
 def d2_02(ext: SplitExtensionSpec) -> D2Report:
     """The second-page differential from invariant degree-2 lattice classes
     to degree-2 classes of pi with coefficients in Hom(N, M), as a matrix on
     the generators of the source."""
-    inv = cohomology(ext.pi, lattice_cohomology(ext.N, ext.M, 2), 0).group
+    inv = d2_source(ext)
     e21 = e2_21(ext)
     cols = [list(e21.coords_on_res(c)) for c in d2_cocycles(ext, inv.generators)]
     mat = IntMatrix.from_columns(cols, nrows=len(e21.group.generators))

@@ -24,6 +24,7 @@ from torusbrauer.errors import NotAnInvolutionError, ValidationError
 from torusbrauer.groups import (
     MAX_INVOLUTION_RANK,
     MAX_RANK,
+    MAX_REAL_TORUS_LEVELS,
     FiniteGroup,
     GaloisDatum,
     canonical_involution,
@@ -310,6 +311,22 @@ class TestExitCodes:
         ident = IntMatrix.identity(MAX_INVOLUTION_RANK)
         doc = {"kind": "involution-lattice", "matrix": [list(row) for row in ident.entries]}
         assert parse_involution(doc) == ident
+
+    # refused before the document is read: the input does not exist
+    @pytest.mark.parametrize("count", [MAX_REAL_TORUS_LEVELS + 1, 1000])
+    def test_real_torus_levels_over_cap_validation(self, tmp_path, count):
+        levels = ",".join(str(n) for n in range(2, count + 2))
+        code, text = run(["real-torus", str(tmp_path / "absent.json"), "--modulus", levels])
+        assert code == EXIT_VALIDATION
+        assert text == f"validation error: {count} levels exceed {MAX_REAL_TORUS_LEVELS}\n"
+
+    def test_real_torus_levels_at_cap_run(self, tmp_path):
+        doc = {"kind": "involution-lattice", "matrix": [[0, 1], [1, 0]]}
+        levels = ",".join(["2"] * MAX_REAL_TORUS_LEVELS)
+        path = write(tmp_path, "swap.json", doc)
+        code, text = run(["--json", "real-torus", path, "--modulus", levels])
+        assert code == EXIT_OK
+        assert len(json.loads(text)["levels"]) == MAX_REAL_TORUS_LEVELS
 
     def test_cyclic_over_cap_validation(self, tmp_path):
         # refused before the 10^6 x 10^6 table is built
@@ -615,8 +632,9 @@ class TestChecksUnderOptimize:
 
 class TestSelftestCohom:
     def test_wrong_small_resolution_exits_4(self):
-        # every engine on the small resolution reports Z/7; the cohom suite
-        # must name the group, the degree and both structures
+        # every engine on the resolution of a non-cyclic group reports Z/7 in
+        # degrees 1 and 2; the cohom suite must name the group, the degree
+        # and both structures
         code = (
             "import sys\n"
             "import torusbrauer.cohomology as cohomology\n"
@@ -625,7 +643,8 @@ class TestSelftestCohom:
             "init = cohomology.GroupCohomology.__init__\n"
             "def wrong(self, *args, **kwargs):\n"
             "    init(self, *args, **kwargs)\n"
-            "    if isinstance(self.res, cohomology.SmallResolution):\n"
+            "    if (isinstance(self.res, cohomology.SmallResolution)\n"
+            "            and self.G.generator_if_cyclic() is None and self.degree >= 1):\n"
             "        self.group = FinAbGroup(0, (7,))\n"
             "cohomology.GroupCohomology.__init__ = wrong\n"
             "sys.exit(main(['selftest', '--suite', 'cohom']))\n"

@@ -89,7 +89,7 @@ class TestNoBarComplex:
         s3, _ = FiniteGroup.symmetric(3)
         M = regular_module(s3, 6)
         fresh = SmallResolution(s3)
-        monkeypatch.setattr(cohomology_module, "small_resolution", lambda G: fresh)
+        monkeypatch.setattr(cohomology_module, "free_resolution", lambda G: fresh)
         eng = GroupCohomology(s3, M, 0)
         for cls in eng.generator_classes():
             assert eng.classify(cls.cochain).coords == cls.coords

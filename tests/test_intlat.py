@@ -447,7 +447,6 @@ class TestInputsUnchanged:
         transforms = [_copy(m) for m in (s.U, s.D, s.V, s.u_inv, s.v_inv)]
         b = data.draw(st.lists(st.integers(-12, 12), min_size=a.rows, max_size=a.rows))
         solve(a, b, n)
-        solve(a, b, n, snf=s)
         kernel_basis(a, n)
         cokernel(a)
         assert a == before
