@@ -30,7 +30,7 @@ import time
 
 from . import __version__
 from .brauer import BrauerAnalysis
-from .cohomology import cohomology
+from .cohomology import bar_cohomology, cohomology
 from .errors import (
     DisagreementError,
     SchemaError,
@@ -368,8 +368,8 @@ def _suite_intlat(rng):
 
 
 def _suite_cohom(rng):
-    # the default engine, on each group's free resolution: the periodic terms
-    # of a cyclic group, the picked ones of V4 and S3
+    # the engine, on each group's free resolution (the periodic terms of a
+    # cyclic group, the picked ones of V4 and S3), against the bar complex
     c2 = FiniteGroup.cyclic(2)
     groups = [(f"C{m}", FiniteGroup.cyclic(m)) for m in (2, 3, 4)]
     groups += [("V4", FiniteGroup.direct_product(c2, c2)), ("S3", FiniteGroup.symmetric(3)[0])]
@@ -378,7 +378,7 @@ def _suite_cohom(rng):
             mod = CoeffModule.trivial(g, 1, m)
             for q in range(3):
                 small = cohomology(g, mod, q)
-                bar = cohomology(g, mod, q, resolution="bar")
+                bar = bar_cohomology(g, mod, q)
                 if not small.group.same_structure(bar.group):
                     raise DisagreementError(
                         f"H^{q}({name}, Z/{m}): small resolution {small.group} != bar {bar.group}"

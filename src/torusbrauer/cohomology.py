@@ -1,39 +1,33 @@
 """Cohomology of finite groups with CoeffModule coefficients.
 
-H^n(G, M) is computed on one of two kinds of complex:
+H^n(G, M) is computed on Hom_G(F, M) for one free resolution F of small
+rank per group (`free_resolution`): a cyclic group's terms are the periodic
+ones (norm / difference, given in every degree), any other group's are
+built by integer linear algebra.  Degree 0 reads no term past F_1.
 
-* the bar cochain complex (functions on n-tuples of group elements,
-  identity components included), whose classes need no conversion;
-* Hom_G(F, M) for a free resolution F of small rank, reached through
-  comparison chain maps sigma: F -> Bar and tau: Bar -> F.  F is one
-  `SmallResolution` per group (`free_resolution`): a cyclic group's terms
-  are the periodic ones (norm / difference, given in every degree), any
-  other group's are built by integer linear algebra.
+A cochain on F_n is a flat vector, indexed by the basis element e_b of F_n
+and then the coordinate in M: the values f(e_b).  Classes carry one, and
+`classify` and `coords_of` take one; a cocycle of a complex built on the
+same F, such as a row cocycle of a twisted resolution, is one as it is.
 
-By default every degree is computed on F; the bar complex stays as the
-reference engine (`resolution="bar"`).  Degree 0 reads no term past F_1.
+Restriction to a subgroup H and the transfer back are chain maps between
+F_H and F_G over Z[H], each one `chain_lift` through the contracting
+homotopy of its target: phi: F_H -> F_G, and theta: F_G -> F_H, with F_G
+read as a free Z[H]-module on the r.e_b, r a right coset rep (K. S. Brown,
+Cohomology of Groups, III.9).  Every map of cochains is built by
+`cochain_map` from chains: d_{p+1}(e_b) for the coboundaries, phi_n(e_b)
+for restriction and the terms r^-1 * theta(r.e_b) for the transfer.
 
-A class handed to restriction or transfer is a bar cochain, a flat vector
-indexed by `_tuple_index` and then coordinate; an engine on a resolution F
-reads a bar cocycle on sigma_n(e_b) and writes a class back as the bar
-cochain [T] |-> f(tau_n[T]).  A cocycle already on F, such as a row cocycle
-of a twisted resolution built on the same F, is classified with no
-comparison map (`coords_on_res`).
-
-Every comparison chain map is one `chain_lift` through the contracting
-homotopy of its target: sigma (F -> bar), tau (bar -> F) and the transfer's
-theta (bar of G over Z[H] -> bar of H).  Every map of cochains is built by
-`cochain_map` from chains, the images of the basis elements of the target
-resolution: bar faces for the bar coboundaries, d_{p+1}(e_b) for those on
-F, sigma_n(e_b) and tau_n([T]) for the comparison maps, embedded tuples for
-restriction and the terms r^-1 * theta(r [T]) for the transfer.
+The bar cochain complex (functions on n-tuples of group elements, identity
+components included) stays as the reference: `bar_cohomology` computes
+H^n on it from `bar_delta_matrix`, for the selftest and the tests.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial
 
 from .errors import DegreeTooLargeError, HomotopySolveFailureError, NotExactError, ValidationError
 from .groups import CoeffModule, FiniteGroup, Subgroup
@@ -43,19 +37,18 @@ from .intlat import (IntMatrix, Subquotient, _add_entry, _axpy, _columns_to_rows
 MAX_DEGREE = 3
 
 # The one bound on every memoised constructor: the cohomology engines,
-# resolutions, comparison maps and transfer data here, the lattice cohomology
-# modules and twisted resolutions in spectral.  One command builds a handful
-# of each; the bound keeps a sweep over many documents in one process from
-# holding all of them.
+# resolutions and subgroup chain maps here, the lattice cohomology modules
+# and twisted resolutions in spectral.  One command builds a handful of each;
+# the bound keeps a sweep over many documents in one process from holding
+# all of them.
 CACHE_SIZE = 32
 
 
 # ---------------------------------------------------------------------------
-# bar resolution (unnormalized), with its contracting homotopy
+# the bar resolution (unnormalized), the reference
 # ---------------------------------------------------------------------------
-# Elements of the degree-p term (free Z[G] on p-tuples) are dicts
-# {(T, g0): coeff} standing for sums of g0*[T].  Degree -1 is Z, written
-# {((), "aug"): c}; we keep it implicit and expose the augmentation instead.
+# The degree-p term is free Z[G] on p-tuples; a chain is a dict {(T, g0):
+# coeff} standing for the sum of the coeff * g0.[T].
 
 
 class BarResolution:
@@ -67,39 +60,20 @@ class BarResolution:
     def basis(self, p: int):
         return itertools.product(self.group.elements(), repeat=p)
 
-    def boundary_of_basis(self, T, g0=0):
-        """d(g0*[T]) as an element dict of degree len(T)-1: the bar faces.
-        d_0 = 0: the resolution is not augmented."""
+    def boundary_of_basis(self, T):
+        """d[T] as a chain of degree len(T)-1: the bar faces.  d_0 = 0: the
+        resolution is not augmented."""
         mul, p = self.group.table, len(T)
         if not p:
             return {}
-        out = {(T[1:], mul[g0][T[0]]): 1}
+        out = {(T[1:], T[0]): 1}
         sign = 1
         for i in range(1, p + 1):
             sign = -sign
             # face i < p multiplies entries i-1 and i; face p drops the last
             face = T[: i - 1] + (mul[T[i - 1]][T[i]],) + T[i + 1 :] if i < p else T[:-1]
-            _add_entry(out, (face, g0), sign, None)
+            _add_entry(out, (face, 0), sign, None)
         return out
-
-    def boundary(self, element: dict) -> dict:
-        out: dict = {}
-        for (T, g0), c in element.items():
-            _axpy(self.boundary_of_basis(T, g0), out, c, None)
-        return out
-
-    def homotopy(self, element: dict) -> dict:
-        """Z-linear h(g0*[T]) = [g0|T]; satisfies dh + hd = 1 - eta*eps."""
-        # (T, g0) -> (g0,) + T is one-to-one, so no two terms meet
-        return {((g0,) + T, 0): c for (T, g0), c in element.items()}
-
-    def act(self, g: int, element: dict) -> dict:
-        """g . element: g multiplies the coefficient g0 of each g0*[T]."""
-        mul = self.group.table[g]
-        return {(T, mul[g0]): c for (T, g0), c in element.items()}
-
-    def augmentation(self, element: dict) -> int:
-        return sum(c for (T, _), c in element.items() if not T)
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +111,13 @@ def cochain_map(M: CoeffModule, chains, nbasis: int) -> IntMatrix:
     return IntMatrix(tuple(rows), len(rows), nbasis * k)
 
 
+def _cohomology_of(delta, n: int, modulus) -> Subquotient:
+    """ker delta(n) / im delta(n - 1), with delta(-1) = 0."""
+    d_out = delta(n)
+    d_in = delta(n - 1) if n else IntMatrix.zero(d_out.cols, 0)
+    return Subquotient(d_out, d_in, modulus=modulus)
+
+
 def bar_delta_matrix(G: FiniteGroup, M: CoeffModule, p: int) -> IntMatrix:
     """Matrix of the inhomogeneous cochain differential C^p -> C^{p+1}: f
     evaluated on the bar faces of each (p+1)-tuple."""
@@ -148,8 +129,14 @@ def bar_delta_matrix(G: FiniteGroup, M: CoeffModule, p: int) -> IntMatrix:
     return cochain_map(M, faces, G.order**p)
 
 
+def bar_cohomology(G: FiniteGroup, M: CoeffModule, n: int) -> Subquotient:
+    """H^n(G, M) on the bar complex, |G|^n * rank(M) coordinates: the
+    reference the engine on F is compared with."""
+    return _cohomology_of(partial(bar_delta_matrix, G, M), n, M.modulus)
+
+
 # ---------------------------------------------------------------------------
-# comparison chain maps, lifted through a contracting homotopy
+# chain maps, lifted through a contracting homotopy
 # ---------------------------------------------------------------------------
 
 
@@ -365,27 +352,6 @@ def free_resolution(G: FiniteGroup) -> SmallResolution:
     return SmallResolution(G)
 
 
-@lru_cache(maxsize=CACHE_SIZE)
-def sigma_lift(res):
-    """sigma(p, b) = sigma_p(e_b) in Bar_p, for the chain map F -> Bar."""
-    bar = BarResolution(res.group)
-    return chain_lift(res.boundary, lambda p, x: bar.homotopy(x), bar.act, {((), 0): 1})
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def tau_lift(res):
-    """tau(p, T) = the image of the bar basis element [T] in F_p, for the
-    chain map Bar -> F; g acts on F by left multiplication."""
-    G, bar = res.group, BarResolution(res.group)
-
-    def act(g, x):  # left multiplication by g is one-to-one on the keys
-        row = G.table[g]
-        return {(b, row[h]): c for (b, h), c in x.items()}
-
-    return chain_lift(lambda p, T: [(T2, g0, c) for (T2, g0), c in bar.boundary_of_basis(T).items()],
-                      res.homotopy, act, {(0, 0): 1})
-
-
 # ---------------------------------------------------------------------------
 # the cohomology engine
 # ---------------------------------------------------------------------------
@@ -395,7 +361,7 @@ def tau_lift(res):
 class CohomologyClass:
     degree: int
     module: CoeffModule
-    cochain: tuple  # flat bar cochain, in the layout of _tuple_index
+    cochain: tuple  # a cocycle on F_n: f(e_b) for each b, then the coordinate
     coords: tuple
     engine: "GroupCohomology"
 
@@ -404,70 +370,31 @@ class CohomologyClass:
 
 
 class GroupCohomology:
-    """H^n(G, M) with class-of-cocycle and representative maps, on the bar
-    complex (`res` is None) or on Hom_G(F, M) for a resolution F = `res`."""
+    """H^n(G, M) on Hom_G(F_n, M) for F = free_resolution(G), with
+    class-of-cocycle and representative maps."""
 
-    def __init__(self, G: FiniteGroup, M: CoeffModule, degree: int, resolution="auto"):
+    def __init__(self, G: FiniteGroup, M: CoeffModule, degree: int):
         if degree < 0 or degree > MAX_DEGREE:
             raise DegreeTooLargeError(f"degree must be in 0..{MAX_DEGREE}")
         if M.group != G:
             raise ValidationError("module is not over the given group")
-        if resolution not in ("auto", "bar"):
-            raise ValueError("unknown resolution kind")
         self.G = G
         self.M = M
         self.degree = degree
-        # every degree on F; in degree 0, d^0 reads F_1 only: one block s - 1
-        # per generator s, not one block g - 1 per element as on bar
-        self.res = res = None if resolution == "bar" else free_resolution(G)
-        n = degree
-        if res is None:
-            delta = partial(bar_delta_matrix, G, M)
-        else:
-            def delta(p):  # C^p -> C^{p+1}: f |-> f(d e_b), e_b a basis element of F_{p+1}
-                return cochain_map(M, [res.boundary(p + 1, b) for b in range(res.rank(p + 1))],
-                                   res.rank(p))
+        # in degree 0, d^0 reads F_1 only: one block s - 1 per generator s,
+        # not one block g - 1 per element as on bar
+        self.res = res = free_resolution(G)
 
-        d_out = delta(n)
-        d_in = delta(n - 1) if n >= 1 else IntMatrix.zero(d_out.cols, 0)
-        self.sub = Subquotient(d_out, d_in, modulus=M.modulus)
+        def delta(p):  # C^p -> C^{p+1}: f |-> f(d e_b), e_b a basis element of F_{p+1}
+            return cochain_map(M, [res.boundary(p + 1, b) for b in range(res.rank(p + 1))],
+                               res.rank(p))
+
+        self.sub = _cohomology_of(delta, degree, M.modulus)
         self.group = self.sub.group
 
-    # -- comparison maps of an engine on a resolution, built on first use --
-    @cached_property
-    def _to_ambient(self) -> IntMatrix:
-        """A bar cochain evaluated on each sigma_n(e_b)."""
-        sigma, n = sigma_lift(self.res), self.degree
-        chains = ([(_tuple_index(self.G, T), g0, c) for (T, g0), c in sigma(n, b).items()]
-                  for b in range(self.res.rank(n)))
-        return cochain_map(self.M, chains, self.G.order**n)
-
-    @cached_property
-    def _from_ambient(self) -> IntMatrix:
-        """The bar cochain [T] |-> f(tau_n([T])) of a cochain f on the
-        resolution: one lift per tuple, |G|^n of them."""
-        tau, n = tau_lift(self.res), self.degree
-        chains = ([(b, g0, c) for (b, g0), c in tau(n, T).items()]
-                  for T in itertools.product(self.G.elements(), repeat=n))
-        return cochain_map(self.M, chains, self.res.rank(n))
-
-    # -- public surface ---------------------------------------------------
     def coords_of(self, cochain):
-        """The coordinates of the class of a bar cocycle."""
-        if self.res is not None:
-            cochain = self._to_ambient.apply(cochain, self.M.modulus)
-        return self.coords_on_res(cochain)
-
-    def coords_on_res(self, cochain):
-        """The coordinates of the class of a cocycle on the engine's own
-        complex: Hom_G(F_n, M) for a resolution F, the bar complex otherwise."""
+        """The coordinates of the class of a cocycle on F_n."""
         return self.sub.project(self.M.reduce(cochain))
-
-    def rep_of(self, coords) -> tuple:
-        vec = self.sub.lift(coords)
-        if self.res is not None:
-            return self._from_ambient.apply(vec, self.M.modulus)
-        return tuple(vec)
 
     def classify(self, cochain) -> CohomologyClass:
         return CohomologyClass(
@@ -477,7 +404,7 @@ class GroupCohomology:
     def class_from_coords(self, coords) -> CohomologyClass:
         coords = self.sub.coords_mod(coords)
         return CohomologyClass(
-            self.degree, self.M, self.rep_of(coords), coords, self
+            self.degree, self.M, tuple(self.sub.lift(coords)), coords, self
         )
 
     def generator_classes(self):
@@ -490,8 +417,8 @@ class GroupCohomology:
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def cohomology(G: FiniteGroup, M: CoeffModule, degree: int, resolution="auto") -> GroupCohomology:
-    return GroupCohomology(G, M, degree, resolution=resolution)
+def cohomology(G: FiniteGroup, M: CoeffModule, degree: int) -> GroupCohomology:
+    return GroupCohomology(G, M, degree)
 
 
 # ---------------------------------------------------------------------------
@@ -499,26 +426,19 @@ def cohomology(G: FiniteGroup, M: CoeffModule, degree: int, resolution="auto") -
 # ---------------------------------------------------------------------------
 
 
-def restriction(cls: CohomologyClass, sub: Subgroup) -> CohomologyClass:
-    """Restriction of a class to a subgroup, as a class over that subgroup."""
-    if sub.ambient != cls.engine.G:
-        raise ValidationError("subgroup of a different group")
-    MH, n = cls.module.restrict(sub), cls.degree
-    # the value on [T] is the value on the embedded tuple
-    chains = ([(_tuple_index(sub.ambient, [sub.embed[h] for h in T]), 0, 1)]
-              for T in itertools.product(sub.group.elements(), repeat=n))
-    cochain = cochain_map(MH, chains, sub.ambient.order**n).apply(cls.cochain)
-    return cohomology(sub.group, MH, n).classify(cochain)
-
-
 @lru_cache(maxsize=CACHE_SIZE)
-class _TransferData:
-    """The bar resolution of G is free over Z[H] on the r*[T], r running over
-    `reps`, the right coset reps of H; `theta(p, (r, T))` is the image of
-    r*[T] under the Z[H]-chain map to the bar resolution of H."""
+class _SubgroupMaps:
+    """The chain maps over Z[H] between the resolutions of G and of a
+    subgroup H, each lifted through the homotopy of its target.
+
+    `phi(p, b)` is the image of e_b of F_H in F_G, where h acts by
+    embed(h).  `theta(p, (b, r))` is the image in F_H of r.e_b of F_G: F_G
+    is free over Z[H] on these, r running over `reps`, the right coset reps
+    of H."""
 
     def __init__(self, sub: Subgroup):
-        G, barG, barH = sub.ambient, BarResolution(sub.ambient), BarResolution(sub.group)
+        G, H = sub.ambient, sub.group
+        FG, FH = free_resolution(G), free_resolution(H)
         # split[g] = (h, r) with g = embed(h) * r, r the first element of H*g
         self.reps, split = [], {}
         for r in G.elements():
@@ -527,15 +447,35 @@ class _TransferData:
                 for h, e in enumerate(sub.embed):
                     split[G.mul(e, r)] = (h, r)
 
-        def boundary(p, rT):  # g0*[T2] = h . (r2*[T2]) for g0 = embed(h) * r2
-            r, T = rT
+        def left_mul(row, x):  # one-to-one on the keys
+            return {(b, row[g]): c for (b, g), c in x.items()}
+
+        def boundary(p, br):  # r.d(e_b) = sum c * (r g).e_b2, r g = embed(h) * r2
+            b, r = br
             out = []
-            for (T2, g0), c in barG.boundary_of_basis(T, r).items():
-                h, r2 = split[g0]
-                out.append(((r2, T2), h, c))
+            for b2, g, c in FG.boundary(p, b):
+                h, r2 = split[G.mul(r, g)]
+                out.append(((b2, r2), h, c))
             return out
 
-        self.theta = chain_lift(boundary, lambda p, x: barH.homotopy(x), barH.act, {((), 0): 1})
+        self.phi = chain_lift(FH.boundary, FG.homotopy,
+                              lambda h, x: left_mul(G.table[sub.embed[h]], x), {(0, 0): 1})
+        self.theta = chain_lift(boundary, FH.homotopy, lambda h, x: left_mul(H.table[h], x),
+                                {(0, 0): 1})
+
+
+def restriction(cls: CohomologyClass, sub: Subgroup) -> CohomologyClass:
+    """Restriction of a class to a subgroup, as a class over that subgroup:
+    the cocycle f o phi."""
+    if sub.ambient != cls.engine.G:
+        raise ValidationError("subgroup of a different group")
+    n, phi = cls.degree, _SubgroupMaps(sub).phi
+    eng = cohomology(sub.group, cls.module.restrict(sub), n)
+    # the terms of phi carry elements of G, so the map acts through M
+    chains = ([(b2, g, c) for (b2, g), c in phi(n, b).items()] for b in range(eng.res.rank(n)))
+    cochain = cochain_map(cls.module, chains, cls.engine.res.rank(n)).apply(
+        cls.cochain, cls.module.modulus)
+    return eng.classify(cochain)
 
 
 def corestriction(sub: Subgroup, module: CoeffModule, cls: CohomologyClass) -> CohomologyClass:
@@ -543,16 +483,16 @@ def corestriction(sub: Subgroup, module: CoeffModule, cls: CohomologyClass) -> C
     lives over sub.group with coefficients module.restrict(sub)."""
     if cls.module != module.restrict(sub):
         raise ValidationError("class coefficients do not match the ambient module")
-    td = _TransferData(sub)
-    G, H, n = sub.ambient, sub.group, cls.degree
+    maps, G, n = _SubgroupMaps(sub), sub.ambient, cls.degree
+    eng = cohomology(G, module, n)
 
-    # sum over the right coset reps r of r^-1 * theta(r [T]): the r^-1 are
+    # sum over the right coset reps r of r^-1 * theta(r.e_b): the r^-1 are
     # left coset reps of H, and the sum does not depend on their choice
-    def chain(T):
-        return [(_tuple_index(H, TH), G.mul(G.inv(r), sub.embed[h0]), c)
-                for r in td.reps
-                for (TH, h0), c in td.theta(n, (r, T)).items()]
+    def chain(b):
+        return [(b2, G.mul(G.inv(r), sub.embed[h]), c)
+                for r in maps.reps
+                for (b2, h), c in maps.theta(n, (b, r)).items()]
 
-    chains = (chain(T) for T in itertools.product(G.elements(), repeat=n))
-    cochain = cochain_map(module, chains, H.order**n).apply(cls.cochain, module.modulus)
-    return cohomology(G, module, n).classify(cochain)
+    chains = (chain(b) for b in range(eng.res.rank(n)))
+    cochain = cochain_map(module, chains, cls.engine.res.rank(n)).apply(cls.cochain, module.modulus)
+    return eng.classify(cochain)

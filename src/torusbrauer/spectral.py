@@ -325,7 +325,7 @@ def e2_21(ext: SplitExtensionSpec) -> GroupCohomology:
     twisted resolution is built on: the entry is the degree-2 cohomology of
     pi with coefficients in Hom(N, M), and this engine works on the same F.
     A row cochain at (p,1) and a cochain on F_p share one flattening, so row
-    cocycles are classified by `coords_on_res`, with no comparison map.
+    cocycles are classified by `coords_of` as they are.
     """
     return cohomology(ext.pi, lattice_cohomology(ext.N, ext.M, 1), 2)
 
@@ -392,7 +392,7 @@ def d2_02(ext: SplitExtensionSpec) -> D2Report:
     the generators of the source."""
     inv = d2_source(ext)
     e21 = e2_21(ext)
-    cols = [list(e21.coords_on_res(c)) for c in d2_cocycles(ext, inv.generators)]
+    cols = [list(e21.coords_of(c)) for c in d2_cocycles(ext, inv.generators)]
     mat = IntMatrix.from_columns(cols, nrows=len(e21.group.generators))
     return D2Report(ext, inv, e21.group, mat)
 
@@ -415,7 +415,7 @@ class V2Class:
 
     def coords(self):
         if self._coords is None:
-            self._coords = e2_21(self.ext_univ).coords_on_res(self.cocycle)
+            self._coords = e2_21(self.ext_univ).coords_of(self.cocycle)
         return self._coords
 
     def is_zero(self) -> bool:
@@ -465,7 +465,7 @@ def pushforward_formula_check(ext: SplitExtensionSpec, alphas, rng) -> list[bool
             cocycle = tuple(a + b for a, b in zip(cocycle, d_univ.apply(pert)))
         rhs_vec = pushforward_cocycle(ext, uct_identify(ext, alpha), cocycle)
         diff = tuple(a - b for a, b in zip(lhs_vec, rhs_vec))
-        verdicts.append(not any(e2_21(ext).coords_on_res(diff)))
+        verdicts.append(not any(e2_21(ext).coords_of(diff)))
     return verdicts
 
 
@@ -487,7 +487,7 @@ def v2_additivity_check(N1: CoeffModule, N2: CoeffModule) -> bool:
         expected = [a + b for a, b in zip(expected, move.apply(v2(N).cocycle))]
         shift += N.rank
     diff = tuple(a - b for a, b in zip(vbig.cocycle, expected))
-    return not any(e2_21(vbig.ext_univ).coords_on_res(diff))
+    return not any(e2_21(vbig.ext_univ).coords_of(diff))
 
 
 # ---------------------------------------------------------------------------

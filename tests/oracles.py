@@ -13,6 +13,10 @@ For a non-cyclic group, |H^q(G, (Z/n)^k)| is counted on the normalised bar
 complex (cochains on q-tuples of non-identity elements), with the kernel
 orders of its coboundaries read off a diagonalisation over each Z/p^e
 dividing n.
+
+For a cyclic group, the chain maps between its periodic resolution and the
+bar resolution are written out in degrees 0..3, so that a cochain on one
+side can be read on the other with no lifting.
 """
 
 from __future__ import annotations
@@ -188,6 +192,57 @@ def bar_h_order(table, actions, n: int, q: int) -> int:
         return cycles
     rows, ncols = _bar_coboundary(table, actions, n, q - 1)
     return cycles * kernel_order(rows, ncols, n) // n**ncols
+
+
+def _powers(table, t):
+    """[1, t, t^2, ..] up to the order of t, element 0 the identity."""
+    out = [0]
+    while table[out[-1]][t] != 0:
+        out.append(table[out[-1]][t])
+    return out
+
+
+def periodic_sigma_star(table, t, z, k: int, q: int):
+    """The value on e_q of the pullback of the bar q-cochain z (flat: the
+    tuple in lexicographic order, then the coordinate in (Z/n)^k) along the
+    chain map sigma from the periodic resolution of the cyclic group <t>,
+    d = t - 1 in odd degrees and the norm in even ones, to the bar
+    resolution, written out: sigma_1(e) = [t], sigma_2(e) = sum_i [t^i|t],
+    sigma_3(e) = sum_i [t|t^i|t], each term with g0 = 1."""
+    powers, m = _powers(table, t), len(table)
+    tuples = {0: [()], 1: [(t,)], 2: [(g, t) for g in powers], 3: [(t, g, t) for g in powers]}[q]
+    out = [0] * k
+    for T in tuples:
+        idx = 0
+        for g in T:
+            idx = idx * m + g
+        out = [a + b for a, b in zip(out, z[idx * k : (idx + 1) * k])]
+    return out
+
+
+def periodic_tau_star(table, t, actions, f, n, q: int):
+    """The bar q-cochain [T] |-> f(tau_q[T]) (flat, as above, reduced mod n
+    unless n is None) of the value f = f(e_q) on the periodic resolution of
+    <t>, along the chain map tau back, written out with g = t^a:
+    tau_1[a] = 1 + .. + t^(a-1), tau_2[a|b] = 1 if a + b >= |G| (the
+    carry) and tau_3[a|b|c] = carry(b, c) * (1 + .. + t^(a-1))."""
+    powers, m = _powers(table, t), len(table)
+    exponent = {g: a for a, g in enumerate(powers)}
+    out = []
+    for T in itertools.product(range(m), repeat=q):
+        a = [exponent[g] for g in T]
+        if q == 0:
+            terms = [0]
+        elif q == 1:
+            terms = powers[: a[0]]
+        else:
+            carry = a[-2] + a[-1] >= m
+            terms = ([0] if q == 2 else powers[: a[0]]) if carry else []
+        val = [0] * len(f)
+        for g in terms:
+            val = [x + sum(c * y for c, y in zip(row, f)) for x, row in zip(val, actions[g])]
+        out.extend(x % n if n else x for x in val)
+    return out
 
 
 def involution_type(s):

@@ -4,22 +4,25 @@ import random
 
 import pytest
 
+from tests import oracles
+from tests.test_degree_zero import noncyclic_pairs
 from torusbrauer.cohomology import (
     MAX_DEGREE,
     BarResolution,
     SmallResolution,
-    _TransferData,
+    _SubgroupMaps,
+    bar_cohomology,
     bar_delta_matrix,
+    cochain_map,
     cohomology,
     corestriction,
     free_resolution,
     restriction,
-    sigma_lift,
-    tau_lift,
 )
 from torusbrauer.groups import (
     CoeffModule,
     FiniteGroup,
+    Subgroup,
     subgroup_generated,
 )
 from torusbrauer.errors import CompositionNonzeroError, NotExactError
@@ -35,6 +38,34 @@ def random_element(bar, p, rng, terms=3):
     return {k: v for k, v in out.items() if v}
 
 
+def bar_boundary(bar, x):
+    """d of a bar chain {(T, g0): c}: g0 times the bar faces of [T]."""
+    out = {}
+    for (T, g0), c in x.items():
+        for (face, g), c2 in bar.boundary_of_basis(T).items():
+            key = (face, bar.group.mul(g0, g))
+            out[key] = out.get(key, 0) + c * c2
+    return {k: v for k, v in out.items() if v}
+
+
+def random_free_element(res, p, rng, terms=3):
+    """A random element {(b, g): c} of F_p."""
+    out = {}
+    for _ in range(terms):
+        key = (rng.randrange(res.rank(p)), rng.randrange(res.group.order))
+        out[key] = out.get(key, 0) + rng.randrange(-3, 4)
+    return {k: v for k, v in out.items() if v}
+
+
+def cyclic_subgroups(G):
+    """The subgroup generated by each element of G, each once."""
+    subs = {}
+    for g in G.elements():
+        sub = subgroup_generated(G, [g])
+        subs.setdefault(sub.embed, sub)
+    return list(subs.values())
+
+
 def criterion6_groups():
     """The groups of the acceptance criterion-6 lattices."""
     c2 = FiniteGroup.cyclic(2)
@@ -44,33 +75,28 @@ def criterion6_groups():
 
 class TestZeroFreeChains:
     """No chain holds a zero coefficient: chains are summed by intlat's _axpy
-    and _add_entry, which store none, and BarResolution.homotopy copies terms
-    one for one."""
+    and _add_entry, which store none."""
 
     @pytest.mark.parametrize("name", sorted(criterion6_groups()))
     def test_bar_boundary_and_homotopy(self, name):
-        bar, rng = BarResolution(criterion6_groups()[name]), random.Random(name)
-        for p in range(2, MAX_DEGREE + 1):
+        # the bar faces, and the homotopy of the group's resolution F
+        G = criterion6_groups()[name]
+        bar, res, rng = BarResolution(G), free_resolution(G), random.Random(name)
+        for p in range(1, MAX_DEGREE + 1):
+            assert all(all(bar.boundary_of_basis(T).values()) for T in bar.basis(p))
             for _ in range(20):
-                x = random_element(bar, p, rng, terms=6)
-                d, h = bar.boundary(x), bar.homotopy(x)
-                for chain in (d, h, bar.boundary(d), bar.boundary(h), bar.homotopy(d)):
-                    assert all(chain.values())
+                assert all(res.homotopy(p, random_free_element(res, p - 1, rng, terms=6)).values())
 
     @pytest.mark.parametrize("name", sorted(criterion6_groups()))
     def test_comparison_chain_maps(self, name):
+        # restriction's phi and the transfer's theta, to every cyclic subgroup
         G = criterion6_groups()[name]
-        tuples = [(p, T) for p in range(MAX_DEGREE + 1)
-                  for T in itertools.product(G.elements(), repeat=p)]
-        chains = []
-        if G.generator_if_cyclic() is not None:
-            res = free_resolution(G)
-            sigma, tau = sigma_lift(res), tau_lift(res)
-            chains += [sigma(p, 0) for p in range(MAX_DEGREE + 1)]
-            chains += [tau(p, T) for p, T in tuples]
-        for g in G.elements():
-            td = _TransferData(subgroup_generated(G, [g]))
-            chains += [td.theta(p, (r, T)) for p, T in tuples for r in td.reps]
+        res, chains = free_resolution(G), []
+        for sub in cyclic_subgroups(G):
+            maps, res_h = _SubgroupMaps(sub), free_resolution(sub.group)
+            for p in range(MAX_DEGREE + 1):
+                chains += [maps.phi(p, b) for b in range(res_h.rank(p))]
+                chains += [maps.theta(p, (b, r)) for b in range(res.rank(p)) for r in maps.reps]
         assert all(all(chain.values()) for chain in chains)
 
 
@@ -88,35 +114,17 @@ class TestBarResolution:
         for p in range(2, 5):
             for _ in range(5):
                 x = random_element(bar, p, rng)
-                assert bar.boundary(bar.boundary(x)) == {}
+                assert bar_boundary(bar, bar_boundary(bar, x)) == {}
 
     @pytest.mark.parametrize("name", sorted(criterion6_groups()))
     def test_boundary_of_low_degrees(self, name):
         # d_0 = 0 (the resolution is not augmented), so a degree-1 chain has
         # a boundary of degree 0 whose boundary is empty
         bar, rng = BarResolution(criterion6_groups()[name]), random.Random(name)
-        assert bar.boundary_of_basis(()) == {} and bar.boundary_of_basis((), 1) == {}
+        assert bar.boundary_of_basis(()) == {}
         for p in (1, 2):
             for _ in range(5):
-                assert bar.boundary(bar.boundary(random_element(bar, p, rng))) == {}
-
-    def test_homotopy_identity(self):
-        s3, _ = FiniteGroup.symmetric(3)
-        bar = BarResolution(s3)
-        rng = random.Random(5)
-        for p in range(1, 3):
-            for _ in range(5):
-                x = random_element(bar, p, rng)
-                lhs = bar.boundary(bar.homotopy(x))
-                for k, v in bar.homotopy(bar.boundary(x)).items():
-                    lhs[k] = lhs.get(k, 0) + v
-                assert {k: v for k, v in lhs.items() if v} == x
-        # degree 0: dh + eta eps = id
-        for _ in range(5):
-            x = random_element(bar, 0, rng)
-            lhs = bar.boundary(bar.homotopy(x))
-            lhs[((), 0)] = lhs.get(((), 0), 0) + bar.augmentation(x)
-            assert {k: v for k, v in lhs.items() if v} == x
+                assert bar_boundary(bar, bar_boundary(bar, random_element(bar, p, rng))) == {}
 
     def test_delta_squares_to_zero(self):
         s3, _ = FiniteGroup.symmetric(3)
@@ -306,48 +314,11 @@ class TestPeriodic:
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
     def test_comparison_chain_maps(self, m):
-        g = FiniteGroup.cyclic(m)
-        per = free_resolution(g)
-        tau, sigma = tau_lift(per), sigma_lift(per)
-        bar = BarResolution(g)
-        rng = random.Random(m + 3)
-
-        def mul_by(ring_elem, y):
-            out = {}
-            for a, c in ring_elem.items():
-                for b, d in y.items():
-                    k = g.mul(a, b)
-                    out[k] = out.get(k, 0) + c * d
-            return {k: v for k, v in out.items() if v}
-
-        def tau_element(p, x):  # tau on sum c * g0[T], extended Z[G]-linearly
-            out = {}
-            for (T, g0), c in x.items():
-                for k, d in mul_by({g0: 1}, {g: c for (_, g), c in tau(p, T).items()}).items():
-                    out[k] = out.get(k, 0) + c * d
-            return {k: v for k, v in out.items() if v}
-
-        # tau is a chain map: d_per(tau(x)) = tau(d_bar(x))
-        for p in range(1, 4):
-            for _ in range(6):
-                x = random_element(bar, p, rng)
-                lhs = mul_by(d_of_one(per, p), tau_element(p, x))
-                rhs = tau_element(p - 1, bar.boundary(x))
-                assert lhs == rhs
-        # sigma is a chain map: d_bar(sigma_p(1)) = sigma_{p-1}(d_per(1))
-        for p in range(1, 4):
-            lhs = bar.boundary(sigma(p, 0))
-            rhs = {}
-            for h, c in d_of_one(per, p).items():
-                for (T, g0), c2 in sigma(p - 1, 0).items():
-                    key = (T, g.mul(h, g0))
-                    rhs[key] = rhs.get(key, 0) + c * c2
-            assert lhs == {k: v for k, v in rhs.items() if v}
-        # tau . sigma = id on the periodic side; on the trivial group d_1 = 0,
-        # so sigma_1(1) = h(0) = 0 and the two agree in degree 0 only
-        for p in range(4):
-            want = {0: 1} if m > 1 or p == 0 else {}
-            assert tau_element(p, sigma(p, 0)) == want
+        # restriction's phi and the transfer's theta between the periodic
+        # terms of C_m and of each of its subgroups are chain maps
+        for sub in cyclic_subgroups(FiniteGroup.cyclic(m)):
+            assert_phi_is_chain_map(sub, MAX_DEGREE)
+            assert_theta_is_chain_map(sub, MAX_DEGREE)
 
 
 class TestClassicalValues:
@@ -408,13 +379,13 @@ class TestCyclicVsBar:
         g = FiniteGroup.cyclic(m)
         mod = CoeffModule.trivial(g, 1, m)
         for q in range(3):
-            per = cohomology(g, mod, q)
-            bar = cohomology(g, mod, q, resolution="bar")
+            per, bar = cohomology(g, mod, q), bar_cohomology(g, mod, q)
             assert per.group.same_structure(bar.group)
-            # a periodic representative is recognized by the bar engine
+            # a representative on F, read on the bar complex through tau and
+            # back through sigma, has its class
             for cls in per.generator_classes():
-                coords = bar.coords_of(cls.cochain)
-                back = per.coords_of(bar.rep_of(coords))
+                coords = bar.project(tau_star(per, cls.cochain))
+                back = per.coords_of(sigma_star(per, bar.lift(coords)))
                 assert back == cls.coords
 
     @pytest.mark.parametrize("modulus", [6, None])
@@ -422,19 +393,17 @@ class TestCyclicVsBar:
         triv = FiniteGroup.trivial()
         mod = CoeffModule.trivial(triv, 2, modulus)
         for q in range(4):
-            per = cohomology(triv, mod, q)
-            bar = cohomology(triv, mod, q, resolution="bar")
+            per, bar = cohomology(triv, mod, q), bar_cohomology(triv, mod, q)
             assert per.group.same_structure(bar.group)
             for cls in per.generator_classes():
-                coords = bar.coords_of(cls.cochain)
-                assert per.coords_of(bar.rep_of(coords)) == cls.coords
+                coords = bar.project(tau_star(per, cls.cochain))
+                assert per.coords_of(sigma_star(per, bar.lift(coords))) == cls.coords
 
     def test_nontrivial_action_agreement(self):
         g = FiniteGroup.cyclic(4)
         mod = CoeffModule.mu(g, 4, (1, 3, 1, 3))
         for q in range(3):
-            per = cohomology(g, mod, q)
-            bar = cohomology(g, mod, q, resolution="bar")
+            per, bar = cohomology(g, mod, q), bar_cohomology(g, mod, q)
             assert per.group.same_structure(bar.group)
 
 
@@ -450,30 +419,72 @@ def s3_subgroups():
     return s3, subgroup_generated(s3, [rot]), subgroup_generated(s3, [refl])
 
 
+def s4_subgroups():
+    """S4 with its permutations, D4 (the symmetries of the square 0123), S3
+    (the stabilizer of 3), and V4 = <(0 2), (1 3)> as a subgroup of that D4,
+    not normal in S4."""
+    s4, perms = FiniteGroup.symmetric(4)
+    pid = {p: i for i, p in enumerate(perms)}
+    d4 = subgroup_generated(s4, [pid[(1, 2, 3, 0)], pid[(2, 1, 0, 3)]])
+    s3 = subgroup_generated(s4, [pid[(1, 0, 2, 3)], pid[(1, 2, 0, 3)]])
+    v4 = subgroup_generated(d4.group, [d4.embed.index(pid[(2, 1, 0, 3)]),
+                                       d4.embed.index(pid[(0, 3, 2, 1)])])
+    return s4, perms, d4, s3, v4
+
+
+def permutation_module(G, perms, modulus):
+    """Z^n (or (Z/m)^n) with G permuting the coordinates as `perms` say."""
+    n = len(perms[0])
+    mats = [IntMatrix.from_rows([[1 if p[j] == i else 0 for j in range(n)] for i in range(n)])
+            for p in perms]
+    return CoeffModule.make(G, n, modulus, mats)
+
+
+def s4_module(name):
+    G, perms, *_ = s4_subgroups()
+    if name == "trivial mod 12":
+        return CoeffModule.trivial(G, 1, 12)
+    return permutation_module(G, perms, None)
+
+
+def assert_cores_res_is_the_index(sub, mod, degree):
+    eng = cohomology(sub.ambient, mod, degree)
+    for cls in eng.generator_classes():
+        back = corestriction(sub, mod, restriction(cls, sub))
+        assert back.coords == eng.sub.coords_mod(tuple(sub.index * c for c in cls.coords))
+
+
 class TestResCores:
     @pytest.mark.parametrize("degree", [1, 2])
     def test_c4_c2(self, degree):
         G, sub = c4_c2_pair()
-        mod = CoeffModule.trivial(G, 1, 4)
-        eng = cohomology(G, mod, degree)
-        for cls in eng.generator_classes():
-            res = restriction(cls, sub)
-            back = corestriction(sub, mod, res)
-            expected = eng.sub.coords_mod(tuple(sub.index * c for c in cls.coords))
-            assert back.coords == expected
+        assert_cores_res_is_the_index(sub, CoeffModule.trivial(G, 1, 4), degree)
 
     @pytest.mark.parametrize("degree", [1, 2])
     @pytest.mark.parametrize("which", ["c3", "c2"])
     def test_s3(self, degree, which):
         G, sub3, sub2 = s3_subgroups()
         sub = sub3 if which == "c3" else sub2
-        mod = CoeffModule.trivial(G, 1, 6)
-        eng = cohomology(G, mod, degree)
-        for cls in eng.generator_classes():
-            res = restriction(cls, sub)
-            back = corestriction(sub, mod, res)
-            expected = eng.sub.coords_mod(tuple(sub.index * c for c in cls.coords))
-            assert back.coords == expected
+        assert_cores_res_is_the_index(sub, CoeffModule.trivial(G, 1, 6), degree)
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    @pytest.mark.parametrize("module", ["trivial mod 12", "permutations over Z"])
+    @pytest.mark.parametrize("which", ["D4", "S3"])
+    def test_s4(self, degree, module, which):
+        # non-normal, non-cyclic subgroups, of index 3 and 4
+        _, _, d4, s3, _ = s4_subgroups()
+        assert_cores_res_is_the_index(d4 if which == "D4" else s3, s4_module(module), degree)
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    @pytest.mark.parametrize("module", ["trivial mod 12", "permutations over Z"])
+    def test_transitivity(self, degree, module):
+        # res_K^H res_H^G = res_K^G along S4 > D4 > V4
+        G, _, d4, _, v4 = s4_subgroups()
+        v4_in_g = Subgroup(G, v4.group, tuple(d4.embed[k] for k in v4.embed))
+        mod = s4_module(module)
+        assert mod.restrict(v4_in_g) == mod.restrict(d4).restrict(v4)
+        for cls in cohomology(G, mod, degree).generator_classes():
+            assert restriction(restriction(cls, d4), v4).coords == restriction(cls, v4_in_g).coords
 
     def test_cores_lands_in_cocycles(self):
         # transferring any cocycle from C3 up to S3 yields a cocycle
@@ -492,37 +503,30 @@ class TestResCores:
 # ---------------------------------------------------------------------------
 
 
-def tuple_columns(G, n):
-    """Position of each n-tuple in the flat cochain layout."""
-    return {T: i for i, T in enumerate(itertools.product(G.elements(), repeat=n))}
-
-
 def add_moved(acc, M, g, c, value):
     """acc += c * (g . value) in place."""
     for j, x in enumerate(M.act(g, value)):
         acc[j] += c * x
 
 
-def sigma_ambient(eng, cochain):
-    """A bar cochain evaluated on sigma_n(1), term by term."""
-    M, k = eng.M, eng.M.rank
-    col = tuple_columns(eng.G, eng.degree)
-    vec = [0] * k
-    for (T, g0), c in sigma_lift(eng.res)(eng.degree, 0).items():
-        add_moved(vec, M, g0, c, cochain[col[T] * k : (col[T] + 1) * k])
-    return M.reduce(vec)
+def class_order(group, coords):
+    return math.lcm(*(t // math.gcd(c, t) for c, t in zip(coords, group.torsion)))
 
 
-def tau_cochain(eng, vec):
-    """The bar cochain [T] |-> f(tau_n([T])) of a periodic cochain f."""
-    M, tau = eng.M, tau_lift(eng.res)
-    out = []
-    for T in itertools.product(eng.G.elements(), repeat=eng.degree):
-        val = [0] * M.rank
-        for (_, g0), c in tau(eng.degree, T).items():
-            add_moved(val, M, g0, c, vec)
-        out.extend(M.reduce(val))
-    return tuple(out)
+def sigma_star(eng, z):
+    """A bar cocycle of the engine's degree read on the periodic F through
+    the oracle's sigma."""
+    G, M = eng.G, eng.M
+    return oracles.periodic_sigma_star(G.table, G.generator_if_cyclic(), z, M.rank, eng.degree)
+
+
+def tau_star(eng, f):
+    """A cochain on the periodic F read on the bar complex through the
+    oracle's tau."""
+    G, M = eng.G, eng.M
+    actions = [a.entries for a in M.action]
+    return oracles.periodic_tau_star(G.table, G.generator_if_cyclic(), actions, f, M.modulus,
+                                     eng.degree)
 
 
 def periodic_reference(eng):
@@ -551,14 +555,33 @@ def cyclic_modules(m):
     return out
 
 
-def bar_cocycles(G, M, n, rng, count=4):
-    """Random bar n-cocycles: class representatives plus coboundaries."""
-    bar = cohomology(G, M, n, resolution="bar")
-    reps = [cls.cochain for cls in bar.generator_classes()]
-    d_in = bar_delta_matrix(G, M, n - 1) if n else None
+def bar_cocycles(bar, M, n, rng, count=4):
+    """Random bar n-cocycles, each with its coordinates on the bar
+    generators: a sum of the generators plus a coboundary."""
+    d_in = bar_delta_matrix(M.group, M, n - 1) if n else None
     out = []
     for _ in range(count):
-        z = [0] * (G.order**n * M.rank)
+        coeffs = [rng.randrange(-2, 3) for _ in bar.group.generators]
+        z = [0] * bar.ambient
+        for c, rep in zip(coeffs, bar.group.generators):
+            z = [a + c * b for a, b in zip(z, rep)]
+        if d_in is not None:
+            pert = [rng.randrange(-2, 3) for _ in range(d_in.cols)]
+            z = [a + b for a, b in zip(z, d_in.apply(pert))]
+        out.append((tuple(M.reduce(z)), coeffs))
+    return out
+
+
+def free_cocycles(G, M, n, rng, count=4):
+    """Random n-cocycles on F: a sum of the engine's representatives plus a
+    coboundary."""
+    res = free_resolution(G)
+    reps = [cls.cochain for cls in cohomology(G, M, n).generator_classes()]
+    d_in = (cochain_map(M, [res.boundary(n, b) for b in range(res.rank(n))], res.rank(n - 1))
+            if n else None)
+    out = []
+    for _ in range(count):
+        z = [0] * (res.rank(n) * M.rank)
         for rep in reps:
             c = rng.randrange(-2, 3)
             z = [a + c * b for a, b in zip(z, rep)]
@@ -570,9 +593,9 @@ def bar_cocycles(G, M, n, rng, count=4):
 
 
 class TestPeriodicMaps:
-    """The periodic engine's coboundaries and comparison maps against their
-    definitions: t - 1 and the norm, evaluation on sigma_n(1), and the
-    values on tau_n([T])."""
+    """The engine on the periodic terms against the bar complex: t - 1 and
+    the norm, and the chain maps sigma: F -> Bar and tau: Bar -> F written
+    out in tests/oracles.py, with no lifting."""
 
     @pytest.mark.parametrize("m", range(1, 7))
     def test_coboundaries(self, m):
@@ -583,61 +606,104 @@ class TestPeriodicMaps:
 
     @pytest.mark.parametrize("m", range(1, 7))
     def test_coords_of_is_evaluation_on_sigma(self, m):
+        # a bar cocycle evaluated on sigma_n(e) is a cocycle on F; in
+        # positive degree the images of the bar generators have their orders
+        # and span the engine's group, and a coboundary goes to 0
         rng = random.Random(m)
         for M in cyclic_modules(m):
             for n in range(4 if m <= 4 else 3):
-                eng = cohomology(M.group, M, n)
-                for z in bar_cocycles(M.group, M, n, rng):
-                    assert eng.coords_of(z) == eng.sub.project(sigma_ambient(eng, z))
+                eng, bar = cohomology(M.group, M, n), bar_cohomology(M.group, M, n)
+                images = [eng.coords_of(sigma_star(eng, z)) for z in bar.group.generators]
+                if n:
+                    assert [class_order(eng.group, c) for c in images] == list(bar.group.torsion)
+                    assert len(span_of(images, eng.group.torsion)) == eng.group.order()
+                for z, coeffs in bar_cocycles(bar, M, n, rng):
+                    want = [sum(c * v[i] for c, v in zip(coeffs, images))
+                            for i in range(len(eng.group.generators))]
+                    assert eng.coords_of(sigma_star(eng, z)) == eng.sub.coords_mod(want)
 
     @pytest.mark.parametrize("m", range(1, 7))
     def test_rep_of_is_tau(self, m):
+        # a representative on F read on tau_n([T]) is a bar cocycle (project
+        # raises otherwise), and read back on sigma_n(e) it has its class
         rng = random.Random(m)
         for M in cyclic_modules(m):
             for n in range(4 if m <= 4 else 3):
-                eng = cohomology(M.group, M, n)
-                ngen = len(eng.group.generators)
+                eng, bar = cohomology(M.group, M, n), bar_cohomology(M.group, M, n)
                 for _ in range(3):
-                    coords = tuple(rng.randrange(-3, 4) for _ in range(ngen))
-                    want = tau_cochain(eng, eng.sub.lift(coords))
-                    assert eng.rep_of(coords) == want
+                    coords = tuple(rng.randrange(-3, 4) for _ in eng.group.generators)
+                    cls = eng.class_from_coords(coords)
+                    on_bar = tau_star(eng, cls.cochain)
+                    bar.project(on_bar)
+                    assert eng.coords_of(sigma_star(eng, on_bar)) == cls.coords
 
 
-def restricted_cochain(cls, sub):
-    """[T] |-> f([embed T]) for T over the subgroup."""
-    k = cls.module.rank
-    col = tuple_columns(sub.ambient, cls.degree)
-    out = []
-    for T in itertools.product(sub.group.elements(), repeat=cls.degree):
-        c = col[tuple(sub.embed[h] for h in T)]
-        out.extend(cls.cochain[c * k : (c + 1) * k])
-    return tuple(out)
+def assert_phi_is_chain_map(sub, top):
+    """d_G phi_p(e_b) = phi_{p-1}(d_H e_b) for p = 1..top, h acting on F_G
+    by embed(h)."""
+    G, phi = sub.ambient, _SubgroupMaps(sub).phi
+    res_g, res_h = free_resolution(G), free_resolution(sub.group)
+    for p in range(1, top + 1):
+        for b in range(res_h.rank(p)):
+            rhs = {}
+            for b2, h, c in res_h.boundary(p, b):
+                for (b3, g), c2 in phi(p - 1, b2).items():
+                    key = (b3, G.mul(sub.embed[h], g))
+                    rhs[key] = rhs.get(key, 0) + c * c2
+            assert free_boundary(res_g, p, phi(p, b)) == {k: v for k, v in rhs.items() if v}
 
 
-def theta_of(sub, p, g0, T):
-    """theta_p(g0 [T]) in the bar resolution of the subgroup: g0 = h * r with r
-    one of the right coset reps theta is built on, and theta is Z[H]-linear."""
-    td = _TransferData(sub)
-    G = sub.ambient
-    for r in td.reps:
+def theta_of(sub, p, g0, b):
+    """theta_p(g0.e_b) in F_H: g0 = embed(h) * r with r one of the right
+    coset reps theta is built on, and theta is Z[H]-linear."""
+    maps, G = _SubgroupMaps(sub), sub.ambient
+    for r in maps.reps:
         x = G.mul(g0, G.inv(r))
         if x in sub.embed:
             h = sub.embed.index(x)
-            return {(TH, sub.group.mul(h, h0)): c for (TH, h0), c in td.theta(p, (r, T)).items()}
+            return {(b2, sub.group.mul(h, h0)): c for (b2, h0), c in maps.theta(p, (b, r)).items()}
     raise AssertionError("no right coset rep")
 
 
-def transferred_cochain(sub, module, cls):
-    """[T] |-> sum_r r . f(theta(r^-1 [T])) over left coset reps r."""
-    G, k, n = sub.ambient, module.rank, cls.degree
-    col = tuple_columns(sub.group, n)
+def assert_theta_is_chain_map(sub, top):
+    """d_H theta_p(g0.e_b) = theta_{p-1}(d_G(g0.e_b)) for every g0 in G and
+    p = 1..top."""
+    G = sub.ambient
+    res_g, res_h = free_resolution(G), free_resolution(sub.group)
+    for p in range(1, top + 1):
+        for b in range(res_g.rank(p)):
+            for g0 in G.elements():
+                rhs = {}
+                for b2, g, c in res_g.boundary(p, b):
+                    for key, c2 in theta_of(sub, p - 1, G.mul(g0, g), b2).items():
+                        rhs[key] = rhs.get(key, 0) + c * c2
+                lhs = free_boundary(res_h, p, theta_of(sub, p, g0, b))
+                assert lhs == {k: v for k, v in rhs.items() if v}
+
+
+def restricted_cochain(cls, sub):
+    """e_b |-> f(phi_n(e_b)) for e_b in F_n of the subgroup, term by term."""
+    M, k, n = cls.module, cls.module.rank, cls.degree
+    phi = _SubgroupMaps(sub).phi
     out = []
-    for T in itertools.product(G.elements(), repeat=n):
+    for b in range(free_resolution(sub.group).rank(n)):
+        val = [0] * k
+        for (b2, g), c in phi(n, b).items():
+            add_moved(val, M, g, c, cls.cochain[b2 * k : (b2 + 1) * k])
+        out.extend(M.reduce(val))
+    return tuple(out)
+
+
+def transferred_cochain(sub, module, cls):
+    """e_b |-> sum_r r . f(theta(r^-1 e_b)) over left coset reps r."""
+    G, k, n = sub.ambient, module.rank, cls.degree
+    out = []
+    for b in range(free_resolution(G).rank(n)):
         total = [0] * k
         for r in sub.left_coset_reps():
             val = [0] * k
-            for (TH, h0), c in theta_of(sub, n, G.inv(r), T).items():
-                add_moved(val, cls.module, h0, c, cls.cochain[col[TH] * k : (col[TH] + 1) * k])
+            for (b2, h0), c in theta_of(sub, n, G.inv(r), b).items():
+                add_moved(val, cls.module, h0, c, cls.cochain[b2 * k : (b2 + 1) * k])
             add_moved(total, module, r, 1, val)
         out.extend(module.reduce(total))
     return tuple(out)
@@ -672,29 +738,19 @@ class TestInducedMaps:
 
     @pytest.mark.parametrize("which", ["C4 > C2", "S3 > C3", "S3 > C2"])
     def test_theta_is_chain_map(self, which):
-        # d_H theta_p(g0 [T]) = theta_{p-1}(d_G(g0 [T])) for every g0 in G,
-        # the right coset reps r among them
+        # and phi, restriction's chain map
         _, c4_c2 = c4_c2_pair()
         _, s3_c3, s3_c2 = s3_subgroups()
         sub = {"C4 > C2": c4_c2, "S3 > C3": s3_c3, "S3 > C2": s3_c2}[which]
-        G = sub.ambient
-        bar_g, bar_h = BarResolution(G), BarResolution(sub.group)
-        for p in range(1, 4):
-            for g0 in G.elements():
-                for T in itertools.product(G.elements(), repeat=p):
-                    rhs = {}
-                    for (T2, g2), c in bar_g.boundary_of_basis(T, g0).items():
-                        for key, c2 in theta_of(sub, p - 1, g2, T2).items():
-                            rhs[key] = rhs.get(key, 0) + c * c2
-                    lhs = bar_h.boundary(theta_of(sub, p, g0, T))
-                    assert lhs == {k: v for k, v in rhs.items() if v}
+        assert_theta_is_chain_map(sub, MAX_DEGREE)
+        assert_phi_is_chain_map(sub, MAX_DEGREE)
 
     @pytest.mark.parametrize("degree", [0, 1, 2])
     @pytest.mark.parametrize("case", sorted(res_cores_cases()))
     def test_restriction(self, case, degree):
         sub, mod = res_cores_cases()[case]
         rng = random.Random(degree)
-        for z in bar_cocycles(sub.ambient, mod, degree, rng):
+        for z in free_cocycles(sub.ambient, mod, degree, rng):
             cls = cohomology(sub.ambient, mod, degree).classify(z)
             assert restriction(cls, sub).cochain == restricted_cochain(cls, sub)
 
@@ -704,9 +760,91 @@ class TestInducedMaps:
         sub, mod = res_cores_cases()[case]
         mh = mod.restrict(sub)
         rng = random.Random(degree)
-        for z in bar_cocycles(sub.group, mh, degree, rng):
+        for z in free_cocycles(sub.group, mh, degree, rng):
             cls = cohomology(sub.group, mh, degree).classify(z)
             assert corestriction(sub, mod, cls).cochain == transferred_cochain(sub, mod, cls)
+
+
+def oracle_cases():
+    """(subgroup, module over the ambient group) of every restriction and
+    transfer case: res_cores_cases, the degree-0 pairs, S4 > D4 and S4 > S3."""
+    G, perms, d4, s3, _ = s4_subgroups()
+    cases = {**res_cores_cases(), **noncyclic_pairs()}
+    cases["S4 > D4 permutations over Z"] = (d4, permutation_module(G, perms, None))
+    cases["S4 > S3 permutations mod 12"] = (s3, permutation_module(G, perms, 12))
+    return cases
+
+
+def f1_generators(G):
+    """The s_b of d_1(e_b) = s_b - 1 on F_1 (the identity where d_1 = 0)."""
+    res = free_resolution(G)
+    return [next((g for _, g, c in res.boundary(1, b) if c == 1), 0) for b in range(res.rank(1))]
+
+
+def homomorphism_values(G, gens, values, m):
+    """phi(g) for every g in G from phi(s) = value on the generators s, by
+    phi(x s) = phi(x) + phi(s) along words from the identity; checks that
+    phi is a homomorphism to Z/m."""
+    phi, frontier = {0: 0}, [0]
+    while frontier:
+        x = frontier.pop()
+        for s, v in zip(gens, values):
+            y = G.mul(x, s)
+            if y not in phi:
+                phi[y] = (phi[x] + v) % m
+                frontier.append(y)
+    assert len(phi) == G.order
+    assert all(phi[G.mul(x, y)] == (phi[x] + phi[y]) % m for x in phi for y in phi)
+    return phi
+
+
+class TestInducedMapsOracle:
+    """Restriction and transfer against values that share no code with
+    chain_lift or any homotopy.  In degree 0 a class is its fixed vector:
+    restriction keeps it, and the transfer is the norm over the left coset
+    reps.  In degree 1 with trivial Z/m coefficients a class is a
+    homomorphism phi: G -> Z/m, read off F_1 as phi(s_b) = f(e_b), and its
+    restriction is phi o embed; the transfer of a homomorphism psi on H is
+    psi o V, V the transfer to H^ab: V(g) = sum_i h_i over a left
+    transversal t_i of H, with g t_i = t_j h_i."""
+
+    @pytest.mark.parametrize("case", sorted(oracle_cases()))
+    def test_degree_zero(self, case):
+        sub, M = oracle_cases()[case]
+        for cls in cohomology(sub.ambient, M, 0).generator_classes():
+            assert restriction(cls, sub).cochain == cls.cochain
+        for cls in cohomology(sub.group, M.restrict(sub), 0).generator_classes():
+            norm = [0] * M.rank
+            for r in sub.left_coset_reps():
+                add_moved(norm, M, r, 1, cls.cochain)
+            assert corestriction(sub, M, cls).cochain == tuple(M.reduce(norm))
+
+    @pytest.mark.parametrize("m", [2, 4, 6])
+    @pytest.mark.parametrize("case", sorted(oracle_cases()))
+    def test_degree_one(self, case, m):
+        sub, _ = oracle_cases()[case]
+        G, rng = sub.ambient, random.Random(case)
+        eng = cohomology(G, CoeffModule.trivial(G, 1, m), 1)
+        coords = [tuple(rng.randrange(m) for _ in eng.group.generators) for _ in range(3)]
+        classes = eng.generator_classes() + [eng.class_from_coords(c) for c in coords]
+        gens_h = f1_generators(sub.group)
+        for cls in classes:
+            phi = homomorphism_values(G, f1_generators(G), cls.cochain, m)
+            want = tuple(phi[sub.embed[s]] for s in gens_h)
+            assert restriction(cls, sub).cochain == want
+        engh = cohomology(sub.group, CoeffModule.trivial(sub.group, 1, m), 1)
+        reps = sub.left_coset_reps()
+        for cls in engh.generator_classes():
+            psi = homomorphism_values(sub.group, gens_h, cls.cochain, m)
+            want = []
+            for s in f1_generators(G):
+                total = 0
+                for t in reps:  # s t = t_j h with h in H
+                    h = next(G.mul(G.inv(u), G.mul(s, t)) for u in reps
+                             if G.mul(G.inv(u), G.mul(s, t)) in sub.embed)
+                    total += psi[sub.embed.index(h)]
+                want.append(total % m)
+            assert corestriction(sub, CoeffModule.trivial(G, 1, m), cls).cochain == tuple(want)
 
 
 # ---------------------------------------------------------------------------
@@ -826,14 +964,16 @@ class TestSmallResolution:
         G = noncyclic_groups()[name][0]
         M = CoeffModule.trivial(G, 1, m)
         for q in (1, 2):
-            eng, bar = cohomology(G, M, q), cohomology(G, M, q, resolution="bar")
+            eng, bar = cohomology(G, M, q), bar_cohomology(G, M, q)
             assert eng.res is free_resolution(G)
             assert eng.group.same_structure(bar.group)
             for cls in eng.generator_classes():
-                assert eng.coords_of(eng.rep_of(cls.coords)) == cls.coords
-            # the bar engine's generator classes generate the whole group
-            images = [eng.coords_of(cls.cochain) for cls in bar.generator_classes()]
-            assert len(span_of(images, eng.group.torsion)) == eng.group.order()
+                assert eng.coords_of(cls.cochain) == cls.coords
+        # a bar 1-cocycle z is a homomorphism, read on F_1 as f(e_b) = z(s_b)
+        # for d_1(e_b) = s_b - 1: the bar generators span the engine's group
+        eng, bar = cohomology(G, M, 1), bar_cohomology(G, M, 1)
+        images = [eng.coords_of([z[s] for s in f1_generators(G)]) for z in bar.group.generators]
+        assert len(span_of(images, eng.group.torsion)) == eng.group.order()
 
 
 def span_of(vectors, orders):
