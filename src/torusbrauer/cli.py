@@ -75,7 +75,8 @@ def load_document(path: str, kind: str) -> dict:
             doc = json.load(fh)
     except OSError as e:
         raise SchemaError(f"cannot read input: {e}") from e
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:
+        # ValueError: bad syntax, non-UTF-8 bytes or too long an integer
         raise SchemaError(f"input is not valid JSON: {e}") from e
     if not isinstance(doc, dict) or "kind" not in doc:
         raise SchemaError('input must be a JSON object with a "kind" tag')

@@ -15,7 +15,7 @@ F_H and F_G over Z[H], each one `chain_lift` through the contracting
 homotopy of its target: phi: F_H -> F_G, and theta: F_G -> F_H, with F_G
 read as a free Z[H]-module on the r.e_b, r a right coset rep (K. S. Brown,
 Cohomology of Groups, III.9).  Every map of cochains is built by
-`cochain_map` from chains: d_{p+1}(e_b) for the coboundaries, phi_n(e_b)
+`cochain_map` from chains: d_{p+1}(e_b) for `coboundary`, phi_n(e_b)
 for restriction and the terms r^-1 * theta(r.e_b) for the transfer.
 
 The bar cochain complex (functions on n-tuples of group elements, identity
@@ -37,10 +37,10 @@ from .intlat import (IntMatrix, Subquotient, _add_entry, _axpy, _columns_to_rows
 MAX_DEGREE = 3
 
 # The one bound on every memoised constructor: the cohomology engines,
-# resolutions and subgroup chain maps here, the lattice cohomology modules
-# and twisted resolutions in spectral.  One command builds a handful of each;
-# the bound keeps a sweep over many documents in one process from holding
-# all of them.
+# coboundaries, resolutions and subgroup chain maps here, the lattice
+# cohomology modules and twisted resolutions in spectral.  One command builds
+# a handful of each; the bound keeps a sweep over many documents in one
+# process from holding all of them.
 CACHE_SIZE = 32
 
 
@@ -357,6 +357,16 @@ def free_resolution(G: FiniteGroup) -> SmallResolution:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=CACHE_SIZE)
+def coboundary(G: FiniteGroup, M: CoeffModule, p: int) -> IntMatrix:
+    """The coboundary C^p -> C^{p+1} of Hom_G(F, M), F = free_resolution(G):
+    f |-> f(d e_b), e_b a basis element of F_{p+1}.  Memoised: the engines
+    of degrees p and p + 1 read it, and so does the pushforward check of
+    spectral, which perturbs the universal cocycle by it."""
+    res = free_resolution(G)
+    return cochain_map(M, [res.boundary(p + 1, b) for b in range(res.rank(p + 1))], res.rank(p))
+
+
 @dataclass
 class CohomologyClass:
     degree: int
@@ -383,13 +393,8 @@ class GroupCohomology:
         self.degree = degree
         # in degree 0, d^0 reads F_1 only: one block s - 1 per generator s,
         # not one block g - 1 per element as on bar
-        self.res = res = free_resolution(G)
-
-        def delta(p):  # C^p -> C^{p+1}: f |-> f(d e_b), e_b a basis element of F_{p+1}
-            return cochain_map(M, [res.boundary(p + 1, b) for b in range(res.rank(p + 1))],
-                               res.rank(p))
-
-        self.sub = _cohomology_of(delta, degree, M.modulus)
+        self.res = free_resolution(G)
+        self.sub = _cohomology_of(partial(coboundary, G, M), degree, M.modulus)
         self.group = self.sub.group
 
     def coords_of(self, cochain):

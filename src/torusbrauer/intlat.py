@@ -160,8 +160,9 @@ class SmithDecomposition:
     modulus n given to `smith`) the equation holds mod n, every entry of D,
     U, V and their inverses lies in [0, n), each d_i divides n or is 0, and
     the invariant factors gcd(d_i, n) form a divisibility chain (0 reads as
-    n).  u_inv and v_inv are carried along because cokernel generators and
-    class lifts need them.
+    n).  u_inv and v_inv complete the decomposition, A = u_inv D v_inv;
+    cokernel and Subquotient.lift do not read them, but the transforms of
+    their own eliminations.
     """
 
     U: IntMatrix

@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
 
-from .cohomology import CACHE_SIZE, GroupCohomology, cochain_map, cohomology, free_resolution
+from .cohomology import (CACHE_SIZE, GroupCohomology, coboundary, cochain_map, cohomology,
+                         free_resolution)
 from .errors import (
     HomotopySolveFailureError,
     NotInvariantError,
@@ -325,16 +326,10 @@ def e2_21(ext: SplitExtensionSpec) -> GroupCohomology:
     twisted resolution is built on: the entry is the degree-2 cohomology of
     pi with coefficients in Hom(N, M), and this engine works on the same F.
     A row cochain at (p,1) and a cochain on F_p share one flattening, so row
-    cocycles are classified by `coords_of` as they are.
+    cocycles are classified by `coords_of` as they are, and the row
+    differential out of (p,1) is the engine's `coboundary(pi, Hom(N, M), p)`.
     """
     return cohomology(ext.pi, lattice_cohomology(ext.N, ext.M, 1), 2)
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def row_coboundaries(ext: SplitExtensionSpec) -> IntMatrix:
-    """The row differential C^{1,1} -> C^{2,1}, whose image is the coboundary
-    subgroup at bidegree (2,1)."""
-    return CochainComplex(ext, twisted_resolution(ext.N)).delta_matrix(1, 1, 1)
 
 
 def _check_invariant(mod: CoeffModule, vec):
@@ -371,7 +366,6 @@ def d2_cocycles(ext: SplitExtensionSpec, alphas) -> tuple:
 
 @dataclass
 class D2Report:
-    ext: SplitExtensionSpec
     source: FinAbGroup  # invariants of Hom(Lambda^2 N, M)
     target: FinAbGroup  # H^2(pi, Hom(N, M))
     matrix: IntMatrix  # target coordinates of d2 on each source generator
@@ -394,7 +388,7 @@ def d2_02(ext: SplitExtensionSpec) -> D2Report:
     e21 = e2_21(ext)
     cols = [list(e21.coords_of(c)) for c in d2_cocycles(ext, inv.generators)]
     mat = IntMatrix.from_columns(cols, nrows=len(e21.group.generators))
-    return D2Report(ext, inv, e21.group, mat)
+    return D2Report(inv, e21.group, mat)
 
 
 # ---------------------------------------------------------------------------
@@ -407,8 +401,7 @@ class V2Class:
     """Degree-2 class of pi with coefficients Hom(N, Lambda^2 N), given by an
     explicit row cocycle; coordinates are computed on demand."""
 
-    N: CoeffModule
-    ext_univ: SplitExtensionSpec
+    ext_univ: SplitExtensionSpec  # its lattice is the N of the class
     cocycle: tuple
 
     _coords: tuple | None = field(default=None, repr=False)
@@ -427,14 +420,12 @@ def v2(N: CoeffModule) -> V2Class:
     """d2 of the identity, with the universal coefficient module Lambda^2 N.
     Memoised: every level and command on one lattice reads one class."""
     ext = SplitExtensionSpec(N, exterior_power(N, 2))
-    if N.rank < 2:
-        return V2Class(N, ext, (0,) * 0, _coords=())
     nsub = ext.M.rank
     # the identity element of Hom(Lambda^2 N, Lambda^2 N), flattened
     alpha = [0] * (nsub * nsub)
     for s in range(nsub):
         alpha[s * nsub + s] = 1
-    return V2Class(N, ext, d2_cocycles(ext, [alpha])[0])
+    return V2Class(ext, d2_cocycles(ext, [alpha])[0])
 
 
 def pushforward_cocycle(ext: SplitExtensionSpec, atilde: IntMatrix, src):
@@ -451,18 +442,18 @@ def pushforward_formula_check(ext: SplitExtensionSpec, alphas, rng) -> list[bool
 
     To keep the two sides on genuinely different representatives, the
     universal cocycle is first shifted by a random coboundary, drawn afresh
-    for each alpha, before being pushed forward.  The difference of the two
-    sides is judged by its coordinates in E2^{2,1}, from the engine d2
-    builds.
+    for each alpha, before being pushed forward: a random 1-cochain under
+    the coboundary of Hom_pi(F, Hom(N, Lambda^2 N)), which the E2^{2,1}
+    engine of the universal class reads too.  When Lambda^2 N = 0 that
+    matrix is empty and nothing is drawn.  The difference of the two sides
+    is judged by its coordinates in E2^{2,1}, from the engine d2 builds.
     """
     vcl = v2(ext.N)
-    d_univ = row_coboundaries(vcl.ext_univ) if ext.N.rank >= 2 else None
+    d_univ = coboundary(ext.pi, lattice_cohomology(ext.N, vcl.ext_univ.M, 1), 1)
     verdicts = []
     for alpha, lhs_vec in zip(alphas, d2_cocycles(ext, alphas)):
-        cocycle = vcl.cocycle
-        if d_univ is not None:
-            pert = tuple(rng.randrange(-3, 4) for _ in range(d_univ.cols))
-            cocycle = tuple(a + b for a, b in zip(cocycle, d_univ.apply(pert)))
+        pert = tuple(rng.randrange(-3, 4) for _ in range(d_univ.cols))
+        cocycle = tuple(a + b for a, b in zip(vcl.cocycle, d_univ.apply(pert)))
         rhs_vec = pushforward_cocycle(ext, uct_identify(ext, alpha), cocycle)
         diff = tuple(a - b for a, b in zip(lhs_vec, rhs_vec))
         verdicts.append(not any(e2_21(ext).coords_of(diff)))

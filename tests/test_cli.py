@@ -121,6 +121,29 @@ class TestGolden:
         assert json.dumps(doc, sort_keys=True, indent=2) + "\n" == text
 
 
+class TestRankOneLattice:
+    """d2 and v2 on the C2 sign lattice of rank 1, where Lambda^2 N = 0,
+    pinned as they were printed before v2 and the pushforward check lost
+    their rank-below-2 branches."""
+
+    DOC = {"kind": "split-extension", "pi": {"cyclic": 2}, "action": [[[1]], [[-1]]],
+           "coefficients": {"mu": 4, "chi": [1, 3]}}
+    INPUT = '"input": {\n    "kind": "split-extension",\n    "pi_order": 2,\n    "rank": 1\n  }'
+    OUTPUT = {
+        "d2": ('{\n  "command": "d2",\n  "d2_matrix": [\n    []\n  ],\n  "d2_zero": true,\n  '
+               + INPUT + ',\n  "pushforward_formula": [],\n  "source": "0",\n  "target": "Z/2",\n'
+               '  "version": "0.1.0"\n}\n'),
+        "v2": ('{\n  "command": "v2",\n  ' + INPUT + ',\n  "pushforward_formula": [],\n'
+               '  "v2_coords": [],\n  "v2_zero": true,\n  "version": "0.1.0"\n}\n'),
+    }
+
+    @pytest.mark.parametrize("command", ["d2", "v2"])
+    def test_json(self, tmp_path, command):
+        path = write(tmp_path, "rank1.json", self.DOC)
+        for seed in ("0", "7"):
+            assert run(["--json", "--seed", seed, command, path]) == (EXIT_OK, self.OUTPUT[command])
+
+
 class TestReportedValues:
     def test_qi_group(self):
         _, text = run(["--json", "qt-brauer", str(INPUTS / "qi_datum.json")])
@@ -175,10 +198,23 @@ class TestExitCodes:
         code, _ = run(["qt-brauer", path])
         assert code == EXIT_SCHEMA
 
+    NOT_JSON = {
+        "syntax": b"{nope",
+        # the decoder recurses once per level: RecursionError
+        "nested 100,000 deep": b"[" * 100_000,
+        # over Python's 4,300-digit limit on int(): ValueError
+        "5,000-digit integer": b"1" * 5_000,
+        # UnicodeDecodeError
+        "not UTF-8": b'{"kind": "\xff"}',
+    }
+
     def test_not_json_schema(self, tmp_path):
         p = tmp_path / "broken.json"
-        p.write_text("{nope")
-        assert run(["qt-brauer", str(p)])[0] == EXIT_SCHEMA
+        for name, content in self.NOT_JSON.items():
+            p.write_bytes(content)
+            code, out = run(["qt-brauer", str(p)])
+            assert code == EXIT_SCHEMA, name
+            assert out.startswith("input error: ") and out.count("\n") == 1, name
 
     def test_missing_file_schema(self):
         assert run(["qt-brauer", "/nonexistent/input.json"])[0] == EXIT_SCHEMA
