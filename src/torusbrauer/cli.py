@@ -40,6 +40,7 @@ from .errors import (
 from .groups import (
     MAX_GROUP_ORDER,
     MAX_INVOLUTION_RANK,
+    MAX_LEVEL,
     MAX_REAL_TORUS_LEVELS,
     CoeffModule,
     FiniteGroup,
@@ -110,7 +111,16 @@ def _level(doc: dict, key: str) -> int:
     val = _require(doc, key, int)
     if val < 2:
         raise SchemaError(f'field "{key}" must be a level of at least 2')
-    return val
+    return _capped_level(val, f'field "{key}"')
+
+
+def _capped_level(n: int, what: str) -> int:
+    """The level n, unless it is above groups.MAX_LEVEL."""
+    if n > MAX_LEVEL:
+        raise ValidationError(
+            f"{what} has {n.bit_length()} bits, above the {MAX_LEVEL.bit_length()}-bit cap"
+        )
+    return n
 
 
 def _matrix(data, what: str) -> IntMatrix:
@@ -226,9 +236,67 @@ def render_symbol(sym) -> str:
     return f"cores_{{E({i + 1},{j + 1})/k}} (y{i + 1}, {second})_{{{sym.modulus}}}"
 
 
+# the C escaper of json; json.dumps with an indent reaches it only through
+# its pure-Python encoder, one generator step per item
+_escape = json.encoder.encode_basestring_ascii
+
+
+def to_json(obj, pad: str = "") -> str:
+    """The text of `json.dumps(obj, sort_keys=True, indent=2)`, `obj` written
+    at indentation `pad`.  A container writes its str and int items in its
+    own loop, without a call each.  Keys must be `str`: any other key or
+    value type raises `TypeError`."""
+    if isinstance(obj, str):
+        return _escape(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return _float(obj)
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        # _escape refuses a key that is not a str
+        items = [
+            _escape(k) + ": " + (
+                _escape(v) if type(v) is str
+                else int.__repr__(v) if type(v) is int
+                else to_json(v, inner)
+            )
+            for k, v in sorted(obj.items())
+        ]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [
+            _escape(v) if type(v) is str
+            else int.__repr__(v) if type(v) is int
+            else to_json(v, inner)
+            for v in obj
+        ]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _float(x: float) -> str:
+    """A float as `json` writes it, NaN and the infinities included."""
+    if math.isnan(x):
+        return "NaN"
+    if math.isinf(x):
+        return "Infinity" if x > 0 else "-Infinity"
+    return float.__repr__(x)
+
+
 def emit(report: dict, as_json: bool) -> str:
     if as_json:
-        return json.dumps(report, sort_keys=True, indent=2) + "\n"
+        return to_json(report) + "\n"
     lines = []
 
     def walk(obj, indent=0):
@@ -487,7 +555,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv) -> tuple[int, str]:
     args = build_parser().parse_args(argv)
-    rng = random.Random(args.seed)
     try:
         if args.command == "qt-brauer":
             report = cmd_qt_brauer(load_document(args.input, "galois-datum"))
@@ -502,11 +569,13 @@ def run(argv) -> tuple[int, str]:
                 raise SchemaError("--modulus levels must be at least 2")
             if len(moduli) > MAX_REAL_TORUS_LEVELS:  # each level runs its own d2
                 raise ValidationError(f"{len(moduli)} levels exceed {MAX_REAL_TORUS_LEVELS}")
+            for n in moduli:
+                _capped_level(n, "a --modulus level")
             report = cmd_real_torus(load_document(args.input, "involution-lattice"), moduli)
         elif args.command == "d2":
-            report = cmd_d2(load_document(args.input, "split-extension"), rng)
+            report = cmd_d2(load_document(args.input, "split-extension"), random.Random(args.seed))
         elif args.command == "v2":
-            report = cmd_v2(load_document(args.input, "split-extension"), rng)
+            report = cmd_v2(load_document(args.input, "split-extension"), random.Random(args.seed))
         else:
             report = cmd_selftest(args.suite, args.seed)
     except SchemaError as e:

@@ -26,10 +26,14 @@ MAX_RANK = 120
 # 1.2 s at the default levels 2,4 (2 cores, Python 3.11).
 MAX_INVOLUTION_RANK = 32
 # The most levels one real-torus call takes: each level runs its own d2.  At
-# rank 32 eight levels 2..9 take about 2.1 s and 36 MB; the worst case, eight
-# levels of 4,200 digits (near the longest integer Python parses), 16 s and
-# 48 MB (2 cores, Python 3.11).
+# rank 32 eight levels 2..9 take about 2.1 s and 36 MB (2 cores, Python 3.11).
 MAX_REAL_TORUS_LEVELS = 8
+# The largest level n a document or --modulus may name (mu_n, Z/n): the
+# largest 64-bit integer.  At rank 32, on types (32, 0, 0) and (16, 16, 0),
+# the eight levels below the cap take 2.5-3.0 s against 2.0-2.4 s for 2..9;
+# eight levels of 4,200 digits (near the longest integer Python parses) took
+# 16 s and 48 MB (2 cores, Python 3.11).
+MAX_LEVEL = 2**64 - 1
 
 
 @dataclass(frozen=True)

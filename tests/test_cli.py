@@ -19,10 +19,12 @@ from torusbrauer.cli import (
     build_parser,
     parse_involution,
     run,
+    to_json,
 )
 from torusbrauer.errors import NotAnInvolutionError, ValidationError
 from torusbrauer.groups import (
     MAX_INVOLUTION_RANK,
+    MAX_LEVEL,
     MAX_RANK,
     MAX_REAL_TORUS_LEVELS,
     FiniteGroup,
@@ -119,6 +121,88 @@ class TestGolden:
         _, text = run(["--json", "qt-brauer", str(INPUTS / "qi_datum.json")])
         doc = json.loads(text)
         assert json.dumps(doc, sort_keys=True, indent=2) + "\n" == text
+
+
+# strings with the characters JSON escapes, ints past 64 bits, every float
+JSON_SCALARS = (
+    st.text(
+        st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\ud800\U0001f600')
+        | st.characters()
+    )
+    | st.integers()
+    | st.integers(min_value=-(10**40), max_value=10**40)
+    | st.floats()
+    | st.booleans()
+    | st.none()
+)
+JSON_TREES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+class TestJsonWriter:
+    """`to_json` writes the bytes of json.dumps(x, sort_keys=True, indent=2)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(JSON_TREES)
+    def test_equals_json_dumps(self, tree):
+        assert to_json(tree) == json.dumps(tree, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {1: "a"},
+            {"a": 1, 2: "b"},
+            [{"a": {None: 0}}],
+            {(1, 2): 3},
+            {"a": {1, 2}},
+            [b"bytes"],
+            (object(),),
+            {"a": [1, 2j]},
+        ],
+        ids=["int-key", "mixed-keys", "nested-none-key", "tuple-key", "set", "bytes", "object",
+             "complex"],
+    )
+    def test_refuses_what_it_does_not_write(self, obj):
+        with pytest.raises(TypeError):
+            to_json(obj)
+
+
+class TestSeedIndependence:
+    # every document of the two commands that draw nothing at random
+    SEEDLESS = [
+        (command, path.name)
+        for path in sorted(INPUTS.glob("*.json"))
+        for kind, command in [("galois-datum", "qt-brauer"), ("involution-lattice", "real-torus")]
+        if json.loads(path.read_text())["kind"] == kind
+    ]
+
+    @pytest.mark.parametrize("command, name", SEEDLESS)
+    def test_output_does_not_depend_on_the_seed(self, command, name):
+        outputs = {run(["--json", "--seed", seed, command, str(INPUTS / name)]) for seed in "07"}
+        ((code, _),) = outputs
+        assert code == EXIT_OK
+
+
+class TestStdlibOnly:
+    def test_only_stdlib_modules_load(self):
+        # -S keeps the site directory, and the modules its .pth files import,
+        # out of the process
+        script = (
+            "import sys; sys.path.insert(0, 'src'); import torusbrauer.cli as cli; "
+            "cli.run(['--json', 'd2', 'examples_cli/ind_extension.json']); "
+            "cli.run(['selftest', '--suite', 'intlat']); "
+            "print(' '.join(sorted({m.partition('.')[0] for m in sys.modules})))"
+        )
+        argv = [sys.executable, "-S", "-c", script]
+        out = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, check=True).stdout
+        loaded = set(out.split()) - {"__main__"}
+        assert "torusbrauer" in loaded
+        assert loaded - {"torusbrauer"} <= sys.stdlib_module_names
 
 
 class TestRankOneLattice:
@@ -363,6 +447,53 @@ class TestExitCodes:
         code, text = run(["--json", "real-torus", path, "--modulus", levels])
         assert code == EXIT_OK
         assert len(json.loads(text)["levels"]) == MAX_REAL_TORUS_LEVELS
+
+    # refused before the document is read
+    @pytest.mark.parametrize("level", [MAX_LEVEL + 1, 10**4200], ids=["cap+1", "4201-digits"])
+    def test_real_torus_level_over_cap_validation(self, tmp_path, level):
+        code, text = run(["real-torus", str(tmp_path / "absent.json"), "--modulus", f"2,{level}"])
+        assert code == EXIT_VALIDATION
+        bits = level.bit_length()
+        assert text == (
+            f"validation error: a --modulus level has {bits} bits, above the 64-bit cap\n"
+        )
+
+    def test_real_torus_level_at_cap_run(self):
+        code, text = run(
+            ["--json", "real-torus", str(INPUTS / "ind_lattice.json"), "--modulus", str(MAX_LEVEL)]
+        )
+        assert code == EXIT_OK
+        assert [level["n"] for level in json.loads(text)["levels"]] == [MAX_LEVEL]
+
+    @pytest.mark.parametrize(
+        "field, coefficients",
+        [
+            ("mu", {"mu": MAX_LEVEL + 1, "chi": [1, 1]}),
+            ("mu", {"mu": 10**4200, "chi": [1, 1]}),
+            ("modulus", {"rank": 1, "modulus": MAX_LEVEL + 1, "matrices": [[[1]], [[1]]]}),
+        ],
+        ids=["mu-cap+1", "mu-4201-digits", "modulus-cap+1"],
+    )
+    @pytest.mark.parametrize("command", ["d2", "v2"])
+    def test_level_over_cap_validation(self, tmp_path, command, field, coefficients):
+        doc = json.loads((INPUTS / "ind_extension.json").read_text())
+        doc["coefficients"] = coefficients
+        code, text = run([command, write(tmp_path, "huge.json", doc)])
+        assert code == EXIT_VALIDATION
+        assert text.startswith(f'validation error: field "{field}" has ') and text.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "coefficients",
+        [
+            {"mu": MAX_LEVEL, "chi": [1, 1]},
+            {"rank": 1, "modulus": MAX_LEVEL, "matrices": [[[1]], [[1]]]},
+        ],
+        ids=["mu", "modulus"],
+    )
+    def test_level_at_cap_d2(self, tmp_path, coefficients):
+        doc = json.loads((INPUTS / "ind_extension.json").read_text())
+        doc["coefficients"] = coefficients
+        assert run(["d2", write(tmp_path, "cap.json", doc)])[0] == EXIT_OK
 
     def test_cyclic_over_cap_validation(self, tmp_path):
         # refused before the 10^6 x 10^6 table is built
