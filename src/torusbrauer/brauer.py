@@ -24,8 +24,8 @@ import math
 from dataclasses import dataclass
 
 from .cohomology import cohomology
-from .errors import RankTooSmallError
-from .groups import GaloisDatum, pair_module
+from .errors import ValidationError
+from .groups import MAX_ORACLE_ENTRIES, GaloisDatum, pair_module
 from .intlat import FinAbGroup, IntMatrix, _smith_reduce, invariant_factors
 
 
@@ -76,7 +76,7 @@ def pair_orbits(datum: GaloisDatum):
     """Orbit partition of the unordered coordinate pairs, with one
     lexicographically smallest representative per orbit."""
     if datum.r < 2:
-        raise RankTooSmallError("need at least two coordinates")
+        raise ValidationError("need at least two coordinates")
     pairs = list(itertools.combinations(range(datum.r), 2))
     seen, orbits, reps = set(), [], []
     for p in pairs:  # in order: p is the least pair of its orbit
@@ -185,6 +185,12 @@ class BrauerAnalysis:
 
     def __init__(self, datum: GaloisDatum):
         orbits, reps = pair_orbits(datum)
+        pairs = math.comb(datum.r, 2)
+        if len(orbits) * pairs > MAX_ORACLE_ENTRIES:  # at most one oracle generator per orbit
+            raise ValidationError(
+                f"the oracle generators may hold {len(orbits)} x {pairs} = "
+                f"{len(orbits) * pairs} entries, above the {MAX_ORACLE_ENTRIES} cap"
+            )
         self.datum = datum
         self.reports = {
             pair: _orbit_report(datum, pair, orbit) for orbit in orbits for pair in orbit

@@ -141,7 +141,7 @@ def _matrix(data, what: str) -> IntMatrix:
 
 def parse_galois_datum(doc: dict) -> GaloisDatum:
     r = _require(doc, "r", int)
-    M = _positive(doc, "M")
+    M = _capped_level(_positive(doc, "M"), 'field "M"')
     gens = _require(doc, "generators", list)
     pairs = []
     for g in gens:

@@ -29,7 +29,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
-from .errors import DegreeTooLargeError, HomotopySolveFailureError, NotExactError, ValidationError
+from .errors import DisagreementError, ValidationError
 from .groups import CoeffModule, FiniteGroup, Subgroup
 from .intlat import (IntMatrix, Subquotient, _add_entry, _axpy, _columns_to_rows,
                      _kernel_columns, _smith_reduce)
@@ -204,7 +204,7 @@ class SmallResolution:
     index.  The picking stops at full rank and index 1 in the kernel, which
     is the exactness of F at F_{p-1}; on a Z-basis of the kernel one pass
     gets there, since every basis vector ends in the span.  If the span
-    never gets there, NotExactError is raised; `check_exact` runs the same
+    never gets there, ValidationError is raised; `check_exact` runs the same
     picking on the generators a term has, given terms included.
 
     An element of F_p is a dict {(b, g): c} standing for the sum of the
@@ -268,7 +268,7 @@ class SmallResolution:
 
     def _spanning(self, p: int, vectors) -> list:
         """The chains d_{p+1}(e_b) of the vectors picked, in order, to span
-        ker d_p with their G-translates; raises NotExactError if they never
+        ker d_p with their G-translates; raises ValidationError if they never
         do."""
         n, mul = self.group.order, self.group.table
         e = self._smith(p)
@@ -299,17 +299,17 @@ class SmallResolution:
             for g in range(1, n):
                 _grow_span(span, coords(v, g))
         if not full(span):
-            raise NotExactError(
+            raise ValidationError(
                 f"resolution is not exact at F_{p}: the translates span rank "
                 f"{len(span)} of {k}, with pivots {sorted(span[j][j] for j in span)}"
             )
         return taken
 
     def check_exact(self, p: int) -> None:
-        """Raise NotExactError unless the translates of the d_{p+1}(e_b) lie
+        """Raise ValidationError unless the translates of the d_{p+1}(e_b) lie
         in ker d_p and span it."""
         if not self.matrix(p).mul(self.matrix(p + 1)).is_zero():
-            raise NotExactError(f"d_{p} d_{p + 1} != 0")
+            raise ValidationError(f"d_{p} d_{p + 1} != 0")
         n = self.group.order
         self._spanning(p, [{b * n + g: c for b, g, c in chain} for chain in self._boundaries(p + 1)])
 
@@ -337,7 +337,7 @@ class SmallResolution:
                 vec[b2 * n + g2] = c
             y = self._smith(p).solve(vec)
             if y is None:
-                raise HomotopySolveFailureError(
+                raise DisagreementError(
                     f"d_{p} y = x - h(d x) has no solution at {g}.e_{b}"
                 )
             self._h[key] = {divmod(i, n): c for i, c in enumerate(y) if c}
@@ -385,7 +385,7 @@ class GroupCohomology:
 
     def __init__(self, G: FiniteGroup, M: CoeffModule, degree: int):
         if degree < 0 or degree > MAX_DEGREE:
-            raise DegreeTooLargeError(f"degree must be in 0..{MAX_DEGREE}")
+            raise ValidationError(f"degree must be in 0..{MAX_DEGREE}")
         if M.group != G:
             raise ValidationError("module is not over the given group")
         self.G = G

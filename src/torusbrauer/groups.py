@@ -9,18 +9,19 @@ from dataclasses import dataclass, field
 from math import gcd
 from operator import itemgetter
 
-from .errors import (
-    NonSignCharacterOnLatticeError,
-    NotAnInvolutionError,
-    NotASubgroupError,
-    ValidationError,
-)
+from .errors import ValidationError
 from .intlat import IntMatrix, _det, _smith_reduce, smith
 
 MAX_GROUP_ORDER = 10000
 # The largest r of a Galois datum: qt-brauer works on the r(r-1)/2 coordinate
 # pairs, and r = 120 (7,140 pairs) already takes seconds.
 MAX_RANK = 120
+# The most entries qt-brauer's oracle generators may hold, estimated as (pair
+# orbits) x C(r, 2) before the pair module is built.  Under it, the trivial
+# group at r = 53 (1,378 x 1,378) takes 1.2 s and 115 MB for a 17 MB --json
+# report, and the 120-cycle (60 x 7,140) 4-5 s and 259 MB; the trivial group
+# at r = 80 took 6.8 s and 957 MB (2 cores, Python 3.11).
+MAX_ORACLE_ENTRIES = 2_000_000
 # The largest rank of a real-torus involution: d2 on the canonical lattice
 # grows as rank^4, and the worst type at rank 32, (32, 0, 0), takes about
 # 1.2 s at the default levels 2,4 (2 cores, Python 3.11).
@@ -259,7 +260,7 @@ def subgroup_from_ids(G: FiniteGroup, ids) -> Subgroup:
     for a in ids:
         for b in ids:
             if G.mul(a, b) not in idset:
-                raise NotASubgroupError("subset is not closed under multiplication")
+                raise ValidationError("subset is not closed under multiplication")
     index = {g: i for i, g in enumerate(ids)}
     table = tuple(tuple(index[G.mul(a, b)] for b in ids) for a in ids)
     return Subgroup(G, FiniteGroup(table), tuple(ids))
@@ -459,7 +460,7 @@ def tate_twist(lattice: CoeffModule, chi_values) -> CoeffModule:
     """Multiply every action matrix by the sign chi_values[g]."""
     for u in chi_values:
         if u not in (1, -1):
-            raise NonSignCharacterOnLatticeError(
+            raise ValidationError(
                 "lattice twists need a sign-valued character"
             )
     mats = tuple(m.scale(chi_values[g]) for g, m in zip(lattice.group.elements(), lattice.action))
@@ -517,7 +518,7 @@ def c2_decompose(S: IntMatrix) -> C2Decomposition:
     n = S.rows
     ident = IntMatrix.identity(n)
     if S.cols != n or S.mul(S) != ident:
-        raise NotAnInvolutionError("matrix is not an involution")
+        raise ValidationError("matrix is not an involution")
 
     plus = _smith_reduce(S.add(ident), None, {"V", "V_inv"})
     k = sum(1 for dj in plus.diagonal() if dj)
@@ -553,7 +554,7 @@ def _verified(S: IntMatrix, a: int, b: int, c: int, P: IntMatrix) -> C2Decomposi
 def involution_lattice(S: IntMatrix) -> CoeffModule:
     """C2-lattice defined by a single involution matrix."""
     if S.mul(S) != IntMatrix.identity(S.rows):
-        raise NotAnInvolutionError("matrix is not an involution")
+        raise ValidationError("matrix is not an involution")
     return CoeffModule(FiniteGroup.cyclic(2), S.rows, None, (IntMatrix.identity(S.rows), S))
 
 

@@ -8,11 +8,12 @@ ints, so nothing ever overflows.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import partial
 from math import gcd
 
-from .errors import CompositionNonzeroError
+from .errors import ValidationError
 
 
 @dataclass(frozen=True)
@@ -543,36 +544,24 @@ class FinAbGroup:
 
 
 def invariant_factors(cyclic_orders) -> tuple[int, ...]:
-    """Invariant factors of a direct sum of cyclic groups Z/m (m >= 1)."""
-    primary: dict[int, list[int]] = {}
+    """Invariant factors d_1 | d_2 | ... (all >= 2) of a direct sum of cyclic
+    groups Z/m (m >= 1), folded in one Z/m at a time without factoring."""
+    chain: list[int] = []  # a divisibility chain, smallest first
     for m in cyclic_orders:
         if m < 1:
             raise ValueError("cyclic order must be >= 1")
-        mm = m
-        p = 2
-        while p * p <= mm:
-            if mm % p == 0:
-                e = 0
-                while mm % p == 0:
-                    mm //= p
-                    e += 1
-                primary.setdefault(p, []).append(p**e)
-            p += 1
-        if mm > 1:
-            primary.setdefault(mm, []).append(mm)
-    for p in primary:
-        primary[p].sort(reverse=True)
-    k = max((len(v) for v in primary.values()), default=0)
-    factors = []
-    for i in range(k):
-        f = 1
-        for p, powers in primary.items():
-            if i < len(powers):
-                f *= powers[i]
-        factors.append(f)
-    factors = [f for f in factors if f >= 2]
-    factors.reverse()
-    return tuple(factors)
+        # m divides a top segment of the chain, which Z/m leaves as it is; at
+        # the d below it Z/d + Z/m = Z/lcm(d, m) + Z/gcd(d, m), and the gcd
+        # goes on down
+        i = len(chain)
+        while m > 1 and (i := bisect_left(chain, True, 0, i, key=lambda d: d % m == 0)):
+            i -= 1
+            g = gcd(chain[i], m)
+            chain[i] = chain[i] // g * m
+            m = g
+        if m > 1:
+            chain.insert(0, m)
+    return tuple(chain)
 
 
 class Subquotient:
@@ -590,7 +579,7 @@ class Subquotient:
         if d_out.cols != d_in.rows:
             raise ValueError("chain dimensions do not match")
         if not d_out.mul(d_in, modulus).is_zero():
-            raise CompositionNonzeroError("d_out * d_in != 0")
+            raise ValidationError("d_out * d_in != 0")
         if modulus is not None and modulus < 1:
             raise ValueError("modulus must be >= 1")
         self.modulus = modulus

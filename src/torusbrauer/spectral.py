@@ -23,11 +23,7 @@ from math import comb
 
 from .cohomology import (CACHE_SIZE, GroupCohomology, coboundary, cochain_map, cohomology,
                          free_resolution)
-from .errors import (
-    HomotopySolveFailureError,
-    NotInvariantError,
-    ValidationError,
-)
+from .errors import DisagreementError, ValidationError
 from .groups import (
     CoeffModule,
     FiniteGroup,
@@ -248,7 +244,7 @@ class TwistedResolution:
                 for B, S in self.basis(p, q):
                     one = {((0,) * self.r, 0, B, S): 1}
                     if self.total_d(self.total_d(one)):
-                        raise HomotopySolveFailureError(
+                        raise DisagreementError(
                             f"d^2 != 0 on basis element at bidegree {(p, q)}"
                         )
         return True
@@ -266,7 +262,7 @@ class TwistedResolution:
                 for (a, u, B, S), c in elem.items():
                     _add_entry(want, ((0,) * self.r, u, B, S), -c, None)
             if lhs != want:
-                raise HomotopySolveFailureError("contracting homotopy identity fails")
+                raise DisagreementError("contracting homotopy identity fails")
         return True
 
 
@@ -336,7 +332,7 @@ def _check_invariant(mod: CoeffModule, vec):
     vec = tuple(mod.reduce(vec))
     for g in mod.group.generators:  # enough: see FiniteGroup
         if tuple(mod.act(g, vec)) != vec:
-            raise NotInvariantError("class is not fixed by the group action")
+            raise ValidationError("class is not fixed by the group action")
     return vec
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from torusbrauer import brauer, cli
 from torusbrauer.brauer import BrauerAnalysis, n_value, pair_orbits
-from torusbrauer.errors import RankTooSmallError
+from torusbrauer.errors import ValidationError
 from torusbrauer.groups import GaloisDatum, random_galois_datum, subgroup_from_ids
 from torusbrauer.intlat import IntMatrix, solve
 
@@ -45,7 +45,7 @@ class TestPairOrbits:
         assert len(orbits) == 1 and len(orbits[0]) == 3
 
     def test_rank_too_small(self):
-        with pytest.raises(RankTooSmallError):
+        with pytest.raises(ValidationError, match="^need at least two coordinates$"):
             pair_orbits(GaloisDatum.from_generators(1, 2, []))
 
 
@@ -289,7 +289,7 @@ class TestSymbolBasis:
         assert rep.agreement
 
     def test_rank_too_small(self):
-        with pytest.raises(RankTooSmallError):
+        with pytest.raises(ValidationError, match="^need at least two coordinates$"):
             BrauerAnalysis(GaloisDatum.from_generators(1, 2, []))
 
 

@@ -10,7 +10,8 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from torusbrauer import brauer, spectral
+from torusbrauer import brauer, cli, spectral
+from torusbrauer.brauer import BrauerAnalysis
 from torusbrauer.cli import (
     EXIT_DISAGREEMENT,
     EXIT_OK,
@@ -21,10 +22,11 @@ from torusbrauer.cli import (
     run,
     to_json,
 )
-from torusbrauer.errors import NotAnInvolutionError, ValidationError
+from torusbrauer.errors import DisagreementError, SchemaError, TorusBrauerError, ValidationError
 from torusbrauer.groups import (
     MAX_INVOLUTION_RANK,
     MAX_LEVEL,
+    MAX_ORACLE_ENTRIES,
     MAX_RANK,
     MAX_REAL_TORUS_LEVELS,
     FiniteGroup,
@@ -409,6 +411,61 @@ class TestExitCodes:
         code, text = run(["qt-brauer", write(tmp_path, "cycle.json", doc)])
         assert code == EXIT_VALIDATION and text.count("\n") == 1
 
+    def test_level_m_over_cap_validation(self, tmp_path):
+        doc = {"kind": "galois-datum", "r": 2, "M": 2**64, "generators": []}
+        code, text = run(["qt-brauer", write(tmp_path, "big_m.json", doc)])
+        assert code == EXIT_VALIDATION
+        assert text == 'validation error: field "M" has 65 bits, above the 64-bit cap\n'
+
+    def test_level_m_under_cap_runs(self, tmp_path):
+        doc = {"kind": "galois-datum", "r": 2, "M": 2**64 - 2, "generators": []}
+        code, text = run(["--json", "qt-brauer", write(tmp_path, "m.json", doc)])
+        assert code == EXIT_OK
+        assert json.loads(text)["invariant_factors"] == [2**64 - 2]
+
+    def test_huge_prime_factor_of_m_runs(self, tmp_path):
+        # M = 2(2^61 - 1): finding its primes by trial division took about
+        # 1.5 * 10^9 steps; in a child process, so that such a run fails
+        # here instead of hanging the suite
+        M = 2 * (2**61 - 1)
+        path = write(tmp_path, "prime_m.json", {"kind": "galois-datum", "r": 2, "M": M, "generators": []})
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]),
+            PYTHONDONTWRITEBYTECODE="1",
+        )
+        proc = subprocess.run([sys.executable, "-m", "torusbrauer.cli", "qt-brauer", path],
+                              cwd=ROOT, env=env, capture_output=True, text=True, timeout=20)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert f"invariant_factors: [{M}]\n" in proc.stdout
+
+    def test_oracle_size_over_cap_validation(self, tmp_path, monkeypatch):
+        # refused before the pair module is built
+        def no_module(*args):
+            raise AssertionError("the pair module was built past the cap")
+
+        monkeypatch.setattr(brauer, "pair_module", no_module)
+        doc = {"kind": "galois-datum", "r": 80, "M": 2, "generators": []}
+        code, text = run(["qt-brauer", write(tmp_path, "trivial80.json", doc)])
+        assert code == EXIT_VALIDATION
+        assert text == (
+            "validation error: the oracle generators may hold 3160 x 3160 = 9985600 entries, "
+            f"above the {MAX_ORACLE_ENTRIES} cap\n"
+        )
+
+    def test_oracle_size_of_the_120_cycle_passes_the_cap(self, monkeypatch):
+        # 60 orbits x 7,140 pairs: the analysis goes on to the pair module
+        class Passed(Exception):
+            pass
+
+        def passed(*args):
+            raise Passed
+
+        monkeypatch.setattr(brauer, "pair_module", passed)
+        cycle = tuple((i + 1) % MAX_RANK for i in range(MAX_RANK))
+        with pytest.raises(Passed):
+            BrauerAnalysis(GaloisDatum.from_generators(MAX_RANK, 4, [(cycle, 3)]))
+
     def test_rank_over_cap_direct_datum(self):
         r = MAX_RANK + 1
         with pytest.raises(ValidationError, match=f"exceeds {MAX_RANK}"):
@@ -745,7 +802,7 @@ class TestRealTorusMemo:
 
     def test_warm_memo_hides_no_error(self):
         real_torus_check(IntMatrix.identity(1), (2,))
-        with pytest.raises(NotAnInvolutionError):
+        with pytest.raises(ValidationError, match="^matrix is not an involution$"):
             real_torus_check(IntMatrix.from_rows([[2]]), (2,))
 
     def test_new_level_list_is_computed(self):
@@ -834,6 +891,20 @@ class TestSelftestCohom:
     def test_small_resolution_agrees(self):
         code, text = run(["--json", "selftest", "--suite", "cohom"])
         assert code == EXIT_OK and json.loads(text)["all_passed"]
+
+
+class TestExitCodeClasses:
+    def test_one_class_per_exit_code(self):
+        assert set(TorusBrauerError.__subclasses__()) == {SchemaError, ValidationError, DisagreementError}
+
+    def test_failed_internal_check_exits_4(self, monkeypatch):
+        def fail(ext):
+            raise DisagreementError("d_2 y = x has no solution")
+
+        monkeypatch.setattr(cli, "d2_02", fail)  # the name cmd_d2 calls
+        code, text = run(["d2", str(INPUTS / "s3_extension.json")])
+        assert code == EXIT_DISAGREEMENT
+        assert text == "disagreement: d_2 y = x has no solution\n"
 
 
 class TestDisagreementMessage:

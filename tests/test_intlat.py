@@ -6,8 +6,9 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tests import oracles
 from tests.matrices import det, diagonal, entry, hstack
-from torusbrauer.errors import CompositionNonzeroError
+from torusbrauer.errors import ValidationError
 from torusbrauer.intlat import (
     FinAbGroup,
     IntMatrix,
@@ -361,7 +362,7 @@ class TestHomologyOfPair:
         assert h.group.torsion == (2,)
 
     def test_composition_nonzero_rejected(self):
-        with pytest.raises(CompositionNonzeroError):
+        with pytest.raises(ValidationError, match=r"^d_out \* d_in != 0$"):
             Subquotient(
                 IntMatrix.from_rows([[1]]), IntMatrix.from_rows([[1]])
             )
@@ -491,6 +492,12 @@ class TestInvariantFactors:
         for orders in ([2, 4, 6], [3, 9], [2, 2, 2], [10, 4]):
             g = cokernel(diagonal(orders))
             assert g.torsion == invariant_factors(orders)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from([1, 2, 4, 8, 16, 3, 9, 27, 6, 12, 36, 72]),
+                              st.integers(1, 2000)), max_size=10))
+    def test_matches_the_oracle(self, orders):
+        assert invariant_factors(orders) == oracles.invariant_factors(orders)
 
 
 def test_finabgroup_invariants():
